@@ -166,9 +166,12 @@ class RunConfig:
 
     def _float(self, key: str) -> float:
         try:
-            return float(self.entries[key])
+            value = float(self.entries[key])
         except ValueError:
             raise ConfigError(f"'{key}': not a number: {self.entries[key]!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"'{key}': not finite: {self.entries[key]!r}")
+        return value
 
     def _int(self, key: str) -> int:
         try:
@@ -181,9 +184,12 @@ class RunConfig:
         if not raw:
             return []
         try:
-            return [float(part) for part in raw.split(",")]
+            values = [float(part) for part in raw.split(",")]
         except ValueError:
             raise ConfigError(f"'{key}': not a comma list of numbers: {raw!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"'{key}': not all finite: {raw!r}")
+        return values
 
     def _auto_or(self, key: str, kind):
         raw = self.entries[key].strip().lower()

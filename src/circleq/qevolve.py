@@ -4,10 +4,20 @@ side-by-side comparison against the coherent-state-restricted flow.
 The Hamiltonian P^2 + V(e^{iQ}, e^{-iQ}) is a banded Hermitian matrix:
 kinetic terms on the diagonal, the k-th potential harmonic on the k-th
 bands through cos kQ = (S^k + S^{-k})/2 and sin kQ = (S^k - S^{-k})/(2i)
-with S the unit lattice shift.  Propagation goes through a one-time
+with S the unit lattice shift.  With no sine terms the matrix is real
+symmetric and is stored as float64, so the eigendecomposition takes the
+real LAPACK path.  Propagation goes through that one-time
 eigendecomposition -- at desk-scale dimensions this removes all
 integrator error from the quantum side, so any discrepancy with the
 enhanced trajectory is physics (dispersion), not numerics.
+
+Only the eigenmodes that carry the state are propagated: the weakest
+modes are dropped while their summed weight sum |a_j|^2 stays within
+``WINDOW_TAIL`` (amplitude error <= 1e-12), and the trace reports how
+many modes were kept and the weight dropped.  States are rebuilt in
+blocks of ``TIME_CHUNK`` sample times, so memory does not grow with the
+step count, and the energy is measured on every state through the banded
+matvec rather than assumed from the spectrum.
 
 The circle position is reported through <e^{iQ}>, never a bare <Q>: the
 chart [-pi, pi) makes <Q> jump under rotation, while the complex moment
@@ -27,6 +37,11 @@ from .dynamics import PhasePoint, Trajectory, evolve
 from .enhanced import EnhancedHamiltonian, TrigPotential
 from .hilbert import MomentumState, TwistedBasis, default_cutoff
 from .specfun import TWO_PI, QuadratureGrid, integrate_periodic
+
+# largest summed weight sum |a_j|^2 of the eigenmodes left out of a propagation
+WINDOW_TAIL = 1e-24
+# sample times rebuilt per block of evolve_quantum
+TIME_CHUNK = 128
 
 
 @dataclass(eq=False)
@@ -53,8 +68,10 @@ def build_hamiltonian(
 ) -> HamiltonianMatrix:
     """Assemble the banded Hermitian matrix of P^2 + V in the twisted basis.
 
-    With ``validate`` every band is cross-checked against the quadrature
-    matrix elements <m|V|n> before the matrix is returned.
+    The matrix is float64 when the potential has no sine terms (it is then
+    real symmetric) and complex otherwise.  With ``validate`` every band is
+    cross-checked against the quadrature matrix elements <m|V|n> before the
+    matrix is returned.
     """
     m = potential.degree
     if basis.cutoff_n <= m:
@@ -63,9 +80,12 @@ def build_hamiltonian(
         )
     dim = basis.dimension
     momenta = basis.momenta()
-    matrix = np.diag((momenta * momenta + potential.a0).astype(complex))
+    real = not any(potential.b)
+    matrix = np.diag((momenta * momenta + potential.a0).astype(float if real else complex))
     for k in range(1, m + 1):
         band = potential_band_value(potential, k)
+        if real:
+            band = band.real
         idx = np.arange(dim - k)
         matrix[idx + k, idx] += band
         matrix[idx, idx + k] += np.conj(band)
@@ -85,16 +105,56 @@ def build_hamiltonian(
 
 @dataclass(eq=False)
 class ExpectationTrace:
+    """Expectation values at each sample time.
+
+    ``modes_kept`` eigenmodes were propagated; the ones left out carried
+    the summed weight ``discarded_weight`` of the initial state.
+    """
+
     times: np.ndarray
     cos_q: np.ndarray
     sin_q: np.ndarray
     mean_p: np.ndarray
     norm: np.ndarray
     energy: np.ndarray
+    modes_kept: int
+    discarded_weight: float
 
     def circle_moment(self) -> np.ndarray:
         """Complex moment <e^{iQ}>(t); its modulus measures coherence."""
         return self.cos_q + 1j * self.sin_q
+
+
+def _apply(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``matrix @ coeffs`` for complex ``coeffs``; a real matrix multiplies
+    the interleaved real and imaginary parts in one real product instead
+    of being promoted to complex."""
+    if np.iscomplexobj(matrix):
+        return matrix @ coeffs
+    coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+    pairs = coeffs.view(np.float64).reshape(coeffs.shape[0], -1)
+    out = (matrix @ pairs).view(complex)
+    return out.reshape(matrix.shape[0], *coeffs.shape[1:])
+
+
+def _spectral_window(weights: np.ndarray) -> tuple:
+    """(kept mode indices in ascending order, weight of the dropped modes):
+    the weakest modes go while their summed weight is <= WINDOW_TAIL."""
+    order = np.argsort(weights)
+    tail = np.cumsum(weights[order])
+    dropped = int(np.searchsorted(tail, WINDOW_TAIL, side="right"))
+    discarded = float(tail[dropped - 1]) if dropped else 0.0
+    return np.sort(order[dropped:]), discarded
+
+
+def _banded_apply(ham: HamiltonianMatrix, states: np.ndarray) -> np.ndarray:
+    """H @ states through the diagonal and the ``bandwidth`` band pairs."""
+    out = np.diagonal(ham.matrix)[:, None] * states
+    for k in range(1, ham.bandwidth + 1):
+        band = potential_band_value(ham.potential, k)
+        out[k:] += band * states[:-k]
+        out[:-k] += np.conj(band) * states[k:]
+    return out
 
 
 def evolve_quantum(
@@ -102,9 +162,10 @@ def evolve_quantum(
 ) -> ExpectationTrace:
     """Expectation traces of |psi(t)> = e^{-i H t / hbar} |psi(0)>.
 
-    One eigendecomposition, then exact phases at every sample time.  A
-    failed decomposition raises numpy's LinAlgError untouched; nothing is
-    silently approximated.
+    One eigendecomposition, then exact phases at every sample time on the
+    modes inside the spectral window.  A failed decomposition raises
+    numpy's LinAlgError untouched; the only approximation is the window,
+    whose dropped weight is reported.
     """
     if initial.basis is not ham.basis and (
         initial.basis.alpha != ham.basis.alpha
@@ -117,24 +178,33 @@ def evolve_quantum(
 
     hbar = ham.basis.hbar
     energies, modes = np.linalg.eigh(ham.matrix)
-    amps = modes.conj().T @ initial.coeffs
-    times = dt * np.arange(steps + 1)
-    phases = np.exp(-1j * np.outer(energies, times) / hbar)
-    states = modes @ (phases * amps[:, None])  # (dim, steps+1)
+    # a = modes^H psi, arranged so that a real ``modes`` is never copied
+    amps = np.conj(_apply(modes.T, np.conj(initial.coeffs)))
+    kept, discarded = _spectral_window(np.abs(amps) ** 2)
+    energies, modes, amps = energies[kept], modes[:, kept], amps[kept]
 
-    weights = np.abs(states) ** 2
-    norm = weights.sum(axis=0)
-    mean_p = ham.basis.momenta() @ weights
-    moment = np.sum(np.conj(states[1:, :]) * states[:-1, :], axis=0)
-    h_states = ham.matrix @ states
-    energy = np.sum(np.conj(states) * h_states, axis=0).real
+    momenta = ham.basis.momenta()
+    times = dt * np.arange(steps + 1)
+    cos_q, sin_q, mean_p, norm, energy = np.empty((5, steps + 1))
+    for start in range(0, steps + 1, TIME_CHUNK):
+        block = slice(start, start + TIME_CHUNK)
+        phases = np.exp(-1j * np.outer(energies, times[block]) / hbar)
+        states = _apply(modes, phases * amps[:, None])  # (dim, block length)
+        weights = states.real**2 + states.imag**2
+        norm[block] = weights.sum(axis=0)
+        mean_p[block] = momenta @ weights
+        moment = np.sum(np.conj(states[1:]) * states[:-1], axis=0)
+        cos_q[block], sin_q[block] = moment.real, moment.imag
+        energy[block] = np.sum(np.conj(states) * _banded_apply(ham, states), axis=0).real
     return ExpectationTrace(
         times=times,
-        cos_q=moment.real,
-        sin_q=moment.imag,
+        cos_q=cos_q,
+        sin_q=sin_q,
         mean_p=mean_p,
         norm=norm,
         energy=energy,
+        modes_kept=int(kept.size),
+        discarded_weight=discarded,
     )
 
 

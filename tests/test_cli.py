@@ -58,6 +58,26 @@ def test_malformed_value_exits_one(tmp_path, capsys):
     assert "model.r" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("run.dt", "nan"),
+        ("run.p0", "inf"),
+        ("run.q0", "nan"),
+        ("model.r", "nan"),
+        ("model.r", "inf"),
+        ("model.hbar", "nan"),
+        ("model.alpha", "nan"),
+        ("model.potential.a", "1.0, -inf"),
+    ],
+)
+def test_non_finite_value_exits_one(tmp_path, capsys, key, value):
+    code, outdir = run(tmp_path, "evolve", "run.steps = 5", f"{key} = {value}")
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not any(outdir.glob("*.csv"))
+
+
 def test_unknown_key_exits_one(tmp_path, capsys):
     code, _ = run(tmp_path, "fiducial", "model.bogus = 1")
     assert code == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from circleq.fiducial import FiducialSpec
 from circleq.coherent import CoherentLabel, coherent_state
 from circleq.enhanced import EnhancedHamiltonian, TrigPotential
 from circleq.qevolve import (
+    TIME_CHUNK,
+    WINDOW_TAIL,
     build_hamiltonian,
     compare_restricted,
     comparison_basis,
@@ -20,6 +23,90 @@ def basis_state(basis, n):
     coeffs = np.zeros(basis.dimension, dtype=complex)
     coeffs[n + basis.cutoff_n] = 1.0
     return MomentumState(basis, coeffs)
+
+
+def dense_reference_trace(ham, initial, dt, steps):
+    """Oracle propagation: complex eigh of the dense matrix, every mode,
+    every state at once, and the energy through the dense H @ states."""
+    matrix = ham.matrix.astype(complex)
+    energies, modes = np.linalg.eigh(matrix)
+    amps = modes.conj().T @ initial.coeffs
+    times = dt * np.arange(steps + 1)
+    phases = np.exp(-1j * np.outer(energies, times) / ham.basis.hbar)
+    states = modes @ (phases * amps[:, None])
+    weights = np.abs(states) ** 2
+    moment = np.sum(np.conj(states[1:, :]) * states[:-1, :], axis=0)
+    return {
+        "cos_q": moment.real,
+        "sin_q": moment.imag,
+        "mean_p": ham.basis.momenta() @ weights,
+        "norm": weights.sum(axis=0),
+        "energy": np.sum(np.conj(states) * (matrix @ states), axis=0).real,
+    }
+
+
+def coherent_case(potential, steps):
+    spec = FiducialSpec(r=5.0, alpha=0.3, hbar=0.1)  # r/hbar = 50
+    model = EnhancedHamiltonian.build(potential, spec)
+    label = CoherentLabel(p=0.4, q=2.7)
+    basis = comparison_basis(model, label)
+    state = coherent_state(label, spec, basis).normalized()
+    return build_hamiltonian(potential, basis), state, 0.01, steps
+
+
+def spread_case():
+    # a random state loads every eigenmode far above the window tail
+    basis = TwistedBasis(0.3, 1.0, 6)
+    rng = np.random.default_rng(7)
+    coeffs = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+    state = MomentumState(basis, coeffs).normalized()
+    ham = build_hamiltonian(TrigPotential(a=(0.5, 0.1), b=(0.2, 0.0)), basis)
+    return ham, state, 0.05, 200
+
+
+ORACLE_CASES = {
+    "real": lambda: coherent_case(TrigPotential(a=(0.8, 0.2)), 300),
+    "complex": lambda: coherent_case(TrigPotential(a=(0.8, 0.2), b=(0.1, -0.3)), 300),
+    "all_modes": spread_case,
+    "ragged_chunks": lambda: coherent_case(TrigPotential.pendulum(), 2 * TIME_CHUNK + 37),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_propagation_matches_dense_oracle(name):
+    ham, state, dt, steps = ORACLE_CASES[name]()
+    dim = ham.basis.dimension
+    trace = evolve_quantum(ham, state, dt, steps)
+    expected = dense_reference_trace(ham, state, dt, steps)
+    for key, values in expected.items():
+        got = getattr(trace, key)
+        assert got.shape == (steps + 1,)
+        assert np.all(np.abs(got - values) <= 1e-12 * np.maximum(1.0, np.abs(values))), key
+
+    assert trace.discarded_weight <= WINDOW_TAIL
+    assert trace.modes_kept <= dim
+    if name == "all_modes":
+        assert trace.modes_kept == dim and trace.discarded_weight == 0.0
+    else:
+        assert trace.modes_kept < dim
+    real = not any(ham.potential.b)
+    assert ham.matrix.dtype == (np.float64 if real else np.complex128)
+
+
+def test_propagation_memory_does_not_grow_with_steps():
+    # one complex (dim, steps + 1) array alone would take about 64 MB here
+    spec = FiducialSpec(r=10.0, alpha=0.3)
+    basis = TwistedBasis(0.3, 1.0, 100)
+    ham = build_hamiltonian(TrigPotential.pendulum(), basis)
+    state = coherent_state(CoherentLabel(p=0.5, q=1.0), spec, basis).normalized()
+    tracemalloc.start()
+    try:
+        trace = evolve_quantum(ham, state, 0.01, 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.dimension == 201 and trace.times.size == 20001
+    assert peak < 16 * 2**20
 
 
 def test_free_hamiltonian_is_diagonal():
