@@ -250,6 +250,8 @@ class RunConfig:
         cutoff = self._auto_or("run.cutoff", int)
         if cutoff is None:
             cutoff = default_cutoff(spec.localization, pot.degree)
+        elif cutoff < 1:
+            raise ConfigError("'run.cutoff': must be >= 1 or auto")
         return TwistedBasis(spec.alpha, spec.hbar, cutoff)
 
     def dt(self) -> float:
@@ -274,14 +276,21 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _write(path: Path, text: str) -> Path:
+    # the output directory appears with the first file: commands read and
+    # validate every key before writing, so a rejected config leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
+
+
 def write_csv(path: Path, name: str, columns, rows):
     lines = [f"# schema: circleq/{name} {SCHEMA_VERSION}"]
     lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write(path, "\n".join(lines) + "\n")
 
 
 _PLOT_PRELUDE = """\
@@ -298,8 +307,7 @@ def load(name):
 
 
 def write_plot_script(path: Path, body: str):
-    path.write_text(_PLOT_PRELUDE + body)
-    return path
+    return _write(path, _PLOT_PRELUDE + body)
 
 
 # subcommands ----------------------------------------------------------
@@ -308,10 +316,14 @@ def write_plot_script(path: Path, body: str):
 def cmd_fiducial(cfg: RunConfig) -> list:
     spec = cfg.spec()
     outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
+    points = cfg._int("run.profile_points")
+    harmonic = cfg._auto_or("run.max_harmonic", int)
+    if harmonic is None:
+        harmonic = max(cfg.potential().degree, 4)
+    samples = cfg._int("run.samples")
+    basis = cfg.basis()
     written = []
 
-    points = cfg._int("run.profile_points")
     theta = -math.pi + 2.0 * math.pi * np.arange(points) / points
     amp = evaluate(spec, theta)
     peak = normalization(spec)
@@ -328,11 +340,8 @@ def cmd_fiducial(cfg: RunConfig) -> list:
         )
     )
 
-    harmonic = cfg._auto_or("run.max_harmonic", int)
-    if harmonic is None:
-        harmonic = max(cfg.potential().degree, 4)
     mom = moments(spec, max_harmonic=harmonic, grid=cfg.grid())
-    envelope = gaussian_bound_check(spec, cfg._int("run.samples")) if spec.r > 0 else None
+    envelope = gaussian_bound_check(spec, samples) if spec.r > 0 else None
     written.append(
         write_csv(
             outdir / "fiducial_moments.csv",
@@ -358,7 +367,6 @@ def cmd_fiducial(cfg: RunConfig) -> list:
         )
     )
 
-    basis = cfg.basis()
     coeffs = momentum_coefficients(spec, basis)
     written.append(
         write_csv(
@@ -389,7 +397,6 @@ fig.savefig("fiducial_profile.png", dpi=150)
 def cmd_unity(cfg: RunConfig) -> list:
     spec = cfg.spec()
     outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
     basis = cfg.basis()
     scale = math.sqrt(spec.hbar * max(spec.r, spec.hbar))
     interior = np.abs(basis.n_values()) <= max(spec.localization, 1.0)
@@ -439,7 +446,6 @@ def cmd_hamiltonian(cfg: RunConfig) -> list:
     potential = cfg.potential()
     model = EnhancedHamiltonian.build(potential, spec)
     outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
     p_min, p_max, p_count = cfg._float_list("run.p_grid")
     p_axis = np.linspace(p_min, p_max, int(p_count))
     q_count = cfg._int("run.q_points")
@@ -490,11 +496,17 @@ def _trajectory_rows(traj):
 _TRAJ_COLUMNS = ["t", "q", "q_unwrapped", "p", "energy"]
 
 
+def _comparison_basis(model: EnhancedHamiltonian, label: CoherentLabel) -> TwistedBasis:
+    try:
+        return comparison_basis(model, label)
+    except ValueError as exc:
+        raise ConfigError(f"'run.p0': {exc}") from None
+
+
 def cmd_evolve(cfg: RunConfig) -> list:
     spec = cfg.spec()
     model = EnhancedHamiltonian.build(cfg.potential(), spec)
     outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
     kind = cfg.entries["run.kind"]
     dt, steps = cfg.dt(), cfg._int("run.steps")
     q0, p0 = cfg._float("run.q0"), cfg._float("run.p0")
@@ -507,7 +519,7 @@ def cmd_evolve(cfg: RunConfig) -> list:
         plot_target = f"trajectory_{kind}.csv"
     else:
         label = CoherentLabel(p=p0, q=q0)
-        basis = comparison_basis(model, label)
+        basis = _comparison_basis(model, label)
         state = coherent_state(label, spec, basis).normalized()
         ham = build_hamiltonian(model.potential, basis)
         trace = evolve_quantum(ham, state, dt, steps)
@@ -542,15 +554,15 @@ def cmd_compare(cfg: RunConfig) -> list:
     spec = cfg.spec()
     model = EnhancedHamiltonian.build(cfg.potential(), spec)
     outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
     dt = cfg.dt()
     total = cfg._auto_or("run.total_time", float)
     if total is None:
         total = dt * cfg._int("run.steps")
     q0, p0 = cfg._float("run.q0"), cfg._float("run.p0")
     label = CoherentLabel(p=p0, q=q0)
+    basis = _comparison_basis(model, label)
 
-    report = compare_restricted(model, label, total_time=total, dt=dt)
+    report = compare_restricted(model, label, total_time=total, dt=dt, basis=basis)
     steps = len(report.times) - 1
     classical = evolve("classical", model, PhasePoint.start(q0, p0), dt, steps)
 

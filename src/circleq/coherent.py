@@ -14,6 +14,17 @@ slots through the band-limited projection kernel
 which is the exact value of the defining projection integral, evaluated
 term by term against the fiducial coefficients c_n (a direct quadrature
 of the same integral is kept in the tests as an independent oracle).
+The kernel depends on n - k only, so it is Toeplitz: every row of boosted
+coefficients is a correlation of c with one run of sinc values over the
+lags n - k, and a whole table of momenta is a single product of those
+runs with the Hankel matrix of c.
+
+The resolution of unity integrates f_m(p) f_n(p) e^{i (m - n) q} over
+the cylinder.  The integrand factorizes, so the momentum sum is the Gram
+matrix of the boosted table and the angle sum is the q rule's aliasing
+vector A[m - n] = sum_j w_j e^{i (m - n) q_j}; the literal double sum is
+their entrywise product, and the tests keep the per-node double loop as
+its oracle.
 
 For p/hbar not an integer the boosted function leaves the twisted domain
 (the boundary phase defect is nonzero) and its lattice tail decays only
@@ -29,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .specfun import TWO_PI
 from .fiducial import FiducialSpec, momentum_coefficients, default_basis
@@ -49,14 +61,22 @@ class CoherentLabel:
         object.__setattr__(self, "q", float(wrap_angle(self.q)))
 
 
-def _boosted_coefficients(spec: FiducialSpec, p: float, out_slots: np.ndarray) -> np.ndarray:
-    """Lattice coefficients of e^{i p Q / hbar} |eta> on the given slots."""
+def _boost_table(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis) -> np.ndarray:
+    """Boosted fiducial coefficients f[i, k] = sum_n c_n sinc(n - k + shifts[i])
+    on the slots k of ``basis``, one row per shift p/hbar.
+
+    Over the lags n - k in [n_min - k_max, n_max - k_min] each row needs one
+    run of D + S - 1 sinc values; the sum over n is the correlation of that
+    run with c, taken for all rows at once against the (D + S - 1, S) Hankel
+    view H[m, k] = c[m + k - (S - 1)] of the zero-padded coefficients.
+    Memory is O(P (D + S)).
+    """
     support = default_basis(spec)
     c = momentum_coefficients(spec, support).coeffs.real
-    n_src = support.n_values()
-    shift = p / spec.hbar
-    kernel = np.sinc(n_src[None, :] - out_slots[:, None] + shift)
-    return kernel @ c
+    n_src, slots = support.n_values(), basis.n_values()
+    lags = np.arange(n_src[0] - slots[-1], n_src[-1] - slots[0] + 1)
+    hankel = sliding_window_view(np.pad(c, slots.size - 1), slots.size)
+    return np.sinc(lags[None, :] + shifts[:, None]) @ hankel
 
 
 def coherent_state(
@@ -71,7 +91,7 @@ def coherent_state(
     """
     if basis.alpha != spec.alpha or basis.hbar != spec.hbar:
         raise ValueError("basis and fiducial spec disagree on alpha or hbar")
-    f = _boosted_coefficients(spec, label.p, basis.n_values())
+    f = _boost_table(spec, np.array([label.p / spec.hbar]), basis)[0]
     deficit = 1.0 - float(f @ f)
     if deficit > EDGE_WEIGHT_LIMIT:
         raise ResolutionError(
@@ -125,8 +145,14 @@ def verify_unity(
     only the diagonal survives and a single Gauss-Legendre sweep over the
     momentum window remains; the diagonal entries then increase
     monotonically toward 1 with the cutoff.  With ``full_2d`` the entire
-    matrix is assembled from a literal two-dimensional quadrature (slow,
-    but it measures the off-diagonal defect instead of asserting it).
+    matrix of the literal two-dimensional quadrature is assembled, which
+    measures the off-diagonal defect instead of asserting it.  Its
+    integrand factorizes as f_m f_n e^{i (m - n) q}, so the double sum is
+    the Gram matrix G = f^T W f of the boosted table (W the momentum
+    weights) times the q rule's aliasing vector A[m - n], computed from
+    the same q nodes; the Gram matrix is one real O(P S^2) product.
+    Memory is O(P (D + S) + S Q) for a lattice of S slots, a fiducial
+    support of D slots and Q angle nodes.
 
     The sweep touches no shared mutable state, so independent calls may
     run concurrently.
@@ -138,14 +164,7 @@ def verify_unity(
 
     slots = basis.n_values()
     p_values, p_weights, p_count = _gauss_legendre(p_cutoff, spec.hbar, p_nodes)
-    support = default_basis(spec)
-    c = momentum_coefficients(spec, support).coeffs.real
-    shifts = p_values / spec.hbar
-    # f[i, k] = f_k(p_i) via one kernel tensor; no state mutation anywhere
-    kernel = np.sinc(
-        support.n_values()[None, None, :] - slots[None, :, None] + shifts[:, None, None]
-    )
-    f = kernel @ c
+    f = _boost_table(spec, p_values / spec.hbar, basis)  # f[i, k] = f_k(p_i)
 
     meta = {"p_nodes": p_count, "mode": "analytic-q"}
     if not full_2d:
@@ -159,17 +178,18 @@ def verify_unity(
             q_nodes = max(64, 4 * basis.cutoff_n + 4)
         q_values = -math.pi + TWO_PI * np.arange(q_nodes) / q_nodes
         meta = {"p_nodes": p_count, "mode": "full-2d", "q_nodes": q_nodes}
-        rot = np.exp(-1j * np.outer(q_values, slots + basis.alpha))  # (q, dim)
-        matrix = np.zeros((len(slots), len(slots)), dtype=complex)
-        q_weight = TWO_PI / q_nodes
-        for i in range(p_count):
-            d = rot * f[i]  # states d_n(p_i, q_j) for every q_j
-            matrix += (p_weights[i] * q_weight) * (d.conj().T @ d)
+        gram = f.T @ (p_weights[:, None] * f)
+        # A[d] for d = 0..S-1; A[-d] = conj(A[d]) holds exactly in floating
+        # point (cos is even, sin odd), so the negative lags are mirrored
+        lags = np.arange(slots.size)
+        half = (TWO_PI / q_nodes) * np.exp(1j * np.outer(lags, q_values)).sum(axis=1)
+        aliasing = np.concatenate([half[:0:-1].conj(), half])  # A[d] at d + S - 1
+        matrix = gram * aliasing[np.subtract.outer(lags, lags) + slots.size - 1]
         matrix /= TWO_PI * spec.hbar
-        diag = np.diag(matrix).real
+        diag = matrix.diagonal().real.copy()
         diag_defect = float(np.max(np.abs(diag - 1.0)))
-        off = matrix - np.diag(np.diag(matrix))
-        offdiag_defect = float(np.max(np.abs(off)))
+        np.fill_diagonal(matrix, 0.0)
+        offdiag_defect = float(np.max(np.abs(matrix)))
 
     return UnityReport(
         p_cutoff=float(p_cutoff),

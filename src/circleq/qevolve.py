@@ -42,6 +42,8 @@ from .specfun import TWO_PI, QuadratureGrid, integrate_periodic
 WINDOW_TAIL = 1e-24
 # sample times rebuilt per block of evolve_quantum
 TIME_CHUNK = 128
+# largest lattice comparison_basis builds; r/hbar = 200 at p = 0 needs 3227
+MAX_LATTICE_DIM = 8192
 
 
 @dataclass(eq=False)
@@ -230,11 +232,20 @@ class ComparisonReport:
 
 
 def comparison_basis(model: EnhancedHamiltonian, label: CoherentLabel) -> TwistedBasis:
-    """Default lattice: fiducial support, potential bandwidth, boost margin."""
+    """Default lattice: fiducial support, potential bandwidth, boost margin.
+
+    Raises ValueError when the lattice would exceed ``MAX_LATTICE_DIM``
+    slots, before anything of that size is built.
+    """
     spec = model.spec
-    extra = int(math.ceil(abs(label.p) / spec.hbar))
-    cutoff = default_cutoff(spec.localization, model.potential.degree) + extra
-    return TwistedBasis(spec.alpha, spec.hbar, cutoff)
+    margin = abs(label.p) / spec.hbar
+    support = default_cutoff(spec.localization, model.potential.degree)
+    if support + margin > (MAX_LATTICE_DIM - 1) // 2:
+        raise ValueError(
+            f"a boost of |p|/hbar = {margin:.6g} needs a lattice wider than "
+            f"MAX_LATTICE_DIM = {MAX_LATTICE_DIM} slots"
+        )
+    return TwistedBasis(spec.alpha, spec.hbar, support + int(math.ceil(margin)))
 
 
 def compare_restricted(

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,39 @@ def test_non_finite_value_exits_one(tmp_path, capsys, key, value):
     assert code == 1
     assert key in capsys.readouterr().err
     assert not any(outdir.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("evolve", "run.dt", "nan"),
+        ("compare", "run.q0", "nan"),
+        ("unity", "run.cutoff", "abc"),
+        ("unity", "run.cutoff", "0"),
+        ("fiducial", "run.max_harmonic", "abc"),
+    ],
+)
+def test_rejected_config_leaves_no_output_dir(tmp_path, capsys, command, key, value):
+    code, outdir = run(tmp_path, command, "run.steps = 5", f"{key} = {value}")
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "evolve"])
+@pytest.mark.parametrize("p0", ["1e300", "1e4"])
+def test_boost_beyond_lattice_limit_exits_one(tmp_path, capsys, command, p0):
+    # refused before any lattice of that size is built, so it is quick
+    start = time.perf_counter()
+    code, outdir = run(
+        tmp_path, command, "model.hbar = 0.05", "run.kind = quantum",
+        "run.steps = 5", f"run.p0 = {p0}",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "run.p0" in err and "Traceback" not in err
+    assert not outdir.exists()
+    assert time.perf_counter() - start < 5.0
 
 
 def test_unknown_key_exits_one(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ import pytest
 from circleq.specfun import QuadratureGrid
 from circleq.hilbert import ResolutionError, TwistedBasis, apply_shift
 from circleq.fiducial import FiducialSpec, default_basis, evaluate, momentum_coefficients
-from circleq.coherent import CoherentLabel, coherent_state, overlap, verify_unity
+from circleq.coherent import (
+    CoherentLabel,
+    _gauss_legendre,
+    coherent_state,
+    overlap,
+    verify_unity,
+)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -30,6 +37,42 @@ def quadrature_coefficients(spec, basis, p, q, nodes=4096):
         values[0] = 0.5 * (integrand(-math.pi) + integrand(math.pi))
         out[i] = grid.weight * values.sum() / SQRT_2PI
     return np.exp(-1j * (basis.n_values() + basis.alpha) * q) * out
+
+
+def dense_boost(spec, basis, shifts):
+    """Literal boost table f[i, k] = sum_n c_n sinc(n - k + shifts[i]) from a
+    full (P, S, D) sinc kernel over the fiducial support."""
+    support = default_basis(spec)
+    c = momentum_coefficients(spec, support).coeffs.real
+    kernel = np.sinc(
+        support.n_values()[None, None, :]
+        - basis.n_values()[None, :, None]
+        + np.asarray(shifts)[:, None, None]
+    )
+    return kernel @ c
+
+
+def literal_unity_reference(spec, basis, p_cutoff, p_nodes=64, full_2d=False, q_nodes=None):
+    """Oracle for verify_unity: the dense boost tensor and, with ``full_2d``,
+    the literal double sum over momentum nodes and angle nodes, one state
+    d_n(p_i, q_j) at a time.  Returns (diagonal entries, off-diagonal defect)."""
+    p_values, p_weights, p_count = _gauss_legendre(p_cutoff, spec.hbar, p_nodes)
+    f = dense_boost(spec, basis, p_values / spec.hbar)
+    if not full_2d:
+        return (p_weights / spec.hbar) @ (f * f), 0.0
+    slots = basis.n_values()
+    if q_nodes is None:
+        q_nodes = max(64, 4 * basis.cutoff_n + 4)
+    q_values = -math.pi + 2 * math.pi * np.arange(q_nodes) / q_nodes
+    rot = np.exp(-1j * np.outer(q_values, slots + basis.alpha))  # (q, dim)
+    matrix = np.zeros((len(slots), len(slots)), dtype=complex)
+    q_weight = 2 * math.pi / q_nodes
+    for i in range(p_count):
+        d = rot * f[i]  # states d_n(p_i, q_j) for every q_j
+        matrix += (p_weights[i] * q_weight) * (d.conj().T @ d)
+    matrix /= 2 * math.pi * spec.hbar
+    off = matrix - np.diag(np.diag(matrix))
+    return np.diag(matrix).real, float(np.max(np.abs(off)))
 
 
 def test_label_wraps_angle():
@@ -173,3 +216,40 @@ def test_unity_diagonal_grows_with_quadrature_refinement():
     coarse = verify_unity(spec, basis, p_cutoff=30.0, p_nodes=128)
     fine = verify_unity(spec, basis, p_cutoff=30.0, p_nodes=256)
     assert np.max(np.abs(coarse.diag_entries - fine.diag_entries)) < 1e-10
+
+
+@pytest.mark.parametrize("full_2d", [False, True])
+@pytest.mark.parametrize("alpha", [0.0, 0.25])
+@pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
+def test_unity_matches_literal_reference(r, alpha, full_2d):
+    spec = FiducialSpec(r=r, alpha=alpha)
+    basis = TwistedBasis(alpha, 1.0, 12)
+    report = verify_unity(spec, basis, p_cutoff=20.0, full_2d=full_2d)
+    diag, offdiag = literal_unity_reference(spec, basis, p_cutoff=20.0, full_2d=full_2d)
+    assert np.max(np.abs(report.diag_entries - diag)) < 1e-13
+    assert report.offdiag_defect <= 1e-10 and offdiag <= 1e-10
+
+
+def test_coherent_state_matches_dense_sinc_kernel():
+    spec = FiducialSpec(r=6.0, alpha=0.3, hbar=0.5)
+    basis = default_basis(spec)
+    for p, q in [(0.0, 0.0), (1.5, 0.7), (-2.3, -2.9), (0.37, 3.0)]:
+        label = CoherentLabel(p, q)
+        state = coherent_state(label, spec, basis)
+        phases = np.exp(-1j * (basis.n_values() + basis.alpha) * label.q)
+        dense = phases * dense_boost(spec, basis, [p / spec.hbar])[0]
+        assert np.max(np.abs(state.coeffs - dense)) < 1e-14
+
+
+def test_unity_full_2d_memory_bounded():
+    # a (P, D, S) kernel here is 475 x 177 x 179 doubles, about 120 MB
+    spec = FiducialSpec(r=10.0, alpha=0.25)
+    basis = TwistedBasis(0.25, 1.0, 89)
+    tracemalloc.start()
+    try:
+        report = verify_unity(spec, basis, p_cutoff=40.0 * math.sqrt(10.0), full_2d=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.quadrature_meta["p_nodes"] == 475
+    assert peak < 16 * 2**20
