@@ -18,7 +18,7 @@ model.potential.a0    constant potential term (0.0)
 model.potential.a     comma list: cos coefficients a_1..a_m (empty)
 model.potential.b     comma list: sin coefficients b_1..b_m (empty)
 run.grid_nodes        angular quadrature nodes, even, >= 16 (512)
-run.cutoff            lattice half-width N, or ``auto`` (auto)
+run.cutoff            lattice half-width N, 1..4095, or ``auto`` (auto)
 run.max_harmonic      harmonics reported by ``fiducial``, or ``auto`` (auto)
 run.samples           sample count for the envelope check (10000)
 run.profile_points    rows in the fiducial profile table (720)
@@ -87,11 +87,19 @@ from .hilbert import (
     default_cutoff,
     synthesize,
 )
-from .qevolve import build_hamiltonian, compare_restricted, comparison_basis, evolve_quantum
+from .qevolve import (
+    MAX_LATTICE_DIM,
+    build_hamiltonian,
+    compare_restricted,
+    comparison_basis,
+    evolve_quantum,
+)
 from .specfun import QuadratureGrid, bessel_i, integrate_periodic
 
 OUTDIR_ENV = "CIRCLEQ_OUTDIR"
 SCHEMA_VERSION = "v1"
+# largest lattice half-width N any command builds
+_MAX_CUTOFF = (MAX_LATTICE_DIM - 1) // 2
 
 
 class ConfigError(ValueError):
@@ -245,13 +253,29 @@ class RunConfig:
     def grid(self) -> QuadratureGrid:
         return QuadratureGrid.make(self._int("run.grid_nodes"))
 
+    def support(self) -> int:
+        """Half-width of the model's default lattice (fiducial support plus
+        potential bandwidth), refused past ``MAX_LATTICE_DIM`` slots before
+        any Bessel sequence or array of that size is built."""
+        spec = self.spec()
+        try:
+            support = default_cutoff(spec.localization, self.potential().degree)
+        except OverflowError:  # r/hbar past the float range
+            support = math.inf
+        if support > _MAX_CUTOFF:
+            raise ConfigError(
+                f"'model.r' / 'model.hbar': r/hbar = {spec.localization:.6g} needs a "
+                f"lattice wider than MAX_LATTICE_DIM = {MAX_LATTICE_DIM} slots"
+            )
+        return support
+
     def basis(self) -> TwistedBasis:
-        spec, pot = self.spec(), self.potential()
+        spec, support = self.spec(), self.support()
         cutoff = self._auto_or("run.cutoff", int)
         if cutoff is None:
-            cutoff = default_cutoff(spec.localization, pot.degree)
-        elif cutoff < 1:
-            raise ConfigError("'run.cutoff': must be >= 1 or auto")
+            cutoff = support
+        elif not 1 <= cutoff <= _MAX_CUTOFF:
+            raise ConfigError(f"'run.cutoff': must be auto or between 1 and {_MAX_CUTOFF}")
         return TwistedBasis(spec.alpha, spec.hbar, cutoff)
 
     def dt(self) -> float:
@@ -505,9 +529,11 @@ def _comparison_basis(model: EnhancedHamiltonian, label: CoherentLabel) -> Twist
 
 def cmd_evolve(cfg: RunConfig) -> list:
     spec = cfg.spec()
+    kind = cfg.entries["run.kind"]
+    if kind == "quantum":
+        cfg.support()  # before the model's Bessel sequences at r/hbar
     model = EnhancedHamiltonian.build(cfg.potential(), spec)
     outdir = cfg.outdir()
-    kind = cfg.entries["run.kind"]
     dt, steps = cfg.dt(), cfg._int("run.steps")
     q0, p0 = cfg._float("run.q0"), cfg._float("run.p0")
     if kind in ("classical", "enhanced"):
@@ -552,6 +578,7 @@ fig.savefig("trajectory.png", dpi=150)
 
 def cmd_compare(cfg: RunConfig) -> list:
     spec = cfg.spec()
+    cfg.support()  # before the model's Bessel sequences at r/hbar
     model = EnhancedHamiltonian.build(cfg.potential(), spec)
     outdir = cfg.outdir()
     dt = cfg.dt()

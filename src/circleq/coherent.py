@@ -69,11 +69,17 @@ def _boost_table(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis) ->
     run of D + S - 1 sinc values; the sum over n is the correlation of that
     run with c, taken for all rows at once against the (D + S - 1, S) Hankel
     view H[m, k] = c[m + k - (S - 1)] of the zero-padded coefficients.
+    The support keeps only the central run of coefficients |c_n| >= the
+    smallest normal double: the ones past it are zero or subnormal, add
+    nothing a double can hold to any entry, and make the product crawl.
     Memory is O(P (D + S)).
     """
     support = default_basis(spec)
     c = momentum_coefficients(spec, support).coeffs.real
-    n_src, slots = support.n_values(), basis.n_values()
+    # c_n is even in n and falls off monotonically from n = 0
+    normal = np.flatnonzero(c >= np.finfo(float).tiny)
+    run = slice(normal[0], normal[-1] + 1)
+    c, n_src, slots = c[run], support.n_values()[run], basis.n_values()
     lags = np.arange(n_src[0] - slots[-1], n_src[-1] - slots[0] + 1)
     hankel = sliding_window_view(np.pad(c, slots.size - 1), slots.size)
     return np.sinc(lags[None, :] + shifts[:, None]) @ hankel

@@ -11,13 +11,18 @@ eigendecomposition -- at desk-scale dimensions this removes all
 integrator error from the quantum side, so any discrepancy with the
 enhanced trajectory is physics (dispersion), not numerics.
 
-Only the eigenmodes that carry the state are propagated: the weakest
-modes are dropped while their summed weight sum |a_j|^2 stays within
-``WINDOW_TAIL`` (amplitude error <= 1e-12), and the trace reports how
-many modes were kept and the weight dropped.  States are rebuilt in
-blocks of ``TIME_CHUNK`` sample times, so memory does not grow with the
-step count, and the energy is measured on every state through the banded
-matvec rather than assumed from the spectrum.
+A coherent state occupies a small run of the lattice, so the
+eigendecomposition runs on a principal block of contiguous slots around
+it, and only the block's eigenmodes that carry the state are propagated:
+the weakest are dropped while their summed weight sum |a_j|^2 stays
+within ``WINDOW_TAIL``.  The block's coupling to the rest of the lattice
+gives each mode's exact residual, and with it a bound on the amplitude
+error over the whole horizon; the block grows until that bound is at most
+sqrt(WINDOW_TAIL) = 1e-12, and the trace reports the slots and modes kept,
+the weight dropped and the bound.  States are rebuilt in blocks of
+``TIME_CHUNK`` sample times, so memory does not grow with the step count,
+and the energy is measured on every state through the banded matvec
+rather than assumed from the spectrum.
 
 The circle position is reported through <e^{iQ}>, never a bare <Q>: the
 chart [-pi, pi) makes <Q> jump under rotation, while the complex moment
@@ -42,6 +47,8 @@ from .specfun import TWO_PI, QuadratureGrid, integrate_periodic
 WINDOW_TAIL = 1e-24
 # sample times rebuilt per block of evolve_quantum
 TIME_CHUNK = 128
+# evolve_quantum pads the initial state's span by 1/MARGIN_DIVISOR of it on each side
+MARGIN_DIVISOR = 4
 # largest lattice comparison_basis builds; r/hbar = 200 at p = 0 needs 3227
 MAX_LATTICE_DIM = 8192
 
@@ -109,8 +116,12 @@ def build_hamiltonian(
 class ExpectationTrace:
     """Expectation values at each sample time.
 
-    ``modes_kept`` eigenmodes were propagated; the ones left out carried
-    the summed weight ``discarded_weight`` of the initial state.
+    The eigenmodes were solved on a block of ``slots_kept`` contiguous
+    lattice slots; ``modes_kept`` of them were propagated and the ones
+    left out carried the summed weight ``discarded_weight`` of the
+    initial state.  ``truncation_bound`` bounds the amplitude error
+    ||psi(t) - psi_exact(t)|| the block and the window make over the
+    whole horizon (floating-point roundoff aside).
     """
 
     times: np.ndarray
@@ -121,6 +132,8 @@ class ExpectationTrace:
     energy: np.ndarray
     modes_kept: int
     discarded_weight: float
+    slots_kept: int
+    truncation_bound: float
 
     def circle_moment(self) -> np.ndarray:
         """Complex moment <e^{iQ}>(t); its modulus measures coherence."""
@@ -140,8 +153,8 @@ def _apply(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _spectral_window(weights: np.ndarray) -> tuple:
-    """(kept mode indices in ascending order, weight of the dropped modes):
-    the weakest modes go while their summed weight is <= WINDOW_TAIL."""
+    """(kept indices in ascending order, weight of the dropped ones): the
+    weakest entries go while their summed weight is <= WINDOW_TAIL."""
     order = np.argsort(weights)
     tail = np.cumsum(weights[order])
     dropped = int(np.searchsorted(tail, WINDOW_TAIL, side="right"))
@@ -149,9 +162,10 @@ def _spectral_window(weights: np.ndarray) -> tuple:
     return np.sort(order[dropped:]), discarded
 
 
-def _banded_apply(ham: HamiltonianMatrix, states: np.ndarray) -> np.ndarray:
-    """H @ states through the diagonal and the ``bandwidth`` band pairs."""
-    out = np.diagonal(ham.matrix)[:, None] * states
+def _banded_apply(ham: HamiltonianMatrix, block: slice, states: np.ndarray) -> np.ndarray:
+    """H[block, block] @ states through the diagonal and the ``bandwidth``
+    band pairs."""
+    out = np.diagonal(ham.matrix)[block, None] * states
     for k in range(1, ham.bandwidth + 1):
         band = potential_band_value(ham.potential, k)
         out[k:] += band * states[:-k]
@@ -159,15 +173,37 @@ def _banded_apply(ham: HamiltonianMatrix, states: np.ndarray) -> np.ndarray:
     return out
 
 
+def _edge_residuals(ham: HamiltonianMatrix, block: slice, modes: np.ndarray) -> np.ndarray:
+    """||(H - E_j) v_j|| for the eigenvectors v_j of H[block, block], taken
+    as zero outside the block: inside it the residual vanishes, and outside
+    only the ``bandwidth`` slots on either side couple to the block."""
+    m = ham.bandwidth
+    below = ham.matrix[max(block.start - m, 0):block.start, block]
+    above = ham.matrix[block.stop:block.stop + m, block]
+    leak = np.concatenate([below, above]) @ modes
+    return np.sqrt(np.sum(leak.real**2 + leak.imag**2, axis=0))
+
+
 def evolve_quantum(
     ham: HamiltonianMatrix, initial: MomentumState, dt: float, steps: int
 ) -> ExpectationTrace:
     """Expectation traces of |psi(t)> = e^{-i H t / hbar} |psi(0)>.
 
-    One eigendecomposition, then exact phases at every sample time on the
-    modes inside the spectral window.  A failed decomposition raises
-    numpy's LinAlgError untouched; the only approximation is the window,
-    whose dropped weight is reported.
+    The eigendecomposition runs on the principal block H[lo:hi, lo:hi] of
+    the slots that hold all but ``WINDOW_TAIL`` of the initial weight plus
+    a margin, and exact phases at every sample time drive the modes inside
+    the spectral window.  Over the horizon T = |dt| steps the amplitude
+    error is at most
+
+        sqrt(weight outside the block) + sqrt(discarded weight)
+            + (T / hbar) sum_j |a_j| ||(H - E_j) v_j||
+
+    (a Duhamel estimate per kept mode); while that exceeds
+    sqrt(WINDOW_TAIL) the margin doubles and the block is solved again.
+    On the whole lattice the bound is the window's alone, so the loop
+    ends.  The bound covers truncation only: roundoff, as for any
+    eigendecomposition, grows like eps ||H|| T / hbar.  A failed
+    decomposition raises numpy's LinAlgError untouched.
     """
     if initial.basis is not ham.basis and (
         initial.basis.alpha != ham.basis.alpha
@@ -178,26 +214,43 @@ def evolve_quantum(
     if abs(initial.norm_sq() - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
 
-    hbar = ham.basis.hbar
-    energies, modes = np.linalg.eigh(ham.matrix)
-    # a = modes^H psi, arranged so that a real ``modes`` is never copied
-    amps = np.conj(_apply(modes.T, np.conj(initial.coeffs)))
-    kept, discarded = _spectral_window(np.abs(amps) ** 2)
-    energies, modes, amps = energies[kept], modes[:, kept], amps[kept]
+    hbar, dim = ham.basis.hbar, ham.basis.dimension
+    psi = initial.coeffs
+    slot_weights = psi.real**2 + psi.imag**2
+    held, _ = _spectral_window(slot_weights)
+    first, last = int(held[0]), int(held[-1]) + 1
+    margin = max(1, (last - first) // MARGIN_DIVISOR)
+    horizon = abs(dt) * steps / hbar
+    while True:
+        block = slice(max(first - margin, 0), min(last + margin, dim))
+        energies, modes = np.linalg.eigh(ham.matrix[block, block])
+        # a = modes^H psi, arranged so that a real ``modes`` is never copied
+        amps = np.conj(_apply(modes.T, np.conj(psi[block])))
+        kept, discarded = _spectral_window(amps.real**2 + amps.imag**2)
+        energies, modes, amps = energies[kept], modes[:, kept], amps[kept]
+        outside = slot_weights[: block.start].sum() + slot_weights[block.stop:].sum()
+        bound = (
+            math.sqrt(outside)
+            + math.sqrt(discarded)
+            + horizon * float(np.abs(amps) @ _edge_residuals(ham, block, modes))
+        )
+        if bound <= math.sqrt(WINDOW_TAIL) or block.stop - block.start == dim:
+            break
+        margin *= 2
 
-    momenta = ham.basis.momenta()
+    momenta = ham.basis.momenta()[block]
     times = dt * np.arange(steps + 1)
     cos_q, sin_q, mean_p, norm, energy = np.empty((5, steps + 1))
     for start in range(0, steps + 1, TIME_CHUNK):
-        block = slice(start, start + TIME_CHUNK)
-        phases = np.exp(-1j * np.outer(energies, times[block]) / hbar)
-        states = _apply(modes, phases * amps[:, None])  # (dim, block length)
+        chunk = slice(start, start + TIME_CHUNK)
+        phases = np.exp(-1j * np.outer(energies, times[chunk]) / hbar)
+        states = _apply(modes, phases * amps[:, None])  # (block length, chunk length)
         weights = states.real**2 + states.imag**2
-        norm[block] = weights.sum(axis=0)
-        mean_p[block] = momenta @ weights
+        norm[chunk] = weights.sum(axis=0)
+        mean_p[chunk] = momenta @ weights
         moment = np.sum(np.conj(states[1:]) * states[:-1], axis=0)
-        cos_q[block], sin_q[block] = moment.real, moment.imag
-        energy[block] = np.sum(np.conj(states) * _banded_apply(ham, states), axis=0).real
+        cos_q[chunk], sin_q[chunk] = moment.real, moment.imag
+        energy[chunk] = np.sum(np.conj(states) * _banded_apply(ham, block, states), axis=0).real
     return ExpectationTrace(
         times=times,
         cos_q=cos_q,
@@ -207,6 +260,8 @@ def evolve_quantum(
         energy=energy,
         modes_kept=int(kept.size),
         discarded_weight=discarded,
+        slots_kept=block.stop - block.start,
+        truncation_bound=bound,
     )
 
 

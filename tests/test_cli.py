@@ -113,6 +113,27 @@ def test_boost_beyond_lattice_limit_exits_one(tmp_path, capsys, command, p0):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("unity", ("model.r = 100", "model.hbar = 1e-3")),
+        ("evolve", ("run.kind = quantum", "model.hbar = 1e-300")),
+        ("compare", ("model.r = 1e10", "model.hbar = 1e-300")),
+    ],
+)
+def test_localization_beyond_lattice_limit_exits_one(tmp_path, capsys, command, settings):
+    # r/hbar = 1e5 would ask for a 1.6e6-slot lattice, 1e300 for a Bessel
+    # recurrence of 1e300 orders, and 1e310 overflows to inf; all are
+    # refused before anything of that size is built
+    start = time.perf_counter()
+    code, outdir = run(tmp_path, command, "run.steps = 5", *settings)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "model.r" in err and "model.hbar" in err and "Traceback" not in err
+    assert not outdir.exists()
+    assert time.perf_counter() - start < 5.0
+
+
 def test_unknown_key_exits_one(tmp_path, capsys):
     code, _ = run(tmp_path, "fiducial", "model.bogus = 1")
     assert code == 1

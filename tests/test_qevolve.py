@@ -45,10 +45,10 @@ def dense_reference_trace(ham, initial, dt, steps):
     }
 
 
-def coherent_case(potential, steps):
-    spec = FiducialSpec(r=5.0, alpha=0.3, hbar=0.1)  # r/hbar = 50
+def coherent_case(potential, steps, r=5.0, hbar=0.1, p=0.4, q=2.7):
+    spec = FiducialSpec(r=r, alpha=0.3, hbar=hbar)  # r/hbar = 50 by default
     model = EnhancedHamiltonian.build(potential, spec)
-    label = CoherentLabel(p=0.4, q=2.7)
+    label = CoherentLabel(p=p, q=q)
     basis = comparison_basis(model, label)
     state = coherent_state(label, spec, basis).normalized()
     return build_hamiltonian(potential, basis), state, 0.01, steps
@@ -64,11 +64,28 @@ def spread_case():
     return ham, state, 0.05, 200
 
 
+SINE_TERMS = TrigPotential(a=(0.8, 0.2), b=(0.1, -0.3))
+
+
+def edge_case():
+    # r/hbar = 10 boosted to p/hbar = 34 on the lattice |n| <= 50: the
+    # state's weight reaches the upper lattice edge (2e-11 on the last slot)
+    spec = FiducialSpec(r=1.0, alpha=0.3, hbar=0.1)
+    basis = TwistedBasis(spec.alpha, spec.hbar, 50)
+    state = coherent_state(CoherentLabel(p=3.4, q=-2.0), spec, basis).normalized()
+    assert abs(state.coeffs[-1]) ** 2 > WINDOW_TAIL  # so the block ends at the edge
+    return build_hamiltonian(SINE_TERMS, basis), state, 0.01, 300
+
+
 ORACLE_CASES = {
     "real": lambda: coherent_case(TrigPotential(a=(0.8, 0.2)), 300),
-    "complex": lambda: coherent_case(TrigPotential(a=(0.8, 0.2), b=(0.1, -0.3)), 300),
+    "complex": lambda: coherent_case(SINE_TERMS, 300),
     "all_modes": spread_case,
     "ragged_chunks": lambda: coherent_case(TrigPotential.pendulum(), 2 * TIME_CHUNK + 37),
+    # r/hbar = 10 over 50 time units: the first block's edge leak, times
+    # T/hbar = 500, breaks the bound, so the block must grow
+    "long_horizon": lambda: coherent_case(SINE_TERMS, 5000, r=1.0, p=0.3, q=1.0),
+    "lattice_edge": edge_case,
 }
 
 
@@ -84,13 +101,25 @@ def test_propagation_matches_dense_oracle(name):
         assert np.all(np.abs(got - values) <= 1e-12 * np.maximum(1.0, np.abs(values))), key
 
     assert trace.discarded_weight <= WINDOW_TAIL
-    assert trace.modes_kept <= dim
+    assert trace.truncation_bound <= math.sqrt(WINDOW_TAIL) == 1e-12
+    assert trace.modes_kept <= trace.slots_kept <= dim
     if name == "all_modes":
         assert trace.modes_kept == dim and trace.discarded_weight == 0.0
+        assert trace.slots_kept == dim
     else:
         assert trace.modes_kept < dim
+        assert trace.slots_kept < dim
     real = not any(ham.potential.b)
     assert ham.matrix.dtype == (np.float64 if real else np.complex128)
+
+
+def test_long_horizon_grows_the_block():
+    # the same state over a short horizon settles on the first block
+    ham, state, dt, steps = ORACLE_CASES["long_horizon"]()
+    short = evolve_quantum(ham, state, dt, 300)
+    long = evolve_quantum(ham, state, dt, steps)
+    assert short.slots_kept < long.slots_kept < ham.basis.dimension
+    assert max(short.truncation_bound, long.truncation_bound) <= 1e-12
 
 
 def test_propagation_memory_does_not_grow_with_steps():
