@@ -7,36 +7,9 @@ Flat ``key = value`` lines with dotted section prefixes; ``#`` starts a
 comment, blank lines are ignored, later assignments win.  No positional
 arguments beyond the subcommand; a file is passed with ``--config`` and
 single keys are overridden with ``--set key=value`` (repeatable).
+Every key, its meaning and its default:
 
-====================  =======================================================
-key                   meaning (default)
-====================  =======================================================
-model.hbar            action scale, > 0 (1.0)
-model.alpha           twist of the boundary condition, reduced mod 1 (0.0)
-model.r               fiducial concentration, >= 0, action units (1.0)
-model.potential.a0    constant potential term (0.0)
-model.potential.a     comma list: cos coefficients a_1..a_m (empty)
-model.potential.b     comma list: sin coefficients b_1..b_m (empty)
-run.grid_nodes        angular quadrature nodes, even, >= 16 (512)
-run.cutoff            lattice half-width N, 1..4095, or ``auto`` (auto)
-run.max_harmonic      harmonics reported by ``fiducial``, or ``auto`` (auto)
-run.samples           sample count for the envelope check (10000)
-run.profile_points    rows in the fiducial profile table (720)
-run.p_cutoff_factors  comma list, momentum cutoffs in units of
-                      sqrt(hbar max(r, hbar)) (5, 10, 20, 40)
-run.p_nodes           minimum momentum quadrature nodes, >= 64 (64)
-run.full_2d           literal 2-D unity quadrature, true/false (true)
-run.kind              ``evolve`` flavor: classical|enhanced|quantum (enhanced)
-run.q0, run.p0        initial phase-space point (0.0, 1.0)
-run.dt                time step, or ``auto`` (auto)
-run.steps             step count (1000)
-run.total_time        horizon for ``compare``; overrides steps (auto)
-run.p_grid            ``hamiltonian`` momentum axis: min, max, count (-3, 3, 25)
-run.q_points          ``hamiltonian`` angle axis point count (73)
-run.seed              seed for randomized self-checks (0)
-output.dir            output directory (circleq-out); the environment
-                      variable CIRCLEQ_OUTDIR overrides it
-====================  =======================================================
+{key_table}
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-contract
 violation, 3 I/O error.
@@ -52,6 +25,7 @@ import argparse
 import math
 import os
 import sys
+import textwrap
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -59,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coherent import CoherentLabel, verify_unity
+from .coherent import CoherentLabel, coherent_state, verify_unity
 from .dynamics import PhasePoint, alpha_invariance_check, evolve
 from .enhanced import (
     EnhancedHamiltonian,
@@ -77,7 +51,6 @@ from .fiducial import (
     momentum_coefficients,
     normalization,
 )
-from .coherent import coherent_state
 from .hilbert import (
     MomentumState,
     ResolutionError,
@@ -110,32 +83,50 @@ class ContractViolation(RuntimeError):
     """A numerical invariant the package guarantees failed to hold."""
 
 
-_DEFAULTS = {
-    "model.hbar": "1.0",
-    "model.alpha": "0.0",
-    "model.r": "1.0",
-    "model.potential.a0": "0.0",
-    "model.potential.a": "",
-    "model.potential.b": "",
-    "run.grid_nodes": "512",
-    "run.cutoff": "auto",
-    "run.max_harmonic": "auto",
-    "run.samples": "10000",
-    "run.profile_points": "720",
-    "run.p_cutoff_factors": "5, 10, 20, 40",
-    "run.p_nodes": "64",
-    "run.full_2d": "true",
-    "run.kind": "enhanced",
-    "run.q0": "0.0",
-    "run.p0": "1.0",
-    "run.dt": "auto",
-    "run.steps": "1000",
-    "run.total_time": "auto",
-    "run.p_grid": "-3, 3, 25",
-    "run.q_points": "73",
-    "run.seed": "0",
-    "output.dir": "circleq-out",
-}
+# (key, default, meaning): the source of _DEFAULTS and of the key table
+# in the module docstring
+_KEYS = (
+    ("model.hbar", "1.0", "action scale, > 0"),
+    ("model.alpha", "0.0", "twist of the boundary condition, reduced mod 1"),
+    ("model.r", "1.0", "fiducial concentration, >= 0, action units"),
+    ("model.potential.a0", "0.0", "constant potential term"),
+    ("model.potential.a", "", "comma list: cos coefficients a_1..a_m"),
+    ("model.potential.b", "", "comma list: sin coefficients b_1..b_m"),
+    ("run.grid_nodes", "512", "angular quadrature nodes, even, >= 16"),
+    ("run.cutoff", "auto", f"lattice half-width N, 1..{_MAX_CUTOFF}, or ``auto``"),
+    ("run.max_harmonic", "auto", "harmonics reported by ``fiducial``, or ``auto``"),
+    ("run.samples", "10000", "sample count for the envelope check"),
+    ("run.profile_points", "720", "rows in the fiducial profile table"),
+    ("run.p_cutoff_factors", "5, 10, 20, 40",
+     "comma list, momentum cutoffs in units of sqrt(hbar max(r, hbar))"),
+    ("run.p_nodes", "64", "minimum momentum quadrature nodes, >= 64"),
+    ("run.full_2d", "true", "literal 2-D unity quadrature, true/false"),
+    ("run.kind", "enhanced", "``evolve`` flavor: classical|enhanced|quantum"),
+    ("run.q0", "0.0", "initial angle"),
+    ("run.p0", "1.0", "initial momentum"),
+    ("run.dt", "auto", "time step, or ``auto``"),
+    ("run.steps", "1000", "step count"),
+    ("run.total_time", "auto", "horizon for ``compare``; overrides steps"),
+    ("run.p_grid", "-3, 3, 25", "``hamiltonian`` momentum axis: min, max, count"),
+    ("run.q_points", "73", "``hamiltonian`` angle axis point count"),
+    ("run.seed", "0", "seed for randomized self-checks"),
+    ("output.dir", "circleq-out",
+     f"output directory; the environment variable {OUTDIR_ENV} overrides it"),
+)
+_DEFAULTS = {key: default for key, default, _ in _KEYS}
+
+
+def _key_table() -> str:
+    rule = "=" * 20 + "  " + "=" * 55
+    lines = [rule, f"{'key':<22}meaning (default)", rule]
+    for key, default, meaning in _KEYS:
+        first, *more = textwrap.wrap(f"{meaning} ({default or 'empty'})", 55)
+        lines += [f"{key:<22}{first}"] + [" " * 22 + line for line in more]
+    return "\n".join(lines + [rule])
+
+
+if __doc__:  # None under python -OO
+    __doc__ = __doc__.format(key_table=_key_table())
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -278,6 +269,12 @@ class RunConfig:
             raise ConfigError(f"'run.cutoff': must be auto or between 1 and {_MAX_CUTOFF}")
         return TwistedBasis(spec.alpha, spec.hbar, cutoff)
 
+    def model(self) -> EnhancedHamiltonian:
+        try:
+            return EnhancedHamiltonian.build(self.potential(), self.spec())
+        except ValueError as exc:  # the Bessel order limit at huge r/hbar
+            raise ConfigError(f"'model.r' / 'model.hbar': {exc}") from None
+
     def dt(self) -> float:
         value = self._auto_or("run.dt", float)
         if value is None:
@@ -334,19 +331,43 @@ def write_plot_script(path: Path, body: str):
     return _write(path, _PLOT_PRELUDE + body)
 
 
-# subcommands ----------------------------------------------------------
+def _emit(outdir: Path, command: str, tables, plot_body) -> list:
+    """Write a command's CSV tables, each ``(file, schema, columns, rows)``,
+    in order, then its plot script ``plot_<command>.py``."""
+    written = [
+        write_csv(outdir / file, schema, columns, rows)
+        for file, schema, columns, rows in tables
+    ]
+    if plot_body is not None:
+        written.append(write_plot_script(outdir / f"plot_{command}.py", plot_body))
+    return written
 
 
-def cmd_fiducial(cfg: RunConfig) -> list:
+_TRAJ_COLUMNS = ["t", "q", "q_unwrapped", "p", "energy"]
+_QUANTUM_COLUMNS = ["t", "cos_q", "sin_q", "mean_p", "norm", "energy"]
+
+
+def _trajectory_table(file: str, kind: str, traj):
+    rows = zip(traj.times, traj.q, traj.q_unwrapped, traj.p, traj.energies)
+    return file, f"trajectory-{kind}", _TRAJ_COLUMNS, rows
+
+
+def _quantum_table(file: str, trace):
+    rows = zip(trace.times, trace.cos_q, trace.sin_q, trace.mean_p, trace.norm, trace.energy)
+    return file, "trajectory-quantum", _QUANTUM_COLUMNS, rows
+
+
+# subcommands: each returns (CSV tables, plot script body) --------------
+
+
+def cmd_fiducial(cfg: RunConfig):
     spec = cfg.spec()
-    outdir = cfg.outdir()
     points = cfg._int("run.profile_points")
     harmonic = cfg._auto_or("run.max_harmonic", int)
     if harmonic is None:
         harmonic = max(cfg.potential().degree, 4)
     samples = cfg._int("run.samples")
     basis = cfg.basis()
-    written = []
 
     theta = -math.pi + 2.0 * math.pi * np.arange(points) / points
     amp = evaluate(spec, theta)
@@ -354,21 +375,18 @@ def cmd_fiducial(cfg: RunConfig) -> list:
     z = spec.localization
     gauss = peak**2 * np.exp(-z * theta * theta)
     upper = math.exp(z * (math.pi**2 - 4.0)) * gauss if z > 0 else gauss
-    rows = zip(theta, np.abs(amp) ** 2, amp.real, amp.imag, upper, gauss)
-    written.append(
-        write_csv(
-            outdir / "fiducial_profile.csv",
-            "fiducial-profile",
-            ["theta", "density", "re", "im", "upper_envelope", "lower_envelope"],
-            rows,
-        )
-    )
-
     mom = moments(spec, max_harmonic=harmonic, grid=cfg.grid())
     envelope = gaussian_bound_check(spec, samples) if spec.r > 0 else None
-    written.append(
-        write_csv(
-            outdir / "fiducial_moments.csv",
+    coeffs = momentum_coefficients(spec, basis)
+    tables = [
+        (
+            "fiducial_profile.csv",
+            "fiducial-profile",
+            ["theta", "density", "re", "im", "upper_envelope", "lower_envelope"],
+            zip(theta, np.abs(amp) ** 2, amp.real, amp.imag, upper, gauss),
+        ),
+        (
+            "fiducial_moments.csv",
             "fiducial-moments",
             [
                 "r", "alpha", "hbar", "mean_q", "mean_p", "var_p",
@@ -380,31 +398,21 @@ def cmd_fiducial(cfg: RunConfig) -> list:
                 envelope.upper_margin if envelope else 0.0,
                 envelope.lower_margin if envelope else 0.0,
             ]],
-        )
-    )
-    written.append(
-        write_csv(
-            outdir / "fiducial_attenuation.csv",
+        ),
+        (
+            "fiducial_attenuation.csv",
             "fiducial-attenuation",
             ["harmonic", "cos_moment"],
-            list(enumerate(mom.cos_moments)),
-        )
-    )
-
-    coeffs = momentum_coefficients(spec, basis)
-    written.append(
-        write_csv(
-            outdir / "fiducial_coefficients.csv",
+            enumerate(mom.cos_moments),
+        ),
+        (
+            "fiducial_coefficients.csv",
             "fiducial-coefficients",
             ["n", "momentum", "coefficient"],
             zip(basis.n_values(), basis.momenta(), coeffs.coeffs.real),
-        )
-    )
-
-    written.append(
-        write_plot_script(
-            outdir / "plot_fiducial.py",
-            """
+        ),
+    ]
+    return tables, """
 profile = load("fiducial_profile.csv")
 fig, ax = plt.subplots()
 ax.semilogy(profile["theta"], profile["density"], label="|eta|^2")
@@ -412,15 +420,11 @@ ax.semilogy(profile["theta"], profile["upper_envelope"], "--", label="upper Gaus
 ax.semilogy(profile["theta"], profile["lower_envelope"], ":", label="lower Gaussian")
 ax.set_xlabel("theta"); ax.set_ylabel("density"); ax.legend()
 fig.savefig("fiducial_profile.png", dpi=150)
-""",
-        )
-    )
-    return written
+"""
 
 
-def cmd_unity(cfg: RunConfig) -> list:
+def cmd_unity(cfg: RunConfig):
     spec = cfg.spec()
-    outdir = cfg.outdir()
     basis = cfg.basis()
     scale = math.sqrt(spec.hbar * max(spec.r, spec.hbar))
     interior = np.abs(basis.n_values()) <= max(spec.localization, 1.0)
@@ -441,83 +445,52 @@ def cmd_unity(cfg: RunConfig) -> list:
             interior_defect,
             report.offdiag_defect,
         ])
-    written = [
-        write_csv(
-            outdir / "unity_defects.csv",
-            "unity-defects",
-            ["p_cutoff", "p_nodes", "diag_defect", "interior_diag_defect", "offdiag_defect"],
-            rows,
-        )
-    ]
-    written.append(
-        write_plot_script(
-            outdir / "plot_unity.py",
-            """
+    columns = ["p_cutoff", "p_nodes", "diag_defect", "interior_diag_defect", "offdiag_defect"]
+    return [("unity_defects.csv", "unity-defects", columns, rows)], """
 defects = load("unity_defects.csv")
 fig, ax = plt.subplots()
 ax.loglog(defects["p_cutoff"], defects["interior_diag_defect"], "o-", label="interior diagonal")
 ax.loglog(defects["p_cutoff"], np.maximum(defects["offdiag_defect"], 1e-18), "s-", label="off-diagonal")
 ax.set_xlabel("momentum cutoff"); ax.set_ylabel("defect"); ax.legend()
 fig.savefig("unity_defects.png", dpi=150)
-""",
-        )
-    )
-    return written
+"""
 
 
-def cmd_hamiltonian(cfg: RunConfig) -> list:
-    spec = cfg.spec()
-    potential = cfg.potential()
-    model = EnhancedHamiltonian.build(potential, spec)
-    outdir = cfg.outdir()
+def cmd_hamiltonian(cfg: RunConfig):
+    model = cfg.model()
+    spec, potential = model.spec, model.potential
     p_min, p_max, p_count = cfg._float_list("run.p_grid")
     p_axis = np.linspace(p_min, p_max, int(p_count))
     q_count = cfg._int("run.q_points")
     q_axis = -math.pi + 2.0 * math.pi * np.arange(q_count) / q_count
-    rows = []
-    for p in p_axis:
-        for q in q_axis:
-            h_cs = enhanced_hamiltonian(model, p, q)
-            h_shifted = enhanced_hamiltonian(model, canonical_shift(p, spec), q)
-            h_c = classical_hamiltonian(potential, p, q)
-            rows.append([p, q, h_cs, h_shifted, h_c, h_shifted - h_c - model.kinetic_offset])
-    written = [
-        write_csv(
-            outdir / "hamiltonian_grid.csv",
+    p, q = np.meshgrid(p_axis, q_axis, indexing="ij")  # rows: p outer, q inner
+    h_cs = enhanced_hamiltonian(model, p, q)
+    h_shifted = enhanced_hamiltonian(model, canonical_shift(p, spec), q)
+    h_c = classical_hamiltonian(potential, p, q)
+    residual = h_shifted - h_c - model.kinetic_offset
+    grid = (p, q, h_cs, h_shifted, h_c, residual)
+    tables = [
+        (
+            "hamiltonian_grid.csv",
             "hamiltonian-grid",
             ["p", "q", "h_coherent", "h_coherent_shifted", "h_classical", "residual"],
-            rows,
-        )
-    ]
-    written.append(
-        write_csv(
-            outdir / "hamiltonian_meta.csv",
+            zip(*(column.ravel() for column in grid)),
+        ),
+        (
+            "hamiltonian_meta.csv",
             "hamiltonian-meta",
             ["kinetic_offset"] + [f"rho_{n}" for n in range(1, potential.degree + 1)],
             [[model.kinetic_offset, *model.attenuation]],
-        )
-    )
-    written.append(
-        write_plot_script(
-            outdir / "plot_hamiltonian.py",
-            """
+        ),
+    ]
+    return tables, """
 grid = load("hamiltonian_grid.csv")
 fig, ax = plt.subplots()
 sc = ax.tricontourf(grid["q"], grid["p"], grid["h_coherent"], levels=31)
 fig.colorbar(sc, ax=ax, label="H(p, q)")
 ax.set_xlabel("q"); ax.set_ylabel("p")
 fig.savefig("hamiltonian_grid.png", dpi=150)
-""",
-        )
-    )
-    return written
-
-
-def _trajectory_rows(traj):
-    return zip(traj.times, traj.q, traj.q_unwrapped, traj.p, traj.energies)
-
-
-_TRAJ_COLUMNS = ["t", "q", "q_unwrapped", "p", "energy"]
+"""
 
 
 def _comparison_basis(model: EnhancedHamiltonian, label: CoherentLabel) -> TwistedBasis:
@@ -527,42 +500,24 @@ def _comparison_basis(model: EnhancedHamiltonian, label: CoherentLabel) -> Twist
         raise ConfigError(f"'run.p0': {exc}") from None
 
 
-def cmd_evolve(cfg: RunConfig) -> list:
-    spec = cfg.spec()
+def cmd_evolve(cfg: RunConfig):
     kind = cfg.entries["run.kind"]
     if kind == "quantum":
         cfg.support()  # before the model's Bessel sequences at r/hbar
-    model = EnhancedHamiltonian.build(cfg.potential(), spec)
-    outdir = cfg.outdir()
+    model = cfg.model()
     dt, steps = cfg.dt(), cfg._int("run.steps")
     q0, p0 = cfg._float("run.q0"), cfg._float("run.p0")
     if kind in ("classical", "enhanced"):
         traj = evolve(kind, model, PhasePoint.start(q0, p0), dt, steps)
-        written = [
-            write_csv(outdir / f"trajectory_{kind}.csv", f"trajectory-{kind}",
-                      _TRAJ_COLUMNS, _trajectory_rows(traj))
-        ]
-        plot_target = f"trajectory_{kind}.csv"
+        table = _trajectory_table(f"trajectory_{kind}.csv", kind, traj)
     else:
         label = CoherentLabel(p=p0, q=q0)
         basis = _comparison_basis(model, label)
-        state = coherent_state(label, spec, basis).normalized()
+        state = coherent_state(label, model.spec, basis).normalized()
         ham = build_hamiltonian(model.potential, basis)
-        trace = evolve_quantum(ham, state, dt, steps)
-        written = [
-            write_csv(
-                outdir / "trajectory_quantum.csv",
-                "trajectory-quantum",
-                ["t", "cos_q", "sin_q", "mean_p", "norm", "energy"],
-                zip(trace.times, trace.cos_q, trace.sin_q, trace.mean_p, trace.norm, trace.energy),
-            )
-        ]
-        plot_target = "trajectory_quantum.csv"
-    written.append(
-        write_plot_script(
-            outdir / "plot_evolve.py",
-            f"""
-traj = load("{plot_target}")
+        table = _quantum_table("trajectory_quantum.csv", evolve_quantum(ham, state, dt, steps))
+    return [table], f"""
+traj = load("{table[0]}")
 fig, axes = plt.subplots(2, 1, sharex=True)
 names = traj.dtype.names
 axes[0].plot(traj["t"], traj[names[1]], label=names[1])
@@ -570,17 +525,12 @@ axes[1].plot(traj["t"], traj["energy"], label="energy")
 for ax in axes: ax.legend()
 axes[1].set_xlabel("t")
 fig.savefig("trajectory.png", dpi=150)
-""",
-        )
-    )
-    return written
+"""
 
 
-def cmd_compare(cfg: RunConfig) -> list:
-    spec = cfg.spec()
+def cmd_compare(cfg: RunConfig):
     cfg.support()  # before the model's Bessel sequences at r/hbar
-    model = EnhancedHamiltonian.build(cfg.potential(), spec)
-    outdir = cfg.outdir()
+    model = cfg.model()
     dt = cfg.dt()
     total = cfg._auto_or("run.total_time", float)
     if total is None:
@@ -593,28 +543,18 @@ def cmd_compare(cfg: RunConfig) -> list:
     steps = len(report.times) - 1
     classical = evolve("classical", model, PhasePoint.start(q0, p0), dt, steps)
 
-    written = [
-        write_csv(outdir / "compare_classical.csv", "trajectory-classical",
-                  _TRAJ_COLUMNS, _trajectory_rows(classical)),
-        write_csv(outdir / "compare_enhanced.csv", "trajectory-enhanced",
-                  _TRAJ_COLUMNS, _trajectory_rows(report.enhanced)),
-        write_csv(
-            outdir / "compare_quantum.csv",
-            "trajectory-quantum",
-            ["t", "cos_q", "sin_q", "mean_p", "norm", "energy"],
-            zip(
-                report.quantum.times, report.quantum.cos_q, report.quantum.sin_q,
-                report.quantum.mean_p, report.quantum.norm, report.quantum.energy,
-            ),
-        ),
-        write_csv(
-            outdir / "compare_deviation.csv",
+    tables = [
+        _trajectory_table("compare_classical.csv", "classical", classical),
+        _trajectory_table("compare_enhanced.csv", "enhanced", report.enhanced),
+        _quantum_table("compare_quantum.csv", report.quantum),
+        (
+            "compare_deviation.csv",
             "compare-deviation",
             ["t", "momentum_deviation", "phase_deviation", "coherence"],
             zip(report.times, report.momentum_deviation, report.phase_deviation, report.coherence),
         ),
-        write_csv(
-            outdir / "compare_summary.csv",
+        (
+            "compare_summary.csv",
             "compare-summary",
             ["max_momentum_deviation", "max_phase_deviation", "ehrenfest_window"],
             [[
@@ -624,10 +564,7 @@ def cmd_compare(cfg: RunConfig) -> list:
             ]],
         ),
     ]
-    written.append(
-        write_plot_script(
-            outdir / "plot_compare.py",
-            """
+    return tables, """
 enh = load("compare_enhanced.csv")
 cla = load("compare_classical.csv")
 qua = load("compare_quantum.csv")
@@ -645,10 +582,7 @@ axes[2].semilogy(dev["t"], np.maximum(dev["phase_deviation"], 1e-18), label="pha
 axes[2].semilogy(dev["t"], np.maximum(dev["momentum_deviation"], 1e-18), label="momentum deviation")
 axes[2].legend(); axes[2].set_xlabel("t")
 fig.savefig("compare.png", dpi=150)
-""",
-        )
-    )
-    return written
+"""
 
 
 def _selftest_checks(cfg: RunConfig):
@@ -694,7 +628,7 @@ def _selftest_checks(cfg: RunConfig):
 
     def check_spectrum():
         basis = TwistedBasis(0.3, 1.0, 16)
-        ham = build_hamiltonian(TrigPotential.free(), basis, validate=True)
+        ham = build_hamiltonian(TrigPotential.free(), basis)
         exact = np.sort(basis.momenta() ** 2)
         return float(np.max(np.abs(np.linalg.eigvalsh(ham.matrix) - exact))) < 1e-10
 
@@ -709,7 +643,7 @@ def _selftest_checks(cfg: RunConfig):
     ]
 
 
-def cmd_selftest(cfg: RunConfig) -> list:
+def cmd_selftest(cfg: RunConfig):
     failures = []
     for name, check in _selftest_checks(cfg):
         ok = bool(check())
@@ -718,7 +652,7 @@ def cmd_selftest(cfg: RunConfig) -> list:
             failures.append(name)
     if failures:
         raise ContractViolation("self-test failed: " + ", ".join(failures))
-    return []
+    return [], None
 
 
 _COMMANDS = {
@@ -752,7 +686,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config, args.overrides)
-        written = _COMMANDS[args.command](cfg)
+        tables, plot_body = _COMMANDS[args.command](cfg)
+        written = _emit(cfg.outdir(), args.command, tables, plot_body)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

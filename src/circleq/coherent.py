@@ -142,7 +142,6 @@ def verify_unity(
     p_cutoff: float,
     p_nodes: int = 64,
     full_2d: bool = False,
-    q_nodes: int | None = None,
 ) -> UnityReport:
     """Measure how far the truncated coherent-state integral sits from
     the identity on the lattice.
@@ -180,8 +179,7 @@ def verify_unity(
         # angle integral
         offdiag_defect = 0.0
     else:
-        if q_nodes is None:
-            q_nodes = max(64, 4 * basis.cutoff_n + 4)
+        q_nodes = max(64, 4 * basis.cutoff_n + 4)
         q_values = -math.pi + TWO_PI * np.arange(q_nodes) / q_nodes
         meta = {"p_nodes": p_count, "mode": "full-2d", "q_nodes": q_nodes}
         gram = f.T @ (p_weights[:, None] * f)

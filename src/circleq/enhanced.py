@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiducial import FiducialSpec, moments
+from .fiducial import FiducialSpec, attenuations
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,12 +86,14 @@ class EnhancedHamiltonian:
 
     @classmethod
     def build(cls, potential: TrigPotential, spec: FiducialSpec) -> "EnhancedHamiltonian":
-        mom = moments(spec, max_harmonic=potential.degree)
+        # var_p = hbar^2 sum_n n^2 I_n(z)^2 / I_0(2z) with z = r/hbar, and
+        # sum_n n^2 I_n(z)^2 = z I_1(2z) / 2, so var_p = hbar r rho_1 / 2
+        rho = attenuations(spec, max(potential.degree, 1))
         return cls(
             potential=potential,
             spec=spec,
-            kinetic_offset=mom.var_p,
-            attenuation=np.asarray(mom.cos_moments[1:], dtype=float),
+            kinetic_offset=0.5 * spec.hbar * spec.r * rho[1],
+            attenuation=rho[1 : potential.degree + 1],
         )
 
     def effective_coefficients(self, attenuated: bool = True):
@@ -107,20 +109,24 @@ class EnhancedHamiltonian:
         a0, a, b = self.effective_coefficients(attenuated)
         return TrigPotential(a0, tuple(a), tuple(b)).value(q)
 
-    def effective_force(self, q, attenuated: bool = True):
-        a0, a, b = self.effective_coefficients(attenuated)
-        return -TrigPotential(a0, tuple(a), tuple(b)).derivative(q)
+
+def _float_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def enhanced_hamiltonian(model: EnhancedHamiltonian, p: float, q: float) -> float:
-    """Coherent-state energy surface (p + hbar alpha)^2 + var_p + V_rho(q)."""
+def enhanced_hamiltonian(model: EnhancedHamiltonian, p, q):
+    """Coherent-state energy surface (p + hbar alpha)^2 + var_p + V_rho(q),
+    elementwise over broadcast arrays; a float for scalar p and q."""
     shift = model.spec.hbar * model.spec.alpha
-    return float((p + shift) ** 2 + model.kinetic_offset + model.effective_potential(q))
+    p = np.asarray(p, dtype=float)
+    return _float_or_array((p + shift) ** 2 + model.kinetic_offset + model.effective_potential(q))
 
 
-def classical_hamiltonian(potential: TrigPotential, p: float, q: float) -> float:
-    """Bare classical energy p^2 + V(q)."""
-    return float(p * p + potential.value(q))
+def classical_hamiltonian(potential: TrigPotential, p, q):
+    """Bare classical energy p^2 + V(q), elementwise like
+    :func:`enhanced_hamiltonian`."""
+    p = np.asarray(p, dtype=float)
+    return _float_or_array(p * p + potential.value(q))
 
 
 def canonical_shift(p: float, spec: FiducialSpec) -> float:

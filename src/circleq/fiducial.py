@@ -79,9 +79,9 @@ def evaluate(spec: FiducialSpec, theta):
     return complex(values) if values.ndim == 0 else values
 
 
-def default_basis(spec: FiducialSpec, degree: int = 0) -> TwistedBasis:
+def default_basis(spec: FiducialSpec) -> TwistedBasis:
     """Basis wide enough that the lattice truncation is negligible."""
-    return TwistedBasis(spec.alpha, spec.hbar, default_cutoff(spec.localization, degree))
+    return TwistedBasis(spec.alpha, spec.hbar, default_cutoff(spec.localization))
 
 
 def momentum_coefficients(spec: FiducialSpec, basis: TwistedBasis) -> MomentumState:
@@ -111,17 +111,18 @@ def attenuations(spec: FiducialSpec, max_harmonic: int) -> np.ndarray:
 
 
 def moments(
-    spec: FiducialSpec,
-    max_harmonic: int = 0,
-    grid: QuadratureGrid | None = None,
-    basis: TwistedBasis | None = None,
+    spec: FiducialSpec, max_harmonic: int = 0, grid: QuadratureGrid | None = None
 ) -> FiducialMoments:
     """Position mean by quadrature, momentum moments by lattice sums, and
-    the potential-attenuation factors <cos nQ> by Bessel ratios."""
+    the potential-attenuation factors <cos nQ> by Bessel ratios.
+
+    These are measurements, not closed forms: the closed forms <Q> = 0,
+    <P> = hbar alpha and var_p = hbar r rho_1 / 2 are what they are
+    checked against.
+    """
     if grid is None:
         grid = QuadratureGrid.make()
-    if basis is None:
-        basis = default_basis(spec)
+    basis = default_basis(spec)
 
     density = np.abs(evaluate(spec, grid.nodes)) ** 2
     integrand = grid.nodes * density

@@ -41,7 +41,6 @@ from .coherent import CoherentLabel, coherent_state
 from .dynamics import PhasePoint, Trajectory, evolve
 from .enhanced import EnhancedHamiltonian, TrigPotential
 from .hilbert import MomentumState, TwistedBasis, default_cutoff
-from .specfun import TWO_PI, QuadratureGrid, integrate_periodic
 
 # largest summed weight sum |a_j|^2 of the eigenmodes left out of a propagation
 WINDOW_TAIL = 1e-24
@@ -72,15 +71,11 @@ def potential_band_value(potential: TrigPotential, k: int) -> complex:
     return v if k > 0 else np.conj(v)
 
 
-def build_hamiltonian(
-    potential: TrigPotential, basis: TwistedBasis, validate: bool = False
-) -> HamiltonianMatrix:
+def build_hamiltonian(potential: TrigPotential, basis: TwistedBasis) -> HamiltonianMatrix:
     """Assemble the banded Hermitian matrix of P^2 + V in the twisted basis.
 
     The matrix is float64 when the potential has no sine terms (it is then
-    real symmetric) and complex otherwise.  With ``validate`` every band is
-    cross-checked against the quadrature matrix elements <m|V|n> before the
-    matrix is returned.
+    real symmetric) and complex otherwise.
     """
     m = potential.degree
     if basis.cutoff_n <= m:
@@ -98,17 +93,6 @@ def build_hamiltonian(
         idx = np.arange(dim - k)
         matrix[idx + k, idx] += band
         matrix[idx, idx + k] += np.conj(band)
-
-    if validate:
-        grid = QuadratureGrid.make(max(512, 4 * (m + 1)))
-        samples = potential.value(grid.nodes)
-        for k in range(0, m + 2):
-            quad = integrate_periodic(samples * np.exp(-1j * k * grid.nodes), grid) / TWO_PI
-            if abs(quad - potential_band_value(potential, k)) > 1e-10:
-                raise RuntimeError(
-                    f"band {k} disagrees with quadrature matrix elements: "
-                    f"{potential_band_value(potential, k)} vs {quad}"
-                )
     return HamiltonianMatrix(basis=basis, potential=potential, matrix=matrix, bandwidth=m)
 
 

@@ -15,11 +15,14 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Power series below this argument, Miller backward recurrence above.
-_SERIES_CUTOFF = 15.0
 # exp(z) * I0e(z) stays below float range up to here; past it only the
 # scaled value is representable.
 _UNSCALED_LIMIT = 700.0
+# below this argument e^{-z} I_n(z) = (z/2)^n / n! to double precision
+_TINY_ARG = 1e-20
+# highest start order of the Miller recurrence (z up to about 8e5); past it
+# the Python loop would run for seconds to years
+_MAX_START_ORDER = 1_000_000
 
 
 def _check_order_arg(order, z):
@@ -31,33 +34,6 @@ def _check_order_arg(order, z):
         raise ValueError(f"Bessel argument must be >= 0, got {z}")
 
 
-def _series_scaled(max_order: int, z: float) -> np.ndarray:
-    """e^{-z} I_n(z) for n = 0..max_order by the ascending power series.
-
-    All terms are positive, so there is no cancellation; the e^{-z}
-    damping is folded into the leading term to keep everything in range.
-    """
-    out = np.zeros(max_order + 1)
-    if z == 0.0:
-        out[0] = 1.0
-        return out
-    half = 0.5 * z
-    log_half = math.log(half)
-    half_sq = half * half
-    for n in range(max_order + 1):
-        # leading term (z/2)^n / n! in log form; underflows harmlessly to 0
-        # for orders far beyond the support of I_n(z)
-        term = math.exp(n * log_half - math.lgamma(n + 1.0) - z)
-        total = term
-        for m in range(400):
-            term *= half_sq / ((m + 1.0) * (m + n + 1.0))
-            total += term
-            if term <= 1e-18 * total:
-                break
-        out[n] = total
-    return out
-
-
 def _miller_scaled(max_order: int, z: float) -> np.ndarray:
     """e^{-z} I_n(z) for n = 0..max_order by backward (Miller) recurrence.
 
@@ -65,8 +41,16 @@ def _miller_scaled(max_order: int, z: float) -> np.ndarray:
     start order far enough above both max_order and the turning point
     k ~ z that the arbitrary seed is damped below machine precision, and
     the result is normalized with I_0(z) + 2 sum_{k>=1} I_k(z) = e^z.
+    Raises ValueError, before allocating, when the start order exceeds
+    ``_MAX_START_ORDER``.
     """
-    start = int(max(max_order, 1.2 * z + 12.0 * math.sqrt(z))) + 40
+    start = max(max_order, 1.2 * z + 12.0 * math.sqrt(z)) + 40
+    if start > _MAX_START_ORDER:
+        raise ValueError(
+            f"I_n({z:.6g}) needs a Miller recurrence from order {start:.6g}, "
+            f"beyond the limit {_MAX_START_ORDER}"
+        )
+    start = int(start)
     b = np.zeros(start + 2)
     b[start] = 1.0
     for k in range(start, 0, -1):
@@ -80,8 +64,10 @@ def _miller_scaled(max_order: int, z: float) -> np.ndarray:
 def bessel_i_scaled_sequence(max_order: int, z: float) -> np.ndarray:
     """Array of exponentially scaled values e^{-z} I_n(z), n = 0..max_order."""
     _check_order_arg(max_order, z)
-    if z < _SERIES_CUTOFF:
-        return _series_scaled(max_order, z)
+    if z < _TINY_ARG:  # also z = 0; the recurrence's 2k/z would overflow
+        terms = np.full(max_order + 1, 0.5 * z) / np.maximum(np.arange(max_order + 1), 1)
+        terms[0] = 1.0
+        return np.cumprod(terms)
     return _miller_scaled(max_order, z)
 
 

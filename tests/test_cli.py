@@ -119,12 +119,19 @@ def test_boost_beyond_lattice_limit_exits_one(tmp_path, capsys, command, p0):
         ("unity", ("model.r = 100", "model.hbar = 1e-3")),
         ("evolve", ("run.kind = quantum", "model.hbar = 1e-300")),
         ("compare", ("model.r = 1e10", "model.hbar = 1e-300")),
+        ("hamiltonian", ("model.hbar = 1e-300",)),
+        ("hamiltonian", ("model.hbar = 1e-9",)),
+        ("evolve", ("run.kind = classical", "model.hbar = 1e-300")),
+        ("evolve", ("run.kind = enhanced", "model.hbar = 1e-300")),
+        ("evolve", ("run.kind = enhanced", "model.hbar = 1e-9")),
+        ("hamiltonian", ("model.r = 1e10", "model.hbar = 1e-300")),
     ],
 )
 def test_localization_beyond_lattice_limit_exits_one(tmp_path, capsys, command, settings):
-    # r/hbar = 1e5 would ask for a 1.6e6-slot lattice, 1e300 for a Bessel
-    # recurrence of 1e300 orders, and 1e310 overflows to inf; all are
-    # refused before anything of that size is built
+    # r/hbar = 1e5 would ask for a 1.6e6-slot lattice, 1e9 and 1e300 for a
+    # Bessel recurrence of 1e9 and 1e300 orders (hamiltonian and the
+    # classical and enhanced flows build no lattice), and 1e310 overflows
+    # to inf; all are refused before anything of that size is built
     start = time.perf_counter()
     code, outdir = run(tmp_path, command, "run.steps = 5", *settings)
     assert code == 1
@@ -215,6 +222,33 @@ def test_hamiltonian_grid_dump(tmp_path):
     bound = (1.0 - float(meta["rho_1"])) + 1e-12
     assert np.all(np.abs(table["residual"]) <= bound)
     assert (outdir / "hamiltonian_grid.csv").read_text().splitlines()[0] == SCHEMAS["hamiltonian_grid.csv"]
+
+
+def test_hamiltonian_runs_at_large_localization(tmp_path):
+    # r/hbar = 1e5 builds no lattice, only a Bessel ratio sequence at 2e5
+    code, outdir = run(
+        tmp_path, "hamiltonian", "model.potential.a = 1.0", "model.hbar = 1e-5",
+        "run.p_grid = -1, 1, 3", "run.q_points = 4",
+    )
+    assert code == 0
+    meta = read_table(outdir / "hamiltonian_meta.csv")
+    assert float(meta["rho_1"]) == pytest.approx(1.0 - 1.0 / 4e5, rel=1e-9)
+
+
+def test_docstring_key_table_matches_defaults():
+    import circleq.cli as cli
+
+    # a key's row starts in column 0; a wrapped meaning continues indented
+    rows = {}
+    for line in cli.__doc__.split("meaning (default)")[1].split("Exit codes")[0].splitlines():
+        if line.startswith(" "):
+            rows[key] += " " + line.strip()
+        elif line and not line.startswith("="):
+            key, _, text = line.partition(" ")
+            rows[key] = text.strip()
+    assert list(rows) == list(cli._DEFAULTS)
+    for key, default in cli._DEFAULTS.items():
+        assert rows[key].endswith(f"({default or 'empty'})")
 
 
 def test_evolve_kinds(tmp_path):

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from circleq.specfun import QuadratureGrid, integrate_periodic
 from circleq.hilbert import TwistedBasis, default_cutoff
-from circleq.fiducial import FiducialSpec, evaluate, momentum_coefficients
+from circleq.fiducial import FiducialSpec, evaluate, moments, momentum_coefficients
 from circleq.enhanced import (
     EnhancedHamiltonian,
     TrigPotential,
@@ -55,6 +56,39 @@ def test_kinetic_only_surface():
     spec = FiducialSpec(r=2.0, alpha=0.0)
     model = EnhancedHamiltonian.build(TrigPotential.free(), spec)
     assert enhanced_hamiltonian(model, 2.0, 0.3) == pytest.approx(4.0 + model.kinetic_offset)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.1, 1.0, 2.5, 10.0])
+@pytest.mark.parametrize("hbar", [1.0, 0.5, 0.05, 0.0125])
+def test_kinetic_offset_matches_lattice_variance(r, hbar):
+    # closed form hbar r rho_1 / 2 against the lattice-sum variance of
+    # moments(), <P^2> - <P>^2, whose roundoff scales with <P^2> rather than
+    # with the variance (1.3e-13 of var_p at r = 0.1, hbar = 1, alpha = 0.9),
+    # and against 40-digit Bessel ratios
+    for alpha in (0.0, 0.3, 0.9):
+        spec = FiducialSpec(r=r, alpha=alpha, hbar=hbar)
+        model = EnhancedHamiltonian.build(TrigPotential.pendulum(), spec)
+        mom = moments(spec)
+        assert model.kinetic_offset == pytest.approx(mom.var_p, rel=1e-13, abs=1e-13 * mom.mean_p**2)
+        with mpmath.workdps(40):
+            z = mpmath.mpf(2.0 * r) / hbar
+            exact = float(hbar * r * mpmath.besseli(1, z) / mpmath.besseli(0, z) / 2) if r else 0.0
+        assert model.kinetic_offset == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_array_surfaces_match_scalar_calls():
+    spec = FiducialSpec(r=0.8, alpha=0.35, hbar=0.4)
+    potential = TrigPotential(a0=0.2, a=(1.0, -0.3), b=(0.0, 0.5, 0.1))
+    model = EnhancedHamiltonian.build(potential, spec)
+    p, q = np.meshgrid(np.linspace(-3.0, 3.0, 7), np.linspace(-math.pi, math.pi, 11), indexing="ij")
+    h_cs = enhanced_hamiltonian(model, p, q)
+    h_c = classical_hamiltonian(potential, p, q)
+    assert h_cs.shape == h_c.shape == p.shape
+    for (i, j), p_ij in np.ndenumerate(p):
+        scalar = enhanced_hamiltonian(model, p_ij, q[i, j])
+        assert isinstance(scalar, float)
+        assert h_cs[i, j] == scalar
+        assert h_c[i, j] == classical_hamiltonian(potential, p_ij, q[i, j])
 
 
 def test_closed_form_matches_displaced_expectation_grid():

@@ -147,14 +147,14 @@ def test_free_hamiltonian_is_diagonal():
 def test_cosine_band_matrix_by_hand():
     # single cos Q harmonic, alpha = 0, N = 2: kinetic diagonal (4,1,0,1,4)
     # and both first off-diagonals equal to 1/2
-    ham = build_hamiltonian(TrigPotential(a=(1.0,)), TwistedBasis(0.0, 1.0, 2), validate=True)
+    ham = build_hamiltonian(TrigPotential(a=(1.0,)), TwistedBasis(0.0, 1.0, 2))
     expected = np.diag([4.0, 1.0, 0.0, 1.0, 4.0]).astype(complex)
     expected += 0.5 * (np.eye(5, k=1) + np.eye(5, k=-1))
     assert np.max(np.abs(ham.matrix - expected)) < 1e-15
 
 
 def test_sine_band_matrix_hermitian():
-    ham = build_hamiltonian(TrigPotential(b=(1.0,)), TwistedBasis(0.0, 1.0, 2), validate=True)
+    ham = build_hamiltonian(TrigPotential(b=(1.0,)), TwistedBasis(0.0, 1.0, 2))
     assert np.allclose(np.diag(ham.matrix, -1), -0.5j)
     assert np.allclose(np.diag(ham.matrix, 1), 0.5j)
     assert np.max(np.abs(ham.matrix - ham.matrix.conj().T)) == 0.0
@@ -167,10 +167,14 @@ def test_band_values_match_quadrature():
     samples = potential.value(grid.nodes)
     from circleq.qevolve import potential_band_value
 
+    basis = TwistedBasis(0.2, 1.0, 8)
+    ham = build_hamiltonian(potential, basis)
+    kinetic = np.diag(basis.momenta() ** 2)
     for k in range(-4, 5):
         quad = integrate_periodic(samples * np.exp(-1j * k * grid.nodes), grid) / TWO_PI
         assert abs(quad - potential_band_value(potential, k)) < 1e-10
-    ham = build_hamiltonian(potential, TwistedBasis(0.2, 1.0, 8), validate=True)
+        # <m|V|n> = V_{m-n} on the band m - n = k
+        assert np.max(np.abs(np.diag(ham.matrix - kinetic, -k) - quad)) < 1e-10
     assert np.max(np.abs(ham.matrix - ham.matrix.conj().T)) == 0.0
 
 

@@ -33,7 +33,9 @@ def test_bessel_series_regression():
     assert bessel_i(0, 1.0) == pytest.approx(I0_AT_1, rel=1e-14)
 
 
-@pytest.mark.parametrize("z", [0.1, 1.0, 5.0, 14.9, 15.0, 20.0, 50.0, 100.0, 400.0, 700.0])
+@pytest.mark.parametrize(
+    "z", [1e-300, 1e-8, 1e-3, 0.1, 1.0, 5.0, 14.9, 15.0, 20.0, 50.0, 100.0, 400.0, 700.0]
+)
 def test_bessel_matches_mpmath(z):
     with mpmath.workdps(40):
         for order in (0, 1, 2, 5, 12, 40):
