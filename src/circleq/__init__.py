@@ -17,10 +17,8 @@ from .hilbert import (
     ResolutionError,
     TwistedBasis,
     analyze,
-    apply_shift,
     check_boundary_phase,
     default_cutoff,
-    momentum_eigenvalue,
     synthesize,
     wrap_angle,
 )
@@ -33,7 +31,7 @@ from .fiducial import (
     momentum_coefficients,
     normalization,
 )
-from .coherent import CoherentLabel, UnityReport, coherent_state, overlap, verify_unity
+from .coherent import CoherentLabel, UnityReport, coherent_state, verify_unity
 from .enhanced import (
     EnhancedHamiltonian,
     TrigPotential,

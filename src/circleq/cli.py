@@ -7,7 +7,9 @@ Flat ``key = value`` lines with dotted section prefixes; ``#`` starts a
 comment, blank lines are ignored, later assignments win.  No positional
 arguments beyond the subcommand; a file is passed with ``--config`` and
 single keys are overridden with ``--set key=value`` (repeatable).
-Every key, its meaning and its default:
+Every key is checked before any command runs, read or not; an interval
+bounds a number or each list entry, ``(0`` starts at the smallest normal
+double, and ``MAX_ROWS`` = {max_rows}:
 
 {key_table}
 
@@ -33,8 +35,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coherent import CoherentLabel, coherent_state, verify_unity
-from .dynamics import PhasePoint, alpha_invariance_check, evolve
+from .coherent import (
+    EDGE_WEIGHT_LIMIT,
+    CoherentLabel,
+    coherent_state,
+    legendre_node_count,
+    verify_unity,
+)
+from .dynamics import MAX_STABLE_STEP, PhasePoint, alpha_invariance_check, evolve, max_stable_step
 from .enhanced import (
     EnhancedHamiltonian,
     TrigPotential,
@@ -71,8 +79,13 @@ from .specfun import QuadratureGrid, bessel_i, integrate_periodic
 
 OUTDIR_ENV = "CIRCLEQ_OUTDIR"
 SCHEMA_VERSION = "v1"
+# most time steps, samples or table rows any key may ask for
+MAX_ROWS = 1_000_000
 # largest lattice half-width N any command builds
 _MAX_CUTOFF = (MAX_LATTICE_DIM - 1) // 2
+# least value of a quantity that must be > 0: the smallest normal double
+_TINY = sys.float_info.min
+_FINITE = (-math.inf, math.inf, False)
 
 
 class ConfigError(ValueError):
@@ -83,50 +96,70 @@ class ContractViolation(RuntimeError):
     """A numerical invariant the package guarantees failed to hold."""
 
 
-# (key, default, meaning): the source of _DEFAULTS and of the key table
-# in the module docstring
+# (key, default, kind, bounds, meaning): the whole input format.  bounds
+# is (least, most, auto allowed), inclusive, for a number or each entry of
+# a float list, the values of a choice, and None for a bool or a path.
+# Quadrature nodes share the lattice's cap: P nodes solve a dense P x P
+# eigenproblem.
 _KEYS = (
-    ("model.hbar", "1.0", "action scale, > 0"),
-    ("model.alpha", "0.0", "twist of the boundary condition, reduced mod 1"),
-    ("model.r", "1.0", "fiducial concentration, >= 0, action units"),
-    ("model.potential.a0", "0.0", "constant potential term"),
-    ("model.potential.a", "", "comma list: cos coefficients a_1..a_m"),
-    ("model.potential.b", "", "comma list: sin coefficients b_1..b_m"),
-    ("run.grid_nodes", "512", "angular quadrature nodes, even, >= 16"),
-    ("run.cutoff", "auto", f"lattice half-width N, 1..{_MAX_CUTOFF}, or ``auto``"),
-    ("run.max_harmonic", "auto", "harmonics reported by ``fiducial``, or ``auto``"),
-    ("run.samples", "10000", "sample count for the envelope check"),
-    ("run.profile_points", "720", "rows in the fiducial profile table"),
-    ("run.p_cutoff_factors", "5, 10, 20, 40",
-     "comma list, momentum cutoffs in units of sqrt(hbar max(r, hbar))"),
-    ("run.p_nodes", "64", "minimum momentum quadrature nodes, >= 64"),
-    ("run.full_2d", "true", "literal 2-D unity quadrature, true/false"),
-    ("run.kind", "enhanced", "``evolve`` flavor: classical|enhanced|quantum"),
-    ("run.q0", "0.0", "initial angle"),
-    ("run.p0", "1.0", "initial momentum"),
-    ("run.dt", "auto", "time step, or ``auto``"),
-    ("run.steps", "1000", "step count"),
-    ("run.total_time", "auto", "horizon for ``compare``; overrides steps"),
-    ("run.p_grid", "-3, 3, 25", "``hamiltonian`` momentum axis: min, max, count"),
-    ("run.q_points", "73", "``hamiltonian`` angle axis point count"),
-    ("run.seed", "0", "seed for randomized self-checks"),
-    ("output.dir", "circleq-out",
+    ("model.hbar", "1.0", "float", (_TINY, 1e100, False),
+     "action scale; the cap keeps lattice energies (hbar N)^2 finite"),
+    ("model.alpha", "0.0", "float", _FINITE, "twist of the boundary condition, reduced mod 1"),
+    ("model.r", "1.0", "float", (0.0, math.inf, False), "fiducial concentration, action units"),
+    ("model.potential.a0", "0.0", "float", _FINITE, "constant potential term"),
+    ("model.potential.a", "", "float list", _FINITE, "cos coefficients a_1..a_m"),
+    ("model.potential.b", "", "float list", _FINITE, "sin coefficients b_1..b_m"),
+    ("run.grid_nodes", "512", "int", (16, MAX_ROWS, False), "angular quadrature nodes, even"),
+    ("run.cutoff", "auto", "int", (1, _MAX_CUTOFF, True), "lattice half-width N"),
+    ("run.max_harmonic", "auto", "int", (0, _MAX_CUTOFF, True), "harmonics in ``fiducial``"),
+    ("run.samples", "10000", "int", (2, MAX_ROWS, False), "sample count for the envelope check"),
+    ("run.profile_points", "720", "int", (1, MAX_ROWS, False), "rows in the fiducial profile"),
+    ("run.p_cutoff_factors", "5, 10, 20, 40", "float list", (_TINY, MAX_LATTICE_DIM, False),
+     f"nonempty; cutoffs in units of sqrt(hbar max(r, hbar)), <= {MAX_LATTICE_DIM} nodes each"),
+    ("run.p_nodes", "64", "int", (64, MAX_LATTICE_DIM, False), "minimum momentum quadrature nodes"),
+    ("run.full_2d", "true", "bool", None, "literal 2-D unity quadrature"),
+    ("run.kind", "enhanced", "choice", ("classical", "enhanced", "quantum"), "``evolve`` flavor"),
+    ("run.q0", "0.0", "float", _FINITE, "initial angle"),
+    ("run.p0", "1.0", "float", (-1e150, 1e150, False), "initial momentum; p0^2 stays finite"),
+    ("run.dt", "auto", "float", (_TINY, 1e150, True),
+     f"time step; leapfrog flows need <= {MAX_STABLE_STEP} / force scale"),
+    ("run.steps", "1000", "int", (1, MAX_ROWS, False), "step count"),
+    ("run.total_time", "auto", "float", (_TINY, 1e150, True),
+     f"``compare`` horizon, 1 to {MAX_ROWS} steps of dt; overrides steps"),
+    ("run.p_grid", "-3, 3, 25", "float list", (-1e150, 1e150, False),
+     "``hamiltonian`` momentum axis: min < max, count an integer >= 2"),
+    ("run.q_points", "73", "int", (1, MAX_ROWS, False),
+     f"``hamiltonian`` angle axis point count; times the p count at most {MAX_ROWS}"),
+    ("run.seed", "0", "int", (0, math.inf, False), "seed for randomized self-checks"),
+    ("output.dir", "circleq-out", "path", None,
      f"output directory; the environment variable {OUTDIR_ENV} overrides it"),
 )
-_DEFAULTS = {key: default for key, default, _ in _KEYS}
+_DEFAULTS = {key: default for key, default, *_ in _KEYS}
+
+
+def _span(kind: str, bounds) -> str:
+    """The values a key accepts, as the key table shows them."""
+    if kind == "choice":
+        return "|".join(bounds)
+    if bounds is None:
+        return "true|false" if kind == "bool" else "nonempty path"
+    lo, hi, auto = bounds
+    left = "(0" if lo == _TINY else f"({lo:.15g}" if lo == -math.inf else f"[{lo:.15g}"
+    right = f"{hi:.15g})" if hi == math.inf else f"{hi:.15g}]"
+    return f"{left}, {right}" + (" or auto" if auto else "")
 
 
 def _key_table() -> str:
     rule = "=" * 20 + "  " + "=" * 55
-    lines = [rule, f"{'key':<22}meaning (default)", rule]
-    for key, default, meaning in _KEYS:
-        first, *more = textwrap.wrap(f"{meaning} ({default or 'empty'})", 55)
+    lines = [rule, f"{'key':<22}range; meaning (default)", rule]
+    for key, default, kind, bounds, meaning in _KEYS:
+        first, *more = textwrap.wrap(f"{_span(kind, bounds)}; {meaning} ({default or 'empty'})", 55)
         lines += [f"{key:<22}{first}"] + [" " * 22 + line for line in more]
     return "\n".join(lines + [rule])
 
 
 if __doc__:  # None under python -OO
-    __doc__ = __doc__.format(key_table=_key_table())
+    __doc__ = __doc__.format(key_table=_key_table(), max_rows=MAX_ROWS)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -144,14 +177,60 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return entries
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+
+
+def _parse(key: str, raw: str, kind: str, bounds):
+    """One key's typed value: None for ``auto``, a tuple for a list."""
+    text = raw.strip()
+    if kind == "path":
+        if not text:  # would write into the working directory
+            raise ConfigError(f"'{key}': must not be empty")
+        return text
+    if kind in ("bool", "choice"):
+        accepted = _BOOLS if kind == "bool" else {name: name for name in bounds}
+        if text.lower() not in accepted:
+            raise ConfigError(f"'{key}': expected {_span(kind, bounds)}, got {raw!r}")
+        return accepted[text.lower()]
+    if bounds[2] and text.lower() == "auto":
+        return None
+    number, noun = (int, "an integer") if kind == "int" else (float, "a number")
+    parts = (text.split(",") if text else []) if kind == "float list" else [text]
+    try:
+        values = [number(part) for part in parts]
+    except ValueError:
+        raise ConfigError(f"'{key}': not {noun}: {raw!r}") from None
+    for value in values:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"'{key}': not finite: {raw!r}")
+        if not bounds[0] <= value <= bounds[1]:
+            raise ConfigError(f"'{key}': {value} is outside {_span(kind, bounds)}")
+    return tuple(values) if kind == "float list" else values[0]
+
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise ConfigError(message)
+
+
 @dataclass
 class RunConfig:
-    """Validated run parameters; every accessor names the offending key."""
+    """One command's typed run parameters (``cfg[key]``, ``auto`` resolved
+    where read) and the objects it needs, all checked by :meth:`load`."""
 
-    entries: dict
+    values: dict
+    spec: FiducialSpec
+    potential: TrigPotential
+    model: EnhancedHamiltonian | None = None
+    basis: TwistedBasis | None = None
+    p_cutoffs: tuple = ()
+
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     @classmethod
-    def load(cls, path: str | None, overrides=()) -> "RunConfig":
+    def load(cls, command: str, path: str | None = None, overrides=()) -> "RunConfig":
         entries = dict(_DEFAULTS)
         if path is not None:
             entries.update(parse_config_text(Path(path).read_text(), source=path))
@@ -159,133 +238,69 @@ class RunConfig:
             if "=" not in item:
                 raise ConfigError(f"--set expects key=value, got {item!r}")
             entries.update(parse_config_text(item, source="--set"))
-        cfg = cls(entries)
-        cfg.validate()
+        v = {key: _parse(key, entries[key], *row) for key, _, *row, _ in _KEYS}
+        spec = FiducialSpec(v["model.r"], v["model.alpha"], v["model.hbar"])
+        potential = TrigPotential(*(v[f"model.potential.{c}"] for c in ("a0", "a", "b")))
+        cfg = cls(v, spec, potential)
+        z, degree = spec.localization, potential.degree  # z is inf past the float range
+        job = f"{command} {v['run.kind']}" if command == "evolve" else command
+        grid = v["run.p_grid"]
+        if v["run.max_harmonic"] is None:
+            v["run.max_harmonic"] = max(degree, 4)
+        v["output.dir"] = Path(os.environ.get(OUTDIR_ENV) or v["output.dir"])
+
+        # the rules between keys, in order; each may assume the ones before
+        _require(v["run.grid_nodes"] % 2 == 0, "'run.grid_nodes': must be even")
+        _require(
+            len(grid) == 3 and grid[0] < grid[1] and grid[2] == int(grid[2])
+            and 2 <= grid[2] <= MAX_ROWS // v["run.q_points"],
+            "'run.p_grid' / 'run.q_points': expected 'min, max, count' with min < max "
+            f"and an integer count from 2 to {MAX_ROWS} / run.q_points",
+        )
+        _require(v["run.p_cutoff_factors"], "'run.p_cutoff_factors': must be nonempty")
+        if job in ("fiducial", "unity", "compare", "evolve quantum"):
+            # the fiducial support and the potential bandwidth
+            support = default_cutoff(z, degree) if z < MAX_LATTICE_DIM else math.inf
+            _require(support <= _MAX_CUTOFF, f"'model.r' / 'model.hbar': r/hbar = {z:.6g} needs "
+                     f"a lattice wider than MAX_LATTICE_DIM = {MAX_LATTICE_DIM} slots")
+            cfg.basis = TwistedBasis(spec.alpha, spec.hbar, v["run.cutoff"] or support)
+        if command == "fiducial":  # its upper envelope peaks near e^{z (pi^2 - 4)}
+            _require(z * (math.pi**2 - 4.0) <= 700.0, f"'model.r' / 'model.hbar': r/hbar = "
+                     f"{z:.6g} puts the fiducial's upper envelope past the double range")
+        if command == "unity":
+            scale = spec.hbar * math.sqrt(max(z, 1.0))  # sqrt(hbar max(r, hbar)), no underflow
+            cfg.p_cutoffs = tuple(factor * scale for factor in v["run.p_cutoff_factors"])
+            nodes = legendre_node_count(max(cfg.p_cutoffs), spec.hbar, v["run.p_nodes"])
+            _require(nodes <= MAX_LATTICE_DIM, f"'run.p_cutoff_factors': the largest cutoff "
+                     f"needs {nodes} quadrature nodes, more than {MAX_LATTICE_DIM}")
+        if command in ("hamiltonian", "evolve", "compare"):
+            try:  # refused before a Bessel sequence past the recurrence's limit is built
+                cfg.model = EnhancedHamiltonian.build(potential, spec)
+            except ValueError as exc:
+                raise ConfigError(f"'model.r' / 'model.hbar': {exc}") from None
+        if job in ("compare", "evolve quantum"):
+            # the lattice holds the boost too, and run.cutoff does not apply
+            try:
+                cfg.basis = comparison_basis(cfg.model, CoherentLabel(v["run.p0"], v["run.q0"]))
+            except ValueError as exc:
+                raise ConfigError(f"'run.p0' / 'model.hbar': {exc}") from None
+        if command in ("evolve", "compare"):
+            leapfrog = {"compare": ("classical", "enhanced"), "evolve quantum": ()}
+            flows = leapfrog.get(job, (v["run.kind"],))
+            limit = min((max_stable_step(flow, cfg.model) for flow in flows), default=math.inf)
+            if v["run.dt"] is None:
+                scale = max(1.0, potential.coefficient_scale())
+                v["run.dt"] = min(0.01 / math.sqrt(scale), limit)
+            _require(0.0 < v["run.dt"] <= limit, f"'run.dt': {v['run.dt']:.6g} is not in (0, "
+                     f"{limit:.6g}], set by 'model.potential.a' / 'model.potential.b'")
+        if command == "compare":
+            if v["run.total_time"] is None:
+                v["run.total_time"] = v["run.dt"] * v["run.steps"]
+            else:
+                steps = v["run.total_time"] / v["run.dt"]
+                _require(1.0 <= steps <= MAX_ROWS, f"'run.total_time': {steps:.6g} steps of "
+                         f"run.dt, outside [1, {MAX_ROWS}]")
         return cfg
-
-    def _float(self, key: str) -> float:
-        try:
-            value = float(self.entries[key])
-        except ValueError:
-            raise ConfigError(f"'{key}': not a number: {self.entries[key]!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"'{key}': not finite: {self.entries[key]!r}")
-        return value
-
-    def _int(self, key: str) -> int:
-        try:
-            return int(self.entries[key])
-        except ValueError:
-            raise ConfigError(f"'{key}': not an integer: {self.entries[key]!r}") from None
-
-    def _float_list(self, key: str) -> list:
-        raw = self.entries[key].strip()
-        if not raw:
-            return []
-        try:
-            values = [float(part) for part in raw.split(",")]
-        except ValueError:
-            raise ConfigError(f"'{key}': not a comma list of numbers: {raw!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"'{key}': not all finite: {raw!r}")
-        return values
-
-    def _auto_or(self, key: str, kind):
-        raw = self.entries[key].strip().lower()
-        if raw == "auto":
-            return None
-        return self._int(key) if kind is int else self._float(key)
-
-    def _bool(self, key: str) -> bool:
-        raw = self.entries[key].strip().lower()
-        if raw in ("true", "yes", "1", "on"):
-            return True
-        if raw in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"'{key}': not a boolean: {self.entries[key]!r}")
-
-    def validate(self):
-        try:
-            self.spec()
-            self.potential()
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"model parameters rejected: {exc}") from exc
-        if self._int("run.grid_nodes") < 16 or self._int("run.grid_nodes") % 2:
-            raise ConfigError("'run.grid_nodes': must be even and >= 16")
-        if self._int("run.steps") < 1:
-            raise ConfigError("'run.steps': must be >= 1")
-        if self._int("run.p_nodes") < 64:
-            raise ConfigError("'run.p_nodes': must be >= 64")
-        if not self._float_list("run.p_cutoff_factors"):
-            raise ConfigError("'run.p_cutoff_factors': must be nonempty")
-        if self.entries["run.kind"] not in ("classical", "enhanced", "quantum"):
-            raise ConfigError("'run.kind': must be classical, enhanced or quantum")
-        grid = self._float_list("run.p_grid")
-        if len(grid) != 3 or grid[0] >= grid[1] or int(grid[2]) < 2:
-            raise ConfigError("'run.p_grid': expected 'min, max, count>=2'")
-
-    # model objects -----------------------------------------------------
-    def spec(self) -> FiducialSpec:
-        return FiducialSpec(
-            r=self._float("model.r"),
-            alpha=self._float("model.alpha"),
-            hbar=self._float("model.hbar"),
-        )
-
-    def potential(self) -> TrigPotential:
-        return TrigPotential(
-            a0=self._float("model.potential.a0"),
-            a=tuple(self._float_list("model.potential.a")),
-            b=tuple(self._float_list("model.potential.b")),
-        )
-
-    def grid(self) -> QuadratureGrid:
-        return QuadratureGrid.make(self._int("run.grid_nodes"))
-
-    def support(self) -> int:
-        """Half-width of the model's default lattice (fiducial support plus
-        potential bandwidth), refused past ``MAX_LATTICE_DIM`` slots before
-        any Bessel sequence or array of that size is built."""
-        spec = self.spec()
-        try:
-            support = default_cutoff(spec.localization, self.potential().degree)
-        except OverflowError:  # r/hbar past the float range
-            support = math.inf
-        if support > _MAX_CUTOFF:
-            raise ConfigError(
-                f"'model.r' / 'model.hbar': r/hbar = {spec.localization:.6g} needs a "
-                f"lattice wider than MAX_LATTICE_DIM = {MAX_LATTICE_DIM} slots"
-            )
-        return support
-
-    def basis(self) -> TwistedBasis:
-        spec, support = self.spec(), self.support()
-        cutoff = self._auto_or("run.cutoff", int)
-        if cutoff is None:
-            cutoff = support
-        elif not 1 <= cutoff <= _MAX_CUTOFF:
-            raise ConfigError(f"'run.cutoff': must be auto or between 1 and {_MAX_CUTOFF}")
-        return TwistedBasis(spec.alpha, spec.hbar, cutoff)
-
-    def model(self) -> EnhancedHamiltonian:
-        try:
-            return EnhancedHamiltonian.build(self.potential(), self.spec())
-        except ValueError as exc:  # the Bessel order limit at huge r/hbar
-            raise ConfigError(f"'model.r' / 'model.hbar': {exc}") from None
-
-    def dt(self) -> float:
-        value = self._auto_or("run.dt", float)
-        if value is None:
-            scale = max(1.0, self.potential().coefficient_scale())
-            value = 0.01 / math.sqrt(scale)
-        if value <= 0.0:
-            raise ConfigError("'run.dt': must be > 0")
-        return value
-
-    def outdir(self) -> Path:
-        return Path(os.environ.get(OUTDIR_ENV, self.entries["output.dir"]))
 
 
 # CSV emission ---------------------------------------------------------
@@ -361,22 +376,16 @@ def _quantum_table(file: str, trace):
 
 
 def cmd_fiducial(cfg: RunConfig):
-    spec = cfg.spec()
-    points = cfg._int("run.profile_points")
-    harmonic = cfg._auto_or("run.max_harmonic", int)
-    if harmonic is None:
-        harmonic = max(cfg.potential().degree, 4)
-    samples = cfg._int("run.samples")
-    basis = cfg.basis()
-
+    spec, basis, points = cfg.spec, cfg.basis, cfg["run.profile_points"]
     theta = -math.pi + 2.0 * math.pi * np.arange(points) / points
     amp = evaluate(spec, theta)
     peak = normalization(spec)
     z = spec.localization
     gauss = peak**2 * np.exp(-z * theta * theta)
     upper = math.exp(z * (math.pi**2 - 4.0)) * gauss if z > 0 else gauss
-    mom = moments(spec, max_harmonic=harmonic, grid=cfg.grid())
-    envelope = gaussian_bound_check(spec, samples) if spec.r > 0 else None
+    grid = QuadratureGrid.make(cfg["run.grid_nodes"])
+    mom = moments(spec, max_harmonic=cfg["run.max_harmonic"], grid=grid)
+    envelope = gaussian_bound_check(spec, cfg["run.samples"]) if spec.r > 0 else None
     coeffs = momentum_coefficients(spec, basis)
     tables = [
         (
@@ -424,18 +433,12 @@ fig.savefig("fiducial_profile.png", dpi=150)
 
 
 def cmd_unity(cfg: RunConfig):
-    spec = cfg.spec()
-    basis = cfg.basis()
-    scale = math.sqrt(spec.hbar * max(spec.r, spec.hbar))
+    spec, basis = cfg.spec, cfg.basis
     interior = np.abs(basis.n_values()) <= max(spec.localization, 1.0)
     rows = []
-    for factor in cfg._float_list("run.p_cutoff_factors"):
+    for p_cutoff in cfg.p_cutoffs:
         report = verify_unity(
-            spec,
-            basis,
-            p_cutoff=factor * scale,
-            p_nodes=cfg._int("run.p_nodes"),
-            full_2d=cfg._bool("run.full_2d"),
+            spec, basis, p_cutoff=p_cutoff, p_nodes=cfg["run.p_nodes"], full_2d=cfg["run.full_2d"]
         )
         interior_defect = float(np.max(np.abs(report.diag_entries[interior] - 1.0)))
         rows.append([
@@ -457,11 +460,10 @@ fig.savefig("unity_defects.png", dpi=150)
 
 
 def cmd_hamiltonian(cfg: RunConfig):
-    model = cfg.model()
-    spec, potential = model.spec, model.potential
-    p_min, p_max, p_count = cfg._float_list("run.p_grid")
+    model, spec, potential = cfg.model, cfg.spec, cfg.potential
+    p_min, p_max, p_count = cfg["run.p_grid"]
     p_axis = np.linspace(p_min, p_max, int(p_count))
-    q_count = cfg._int("run.q_points")
+    q_count = cfg["run.q_points"]
     q_axis = -math.pi + 2.0 * math.pi * np.arange(q_count) / q_count
     p, q = np.meshgrid(p_axis, q_axis, indexing="ij")  # rows: p outer, q inner
     h_cs = enhanced_hamiltonian(model, p, q)
@@ -493,27 +495,27 @@ fig.savefig("hamiltonian_grid.png", dpi=150)
 """
 
 
-def _comparison_basis(model: EnhancedHamiltonian, label: CoherentLabel) -> TwistedBasis:
-    try:
-        return comparison_basis(model, label)
-    except ValueError as exc:
-        raise ConfigError(f"'run.p0': {exc}") from None
+def _fractional_boost(spec: FiducialSpec, p0: float) -> ContractViolation:
+    # the lattice holds the boost, so only a fractional boost's tail leaks
+    return ContractViolation(
+        f"'run.p0' = {p0:.6g} is a fractional boost p0/hbar = {p0 / spec.hbar:.6g}; at "
+        f"r/hbar = {spec.localization:.6g} ('model.r' / 'model.hbar') its tail falls off "
+        f"only like 1/|n| and leaks more than {EDGE_WEIGHT_LIMIT:g} of the state past "
+        "any lattice; use an integer p0/hbar or a larger r/hbar"
+    )
 
 
 def cmd_evolve(cfg: RunConfig):
-    kind = cfg.entries["run.kind"]
-    if kind == "quantum":
-        cfg.support()  # before the model's Bessel sequences at r/hbar
-    model = cfg.model()
-    dt, steps = cfg.dt(), cfg._int("run.steps")
-    q0, p0 = cfg._float("run.q0"), cfg._float("run.p0")
+    kind, model, basis = cfg["run.kind"], cfg.model, cfg.basis
+    dt, steps, q0, p0 = cfg["run.dt"], cfg["run.steps"], cfg["run.q0"], cfg["run.p0"]
     if kind in ("classical", "enhanced"):
         traj = evolve(kind, model, PhasePoint.start(q0, p0), dt, steps)
         table = _trajectory_table(f"trajectory_{kind}.csv", kind, traj)
     else:
-        label = CoherentLabel(p=p0, q=q0)
-        basis = _comparison_basis(model, label)
-        state = coherent_state(label, model.spec, basis).normalized()
+        try:
+            state = coherent_state(CoherentLabel(p=p0, q=q0), model.spec, basis).normalized()
+        except ResolutionError:
+            raise _fractional_boost(model.spec, p0) from None
         ham = build_hamiltonian(model.potential, basis)
         table = _quantum_table("trajectory_quantum.csv", evolve_quantum(ham, state, dt, steps))
     return [table], f"""
@@ -529,17 +531,12 @@ fig.savefig("trajectory.png", dpi=150)
 
 
 def cmd_compare(cfg: RunConfig):
-    cfg.support()  # before the model's Bessel sequences at r/hbar
-    model = cfg.model()
-    dt = cfg.dt()
-    total = cfg._auto_or("run.total_time", float)
-    if total is None:
-        total = dt * cfg._int("run.steps")
-    q0, p0 = cfg._float("run.q0"), cfg._float("run.p0")
+    model, dt, q0, p0 = cfg.model, cfg["run.dt"], cfg["run.q0"], cfg["run.p0"]
     label = CoherentLabel(p=p0, q=q0)
-    basis = _comparison_basis(model, label)
-
-    report = compare_restricted(model, label, total_time=total, dt=dt, basis=basis)
+    try:  # the coherent state's leak is the only ResolutionError it raises
+        report = compare_restricted(model, label, cfg["run.total_time"], dt, cfg.basis)
+    except ResolutionError:
+        raise _fractional_boost(model.spec, p0) from None
     steps = len(report.times) - 1
     classical = evolve("classical", model, PhasePoint.start(q0, p0), dt, steps)
 
@@ -587,7 +584,7 @@ fig.savefig("compare.png", dpi=150)
 
 def _selftest_checks(cfg: RunConfig):
     """Fast battery of the package's numerical contracts."""
-    rng = np.random.default_rng(cfg._int("run.seed"))
+    rng = np.random.default_rng(cfg["run.seed"])
     grid = QuadratureGrid.make(256)
 
     def check_quadrature():
@@ -685,9 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args.config, args.overrides)
+        cfg = RunConfig.load(args.command, args.config, args.overrides)
         tables, plot_body = _COMMANDS[args.command](cfg)
-        written = _emit(cfg.outdir(), args.command, tables, plot_body)
+        written = _emit(cfg["output.dir"], args.command, tables, plot_body)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -108,13 +108,6 @@ def coherent_state(
     return MomentumState(basis, phases * f)
 
 
-def overlap(
-    a: CoherentLabel, b: CoherentLabel, spec: FiducialSpec, basis: TwistedBasis
-) -> complex:
-    """Inner product <a|b> = sum_n conj(d_n(a)) d_n(b)."""
-    return coherent_state(a, spec, basis).inner(coherent_state(b, spec, basis))
-
-
 @dataclass(eq=False)
 class UnityReport:
     """Defects of the phase-space integral of |p,q><p,q| dp dq / (2 pi hbar)
@@ -128,12 +121,13 @@ class UnityReport:
     ns: np.ndarray | None = None
 
 
-def _gauss_legendre(p_cutoff: float, hbar: float, p_nodes: int):
-    # integrand oscillates with unit wavelength in p/hbar; scale the node
-    # count with the window so the rule stays resolved at every cutoff
-    count = max(p_nodes, int(math.ceil(3.5 * p_cutoff / hbar)) + 32)
-    x, w = np.polynomial.legendre.leggauss(count)
-    return p_cutoff * x, p_cutoff * w, count
+def legendre_node_count(p_cutoff: float, hbar: float, p_nodes: int) -> int:
+    """Gauss-Legendre nodes :func:`verify_unity` puts on |p| <= p_cutoff.
+
+    The integrand oscillates with unit wavelength in p/hbar, so the count
+    scales with the window and the rule stays resolved at every cutoff.
+    """
+    return max(p_nodes, int(math.ceil(3.5 * p_cutoff / hbar)) + 32)
 
 
 def verify_unity(
@@ -168,7 +162,9 @@ def verify_unity(
         raise ValueError("p_nodes must be >= 64")
 
     slots = basis.n_values()
-    p_values, p_weights, p_count = _gauss_legendre(p_cutoff, spec.hbar, p_nodes)
+    p_count = legendre_node_count(p_cutoff, spec.hbar, p_nodes)
+    x, w = np.polynomial.legendre.leggauss(p_count)
+    p_values, p_weights = p_cutoff * x, p_cutoff * w
     f = _boost_table(spec, p_values / spec.hbar, basis)  # f[i, k] = f_k(p_i)
 
     meta = {"p_nodes": p_count, "mode": "analytic-q"}

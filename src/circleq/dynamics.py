@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .enhanced import EnhancedHamiltonian
+from .enhanced import EnhancedHamiltonian, TrigPotential
 from .hilbert import wrap_angle
 
 # stability heuristic: dt times the force scale must stay below this
@@ -72,6 +72,14 @@ def _flow_pieces(h_kind: str, model: EnhancedHamiltonian):
     return shift, a0, np.asarray(a), np.asarray(b), offset
 
 
+def max_stable_step(h_kind: str, model: EnhancedHamiltonian) -> float:
+    """Largest |dt| :func:`evolve` accepts for the flow: ``MAX_STABLE_STEP``
+    over the force scale of its (attenuated or bare) potential."""
+    _, a0, a, b, _ = _flow_pieces(h_kind, model)
+    scale = TrigPotential(a0, tuple(a), tuple(b)).force_scale()
+    return MAX_STABLE_STEP / scale if scale else math.inf
+
+
 def evolve(
     h_kind: str,
     model: EnhancedHamiltonian,
@@ -88,14 +96,14 @@ def evolve(
         raise ValueError("dt must be nonzero")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    limit = max_stable_step(h_kind, model)
+    if abs(dt) > limit:
+        raise ValueError(
+            f"step {dt} too large for the force scale; require |dt| <= {limit:.6g} "
+            f"(|dt| * scale <= {MAX_STABLE_STEP})"
+        )
     shift, a0, a, b, offset = _flow_pieces(h_kind, model)
     terms = [(float(n), float(an), float(bn)) for n, (an, bn) in enumerate(zip(a, b), start=1)]
-    force_scale = sum(n * (abs(an) + abs(bn)) for n, an, bn in terms)
-    if abs(dt) * force_scale > MAX_STABLE_STEP:
-        raise ValueError(
-            f"step {dt} too large for force scale {force_scale:.3g}; "
-            f"require |dt| * scale <= {MAX_STABLE_STEP}"
-        )
 
     # scalar math in the inner loop; harmonic counts are tiny and the
     # step count is not

@@ -66,6 +66,10 @@ class TrigPotential:
     def coefficient_scale(self) -> float:
         return abs(self.a0) + sum(abs(x) + abs(y) for x, y in zip(self.a, self.b))
 
+    def force_scale(self) -> float:
+        """Bound sum_n n (|a_n| + |b_n|) on |V'(q)|."""
+        return sum(n * (abs(x) + abs(y)) for n, (x, y) in enumerate(zip(self.a, self.b), start=1))
+
     @classmethod
     def free(cls) -> "TrigPotential":
         return cls()

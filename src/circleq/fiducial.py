@@ -28,7 +28,7 @@ from .specfun import (
     bessel_i_scaled_sequence,
     integrate_periodic,
 )
-from .hilbert import MomentumState, TwistedBasis, default_cutoff
+from .hilbert import MomentumState, TwistedBasis, default_cutoff, reduce_twist
 
 _SQRT_2PI = math.sqrt(TWO_PI)
 
@@ -46,7 +46,7 @@ class FiducialSpec:
             raise ValueError(f"r must be >= 0, got {self.r}")
         if self.hbar <= 0.0:
             raise ValueError(f"hbar must be > 0, got {self.hbar}")
-        object.__setattr__(self, "alpha", float(self.alpha) % 1.0)
+        object.__setattr__(self, "alpha", reduce_twist(self.alpha))
 
     @property
     def localization(self) -> float:
@@ -134,12 +134,14 @@ def moments(
     weights = momentum_coefficients(spec, basis).coeffs.real ** 2
     p_values = basis.momenta()
     mean_p = float(p_values @ weights)
-    var_p = float((p_values * p_values) @ weights - mean_p**2)
+    # centered before squaring: <P^2> - <P>^2 cancels when hbar alpha is
+    # large against the spread
+    var_p = float((p_values - mean_p) ** 2 @ weights)
 
     return FiducialMoments(
         mean_q=mean_q,
         mean_p=mean_p,
-        var_p=max(var_p, 0.0),
+        var_p=var_p,
         cos_moments=attenuations(spec, max_harmonic),
     )
 

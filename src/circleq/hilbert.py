@@ -29,6 +29,11 @@ def wrap_angle(theta):
     return (theta + math.pi) % TWO_PI - math.pi
 
 
+def reduce_twist(alpha: float) -> float:
+    """alpha mod 1 in [0, 1): one ``% 1.0`` rounds a tiny negative alpha to 1.0."""
+    return float(alpha) % 1.0 % 1.0
+
+
 def default_cutoff(localization: float, degree: int = 0) -> int:
     """Lattice half-width that comfortably holds fiducial-derived states.
 
@@ -53,7 +58,7 @@ class TwistedBasis:
         if self.cutoff_n < 1:
             raise ValueError(f"cutoff_n must be >= 1, got {self.cutoff_n}")
         # the representation depends on alpha only mod 1
-        object.__setattr__(self, "alpha", float(self.alpha) % 1.0)
+        object.__setattr__(self, "alpha", reduce_twist(self.alpha))
 
     @property
     def dimension(self) -> int:
@@ -65,13 +70,6 @@ class TwistedBasis:
     def momenta(self) -> np.ndarray:
         """All eigenvalues hbar (n + alpha) in lattice order."""
         return self.hbar * (self.n_values() + self.alpha)
-
-
-def momentum_eigenvalue(basis: TwistedBasis, n: int) -> float:
-    """Eigenvalue hbar (n + alpha) of momentum slot n."""
-    if abs(n) > basis.cutoff_n:
-        raise ValueError(f"slot {n} outside lattice [-{basis.cutoff_n}, {basis.cutoff_n}]")
-    return basis.hbar * (n + basis.alpha)
 
 
 @dataclass(eq=False)
@@ -158,22 +156,3 @@ def check_boundary_phase(psi, alpha: float | None = None) -> float:
         at_plus = psi(math.pi)
         at_minus = psi(-math.pi)
     return float(abs(at_plus - np.exp(2j * math.pi * alpha) * at_minus))
-
-
-def apply_shift(state: MomentumState, k: int) -> tuple[MomentumState, float]:
-    """Rigid lattice shift c'_n = c_{n-k} realizing e^{i k Q}.
-
-    Coefficients pushed past the lattice edge are dropped; the dropped
-    squared norm is returned alongside the shifted state.
-    """
-    dim = state.basis.dimension
-    kept = max(dim - abs(k), 0)
-    new = np.zeros(dim, dtype=complex)
-    if k >= 0:
-        new[dim - kept:] = state.coeffs[:kept]
-        dropped = state.coeffs[kept:]
-    else:
-        new[:kept] = state.coeffs[dim - kept:]
-        dropped = state.coeffs[: dim - kept]
-    lost = float(np.vdot(dropped, dropped).real)
-    return MomentumState(state.basis, new), lost

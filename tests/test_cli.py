@@ -1,8 +1,18 @@
+import contextlib
+import importlib
+import io
+import math
+import re
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import circleq.cli as cli
 from circleq.cli import OUTDIR_ENV, RunConfig, main, parse_config_text
 
 SCHEMAS = {
@@ -49,9 +59,9 @@ def test_config_grammar_and_unknown_key():
 def test_config_file_loading(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("model.r = 2.5\nrun.steps = 17  # inline comment\n")
-    cfg = RunConfig.load(str(cfgfile), overrides=["run.steps = 19"])
-    assert cfg.spec().r == 2.5
-    assert cfg._int("run.steps") == 19
+    cfg = RunConfig.load("evolve", str(cfgfile), overrides=["run.steps = 19"])
+    assert cfg.spec.r == 2.5
+    assert cfg["run.steps"] == 19
 
 
 def test_malformed_value_exits_one(tmp_path, capsys):
@@ -236,19 +246,179 @@ def test_hamiltonian_runs_at_large_localization(tmp_path):
 
 
 def test_docstring_key_table_matches_defaults():
-    import circleq.cli as cli
-
-    # a key's row starts in column 0; a wrapped meaning continues indented
+    # a key's row starts in column 0; a wrapped text continues indented
     rows = {}
-    for line in cli.__doc__.split("meaning (default)")[1].split("Exit codes")[0].splitlines():
+    table = cli.__doc__.split("range; meaning (default)")[1].split("\n\n")[0]
+    for line in table.splitlines():
         if line.startswith(" "):
             rows[key] += " " + line.strip()
         elif line and not line.startswith("="):
             key, _, text = line.partition(" ")
             rows[key] = text.strip()
     assert list(rows) == list(cli._DEFAULTS)
-    for key, default in cli._DEFAULTS.items():
+    for key, default, kind, bounds, _ in cli._KEYS:
         assert rows[key].endswith(f"({default or 'empty'})")
+        span = rows[key].split(";")[0]
+        if kind in ("bool", "choice", "path"):
+            assert span == ({"bool": "true|false", "path": "nonempty path"}.get(kind) or "|".join(bounds))
+            continue
+        # finite bounds are inclusive, [x and x], except (0 for the
+        # smallest normal double; infinite ones are open
+        lo, hi, auto = bounds
+        m = re.fullmatch(r"([\[(])(\S+), (\S+)([\])])( or auto)?", span)
+        assert m, span
+        left = ("(", 0.0) if lo == cli._TINY else ("(" if lo == -math.inf else "[", lo)
+        assert (m[1], float(m[2])) == left
+        assert (m[4], float(m[3])) == ("]" if math.isfinite(hi) else ")", hi)
+        assert bool(m[5]) == auto
+
+
+def test_readme_key_table_is_the_generated_one():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert f"```text\n{cli._key_table()}\n```" in readme
+
+
+# the command that reads each run key; compare reads every model key and
+# the rest of the run keys
+READER = {
+    "run.grid_nodes": "fiducial", "run.max_harmonic": "fiducial", "run.samples": "fiducial",
+    "run.profile_points": "fiducial", "output.dir": "fiducial", "run.cutoff": "unity",
+    "run.p_cutoff_factors": "unity", "run.p_nodes": "unity", "run.full_2d": "unity",
+    "run.kind": "evolve", "run.p_grid": "hamiltonian", "run.q_points": "hamiltonian",
+    "run.seed": "selftest",
+}
+
+
+def _key_values(kind, bounds):
+    """Unparsable, non-finite, negative, zero and over-cap values of a key,
+    then small values inside its range."""
+    edges = ["banana", "", "1,,2", "nan", "inf", "-inf", "1, nan", "-1", "-0.5", "0", "auto"]
+    if kind in ("bool", "choice"):
+        return st.sampled_from(edges + ["maybe"]) | st.sampled_from(bounds or ["true", "off"])
+    if kind == "path":
+        return st.sampled_from(["", "{tmp}/a b", "{tmp}/x/y"])
+    lo, hi, _ = bounds
+    if hi != math.inf:
+        edges.append(str(hi + 1) if kind == "int" else repr(2 * hi))
+    if kind == "int":
+        return st.sampled_from(edges) | st.integers(lo, min(hi, lo + 50)).map(str)
+    number = st.floats(max(lo, -3.0), min(hi, 3.0))
+    if kind == "float":
+        return st.sampled_from(edges) | number.map(repr)
+    lists = st.lists(number, max_size=3).map(lambda xs: ", ".join(map(repr, xs)))
+    return st.sampled_from(edges + ["-1, 1, 5"]) | lists
+
+
+@pytest.mark.parametrize("row", cli._KEYS, ids=[row[0] for row in cli._KEYS])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_main_on_any_value_of_any_key(row, data):
+    # in-process through main: exit 0, 1 or 2 and nothing raised; exit 1
+    # names the key, exit 0 writes tables with rows of finite numbers
+    key, _, kind, bounds, _ = row
+    with tempfile.TemporaryDirectory() as tmp:
+        value = data.draw(_key_values(kind, bounds)).replace("{tmp}", tmp)
+        argv = [READER.get(key, "compare"), "--set", f"output.dir = {tmp}/out", "--set",
+                f"{key} = {value}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert code != 1 or key in err.getvalue(), (argv, err.getvalue())
+        for name in out.getvalue().splitlines() if code == 0 else ():
+            if name.endswith(".csv"):
+                table = np.loadtxt(name, delimiter=",", skiprows=3, ndmin=2)
+                assert table.size and np.all(np.isfinite(table)), (argv, name)
+
+
+@pytest.mark.parametrize(
+    "command, settings, key",
+    [
+        ("fiducial", ("run.samples = 1",), "run.samples"),
+        ("fiducial", ("run.samples = 0",), "run.samples"),
+        ("fiducial", ("run.max_harmonic = -1",), "run.max_harmonic"),
+        ("fiducial", ("run.max_harmonic = 100000000",), "run.max_harmonic"),
+        ("fiducial", ("run.grid_nodes = 100000000",), "run.grid_nodes"),
+        ("fiducial", ("run.profile_points = 0",), "run.profile_points"),
+        ("fiducial", ("run.profile_points = -5",), "run.profile_points"),
+        ("unity", ("run.p_cutoff_factors = -1",), "run.p_cutoff_factors"),
+        ("unity", ("run.p_cutoff_factors = 1e9",), "run.p_cutoff_factors"),
+        ("unity", ("run.p_cutoff_factors = 3000",), "run.p_cutoff_factors"),
+        ("unity", ("run.p_nodes = 100000",), "run.p_nodes"),
+        ("unity", ("model.hbar = 1e200", "model.r = 1e200"), "model.hbar"),
+        ("selftest", ("run.seed = -1",), "run.seed"),
+        ("selftest", ("run.q_points = 0",), "run.q_points"),
+        ("evolve", ("model.potential.a = 1", "run.dt = 5"), "run.dt"),
+        ("compare", ("model.potential.a = 1", "run.dt = 5"), "run.dt"),
+        ("hamiltonian", ("run.p_grid = -1, 1, 1e12",), "run.p_grid"),
+        ("hamiltonian", ("run.p_grid = -1, 1, 2.5",), "run.p_grid"),
+        ("hamiltonian", ("run.q_points = -3",), "run.q_points"),
+        ("hamiltonian", ("run.q_points = 0",), "run.q_points"),
+        ("compare", ("run.total_time = -1",), "run.total_time"),
+        ("compare", ("run.total_time = 0",), "run.total_time"),
+        ("compare", ("run.total_time = 1e9",), "run.total_time"),
+        ("evolve", ("run.kind = quantum", "model.hbar = 1e200"), "model.hbar"),
+        ("fiducial", ("output.dir =",), "output.dir"),
+        ("fiducial", ("model.r = 120",), "model.r"),
+        ("evolve", ("run.p0 = 1e200",), "run.p0"),
+        ("hamiltonian", ("run.p_grid = -1e200, 1, 3",), "run.p_grid"),
+        ("compare", ("run.dt = 9e306",), "run.dt"),
+        ("evolve", ("run.kind = classical", "model.potential.a = 0, 9e307"), "model.potential.a"),
+        ("compare", ("model.hbar = 1e-3", "model.r = 1e-3", "run.p0 = 100"), "model.hbar"),
+    ],
+)
+def test_out_of_range_inputs_exit_one(tmp_path, capsys, command, settings, key):
+    # each used to raise out of main, ask for huge arrays, or exit 0 with
+    # empty or one-step tables; now load refuses it before any work
+    start = time.perf_counter()
+    code, outdir = run(tmp_path, command, *settings)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not outdir.exists()
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+@pytest.mark.parametrize("a", ["1e300", ", ".join(["1"] * 50)])
+def test_auto_step_admits_large_force_scales(tmp_path, command, a):
+    # the default step used to fail the leapfrog's own stability check
+    code, outdir = run(tmp_path, command, f"model.potential.a = {a}", "run.steps = 20")
+    assert code == 0
+    table = read_table(outdir / ("compare_classical.csv" if command == "compare"
+                                 else "trajectory_enhanced.csv"))
+    assert len(table) == 21
+    assert all(np.all(np.isfinite(table[name])) for name in table.dtype.names)
+
+
+def test_auto_step_is_the_coefficient_rule_or_the_stability_limit():
+    from circleq.dynamics import max_stable_step
+
+    cfg = RunConfig.load("evolve", overrides=["model.potential.a = 30"])
+    assert cfg["run.dt"] == 0.01 / math.sqrt(30.0)
+    cfg = RunConfig.load("evolve", overrides=["model.potential.a = 1e300"])
+    assert cfg["run.dt"] == max_stable_step("enhanced", cfg.model)
+    cfg = RunConfig.load("compare", overrides=["model.potential.a = 1e300"])
+    assert cfg["run.dt"] == max_stable_step("classical", cfg.model)
+    cfg = RunConfig.load("evolve", overrides=["model.potential.a = 1e300", "run.kind = quantum"])
+    assert cfg["run.dt"] == 0.01 / math.sqrt(1e300)
+
+
+@pytest.mark.parametrize("command", ["fiducial", "unity", "hamiltonian", "evolve", "compare"])
+def test_tiny_action_units_run(tmp_path, command):
+    # r/hbar = p0/hbar = 1 in units where the product hbar r underflows
+    code, _ = run(tmp_path, command, "model.hbar = 1e-200", "model.r = 1e-200", "run.p0 = 1e-200")
+    assert code == 0
+
+
+def test_benchmark_jobs_load(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.WORKLOADS.values():
+        for smoke in (True, False):
+            for job in workload.pass_jobs(0, 0, smoke) + [workload.warmup_job(0, smoke)]:
+                args = cli.build_parser().parse_args(job.argv(tmp_path))
+                RunConfig.load(args.command, args.config, args.overrides)
 
 
 def test_evolve_kinds(tmp_path):
@@ -332,6 +502,18 @@ def test_unrepresentable_state_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "numerical contract" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "evolve"])
+def test_fractional_boost_message_names_its_keys(tmp_path, capsys, command):
+    # compare and quantum evolve size the lattice for the boost and ignore
+    # run.cutoff; the 1/|n| tail of a fractional boost at small r/hbar is
+    # what leaks, so the message names p0, r and hbar, not the cutoff
+    code, _ = run(tmp_path, command, "run.p0 = 0.5", "run.kind = quantum")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "fractional boost" in err and "cutoff" not in err
+    assert all(key in err for key in ("run.p0", "model.r", "model.hbar"))
 
 
 def test_selftest_failure_exits_two(monkeypatch, capsys):

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from circleq.specfun import QuadratureGrid
-from circleq.hilbert import ResolutionError, TwistedBasis, apply_shift
+from circleq.hilbert import ResolutionError, TwistedBasis
 from circleq.fiducial import FiducialSpec, default_basis, evaluate, momentum_coefficients
 from circleq.coherent import (
     CoherentLabel,
-    _gauss_legendre,
     coherent_state,
-    overlap,
+    legendre_node_count,
     verify_unity,
 )
 
@@ -56,7 +55,8 @@ def literal_unity_reference(spec, basis, p_cutoff, p_nodes=64, full_2d=False, q_
     """Oracle for verify_unity: the dense boost tensor and, with ``full_2d``,
     the literal double sum over momentum nodes and angle nodes, one state
     d_n(p_i, q_j) at a time.  Returns (diagonal entries, off-diagonal defect)."""
-    p_values, p_weights, p_count = _gauss_legendre(p_cutoff, spec.hbar, p_nodes)
+    x, w = np.polynomial.legendre.leggauss(legendre_node_count(p_cutoff, spec.hbar, p_nodes))
+    p_values, p_weights = p_cutoff * x, p_cutoff * w
     f = dense_boost(spec, basis, p_values / spec.hbar)
     if not full_2d:
         return (p_weights / spec.hbar) @ (f * f), 0.0
@@ -67,7 +67,7 @@ def literal_unity_reference(spec, basis, p_cutoff, p_nodes=64, full_2d=False, q_
     rot = np.exp(-1j * np.outer(q_values, slots + basis.alpha))  # (q, dim)
     matrix = np.zeros((len(slots), len(slots)), dtype=complex)
     q_weight = 2 * math.pi / q_nodes
-    for i in range(p_count):
+    for i in range(p_values.size):
         d = rot * f[i]  # states d_n(p_i, q_j) for every q_j
         matrix += (p_weights[i] * q_weight) * (d.conj().T @ d)
     matrix /= 2 * math.pi * spec.hbar
@@ -92,9 +92,11 @@ def test_integer_boost_is_lattice_shift():
     spec = FiducialSpec(r=4.0, alpha=0.25, hbar=0.5)
     basis = default_basis(spec)
     boosted = coherent_state(CoherentLabel(p=3 * spec.hbar, q=0.0), spec, basis)
-    shifted, lost = apply_shift(momentum_coefficients(spec, basis), 3)
-    assert lost < 1e-10
-    assert np.max(np.abs(boosted.coeffs - shifted.coeffs)) < 1e-10
+    fiducial = momentum_coefficients(spec, basis).coeffs
+    # c'_n = c_{n-3}; the three slots pushed past the upper edge hold < 1e-10
+    assert np.vdot(fiducial[-3:], fiducial[-3:]).real < 1e-10
+    assert np.max(np.abs(boosted.coeffs[3:] - fiducial[:-3])) < 1e-10
+    assert np.max(np.abs(boosted.coeffs[:3])) < 1e-10
 
 
 def test_coefficients_match_quadrature_oracle():
@@ -144,9 +146,10 @@ def test_overlap_normalization_and_symmetry():
     basis = default_basis(spec)
     a = CoherentLabel(0.8, 0.4)
     b = CoherentLabel(-1.1, -2.0)
-    assert abs(overlap(a, a, spec, basis) - 1.0) < 1e-9
-    ab = overlap(a, b, spec, basis)
-    ba = overlap(b, a, spec, basis)
+    state_a, state_b = coherent_state(a, spec, basis), coherent_state(b, spec, basis)
+    assert abs(state_a.inner(state_a) - 1.0) < 1e-9
+    ab = state_a.inner(state_b)
+    ba = state_b.inner(state_a)
     assert ab == pytest.approx(np.conj(ba), abs=1e-15)
     assert abs(ab) <= 1.0 + 1e-12
 
@@ -156,7 +159,8 @@ def test_overlap_decays_with_separation():
     basis = default_basis(spec)
     origin = CoherentLabel(0.0, 0.0)
     qs = np.linspace(0.1, math.pi / 2, 8)
-    mags = [abs(overlap(origin, CoherentLabel(0.0, q), spec, basis)) for q in qs]
+    at_origin = coherent_state(origin, spec, basis)
+    mags = [abs(at_origin.inner(coherent_state(CoherentLabel(0.0, q), spec, basis))) for q in qs]
     assert all(a > b for a, b in zip(mags, mags[1:]))
 
 

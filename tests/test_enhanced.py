@@ -61,15 +61,13 @@ def test_kinetic_only_surface():
 @pytest.mark.parametrize("r", [0.0, 0.1, 1.0, 2.5, 10.0])
 @pytest.mark.parametrize("hbar", [1.0, 0.5, 0.05, 0.0125])
 def test_kinetic_offset_matches_lattice_variance(r, hbar):
-    # closed form hbar r rho_1 / 2 against the lattice-sum variance of
-    # moments(), <P^2> - <P>^2, whose roundoff scales with <P^2> rather than
-    # with the variance (1.3e-13 of var_p at r = 0.1, hbar = 1, alpha = 0.9),
-    # and against 40-digit Bessel ratios
+    # closed form hbar r rho_1 / 2 against the centered lattice-sum
+    # variance of moments() and against 40-digit Bessel ratios
     for alpha in (0.0, 0.3, 0.9):
         spec = FiducialSpec(r=r, alpha=alpha, hbar=hbar)
         model = EnhancedHamiltonian.build(TrigPotential.pendulum(), spec)
         mom = moments(spec)
-        assert model.kinetic_offset == pytest.approx(mom.var_p, rel=1e-13, abs=1e-13 * mom.mean_p**2)
+        assert model.kinetic_offset == pytest.approx(mom.var_p, rel=1e-13)
         with mpmath.workdps(40):
             z = mpmath.mpf(2.0 * r) / hbar
             exact = float(hbar * r * mpmath.besseli(1, z) / mpmath.besseli(0, z) / 2) if r else 0.0

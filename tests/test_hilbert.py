@@ -12,10 +12,8 @@ from circleq.hilbert import (
     ResolutionError,
     TwistedBasis,
     analyze,
-    apply_shift,
     check_boundary_phase,
     default_cutoff,
-    momentum_eigenvalue,
     synthesize,
     wrap_angle,
 )
@@ -43,7 +41,11 @@ def test_basis_reduces_alpha_mod_one():
     # the lattice depends on alpha only mod 1: eigenvalue at alpha+1, slot n
     # coincides with slot n+1 at alpha
     b = TwistedBasis(0.3, 0.7, 6)
-    assert 0.7 * (2 + (0.3 + 1.0)) == pytest.approx(momentum_eigenvalue(b, 3))
+    assert 0.7 * (2 + (0.3 + 1.0)) == pytest.approx(b.momenta()[3 + b.cutoff_n])
+    # alpha % 1.0 rounds a tiny negative twist to 1.0; the spec and the
+    # basis built from it must agree on 0
+    spec = FiducialSpec(r=1.0, alpha=-8.5e-26)
+    assert spec.alpha == 0.0 and TwistedBasis(spec.alpha, 1.0, 4).alpha == 0.0
 
 
 def test_basis_validation():
@@ -58,13 +60,9 @@ def test_basis_validation():
     [(1.0, 0.0, 0, 0.0), (1.0, 0.25, 3, 3.25), (0.5, 0.5, -2, -0.75)],
 )
 def test_momentum_eigenvalue(hbar, alpha, n, expected):
+    # slot n sits at index n + N of the lattice, eigenvalue hbar (n + alpha)
     basis = TwistedBasis(alpha, hbar, 8)
-    assert momentum_eigenvalue(basis, n) == pytest.approx(expected, abs=1e-15)
-
-
-def test_momentum_eigenvalue_out_of_range():
-    with pytest.raises(ValueError):
-        momentum_eigenvalue(TwistedBasis(0.0, 1.0, 3), 4)
+    assert basis.momenta()[n + basis.cutoff_n] == pytest.approx(expected, abs=1e-15)
 
 
 def test_synthesize_basis_vectors():
@@ -160,33 +158,6 @@ def test_boundary_phase_of_boosted_function():
 def test_boundary_phase_callable_requires_alpha():
     with pytest.raises(ValueError):
         check_boundary_phase(lambda t: 1.0)
-
-
-def test_apply_shift_identity_and_basis_vector():
-    basis = TwistedBasis(0.0, 1.0, 3)
-    e0 = np.zeros(basis.dimension)
-    e0[3] = 1.0
-    state = MomentumState(basis, e0)
-    same, lost = apply_shift(state, 0)
-    assert np.array_equal(same.coeffs, state.coeffs) and lost == 0.0
-    up, lost = apply_shift(state, 1)
-    expected = np.zeros(basis.dimension)
-    expected[4] = 1.0
-    assert np.array_equal(up.coeffs, expected) and lost == 0.0
-
-
-def test_apply_shift_edge_loss_and_round_trip():
-    spec = FiducialSpec(r=2.0, alpha=0.0)
-    basis = default_basis(spec)
-    state = momentum_coefficients(spec, basis)
-    up, lost_up = apply_shift(state, 1)
-    back, lost_down = apply_shift(up, -1)
-    assert lost_up < 1e-12 and lost_down == 0.0
-    assert np.max(np.abs(back.coeffs - state.coeffs)) < 1e-10
-    # shifting past the lattice drops everything
-    gone, lost_all = apply_shift(state, 2 * basis.cutoff_n + 1)
-    assert gone.norm_sq() == 0.0
-    assert lost_all == pytest.approx(state.norm_sq())
 
 
 def test_default_cutoff_scaling():
