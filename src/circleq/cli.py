@@ -16,9 +16,11 @@ double, and ``MAX_ROWS`` = {max_rows}:
 Exit codes: 0 success, 1 configuration error, 2 numerical-contract
 violation, 3 I/O error.
 
-Outputs are CSV only, 17 significant digits, plus a generated matplotlib
-script per command; reruns with the same config and seed are
-byte-identical except for the ``# generated:`` header line.
+Outputs are CSV only, one column per array, integers as integers and
+floats to 17 significant digits, plus a generated matplotlib script per
+command; every column is checked finite before any file is written (exit
+2 otherwise), and reruns with the same config and seed are byte-identical
+except for the ``# generated:`` header line.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .enhanced import (
     enhanced_hamiltonian,
 )
 from .fiducial import (
+    EnvelopeCheck,
     FiducialSpec,
     default_basis,
     evaluate,
@@ -306,27 +309,32 @@ class RunConfig:
 # CSV emission ---------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# rows formatted and written at a time; bounds the text held in memory
+CSV_CHUNK_ROWS = 4096
 
 
-def _write(path: Path, text: str) -> Path:
-    # the output directory appears with the first file: commands read and
-    # validate every key before writing, so a rejected config leaves none
+def _open(path: Path):
+    # the output directory appears with the first file: commands check
+    # every key, and _emit every column, before writing, so a rejected run
+    # leaves none
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    return open(path, "w")
+
+
+def write_csv(path: Path, name: str, table: dict) -> Path:
+    """Write ``{column: values}`` under a schema line, a timestamp and the
+    column names; integer and bool columns as ``%d``, the rest with 17
+    significant digits."""
+    columns = [np.atleast_1d(values) for values in table.values()]
+    row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
+    with _open(path) as handle:
+        handle.write(f"# schema: circleq/{name} {SCHEMA_VERSION}\n")
+        handle.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
+        handle.write(",".join(table) + "\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            chunk = (c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns)
+            handle.write("".join(row % values for values in zip(*chunk)))
     return path
-
-
-def write_csv(path: Path, name: str, columns, rows):
-    lines = [f"# schema: circleq/{name} {SCHEMA_VERSION}"]
-    lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return _write(path, "\n".join(lines) + "\n")
 
 
 _PLOT_PRELUDE = """\
@@ -343,33 +351,37 @@ def load(name):
 
 
 def write_plot_script(path: Path, body: str):
-    return _write(path, _PLOT_PRELUDE + body)
+    with _open(path) as handle:
+        handle.write(_PLOT_PRELUDE + body)
+    return path
 
 
 def _emit(outdir: Path, command: str, tables, plot_body) -> list:
-    """Write a command's CSV tables, each ``(file, schema, columns, rows)``,
-    in order, then its plot script ``plot_<command>.py``."""
-    written = [
-        write_csv(outdir / file, schema, columns, rows)
-        for file, schema, columns, rows in tables
-    ]
+    """Check that every column of every table ``(file, schema, {column:
+    values})`` is finite, then write the tables in order and the plot
+    script ``plot_<command>.py``."""
+    for file, _, table in tables:
+        for column, values in table.items():
+            if not np.all(np.isfinite(values)):
+                raise ContractViolation(f"{file}: column '{column}' is not finite")
+    written = [write_csv(outdir / file, schema, table) for file, schema, table in tables]
     if plot_body is not None:
         written.append(write_plot_script(outdir / f"plot_{command}.py", plot_body))
     return written
 
 
-_TRAJ_COLUMNS = ["t", "q", "q_unwrapped", "p", "energy"]
-_QUANTUM_COLUMNS = ["t", "cos_q", "sin_q", "mean_p", "norm", "energy"]
-
-
 def _trajectory_table(file: str, kind: str, traj):
-    rows = zip(traj.times, traj.q, traj.q_unwrapped, traj.p, traj.energies)
-    return file, f"trajectory-{kind}", _TRAJ_COLUMNS, rows
+    return file, f"trajectory-{kind}", {
+        "t": traj.times, "q": traj.q, "q_unwrapped": traj.q_unwrapped, "p": traj.p,
+        "energy": traj.energies,
+    }
 
 
 def _quantum_table(file: str, trace):
-    rows = zip(trace.times, trace.cos_q, trace.sin_q, trace.mean_p, trace.norm, trace.energy)
-    return file, "trajectory-quantum", _QUANTUM_COLUMNS, rows
+    return file, "trajectory-quantum", {
+        "t": trace.times, "cos_q": trace.cos_q, "sin_q": trace.sin_q, "mean_p": trace.mean_p,
+        "norm": trace.norm, "energy": trace.energy,
+    }
 
 
 # subcommands: each returns (CSV tables, plot script body) --------------
@@ -385,41 +397,26 @@ def cmd_fiducial(cfg: RunConfig):
     upper = math.exp(z * (math.pi**2 - 4.0)) * gauss if z > 0 else gauss
     grid = QuadratureGrid.make(cfg["run.grid_nodes"])
     mom = moments(spec, max_harmonic=cfg["run.max_harmonic"], grid=grid)
-    envelope = gaussian_bound_check(spec, cfg["run.samples"]) if spec.r > 0 else None
+    no_envelope = EnvelopeCheck(True, None, 0.0, 0.0)  # r = 0 has no Gaussian envelope
+    envelope = gaussian_bound_check(spec, cfg["run.samples"]) if spec.r > 0 else no_envelope
     coeffs = momentum_coefficients(spec, basis)
     tables = [
-        (
-            "fiducial_profile.csv",
-            "fiducial-profile",
-            ["theta", "density", "re", "im", "upper_envelope", "lower_envelope"],
-            zip(theta, np.abs(amp) ** 2, amp.real, amp.imag, upper, gauss),
-        ),
-        (
-            "fiducial_moments.csv",
-            "fiducial-moments",
-            [
-                "r", "alpha", "hbar", "mean_q", "mean_p", "var_p",
-                "envelope_ok", "envelope_upper_margin", "envelope_lower_margin",
-            ],
-            [[
-                spec.r, spec.alpha, spec.hbar, mom.mean_q, mom.mean_p, mom.var_p,
-                int(envelope.passed) if envelope else 1,
-                envelope.upper_margin if envelope else 0.0,
-                envelope.lower_margin if envelope else 0.0,
-            ]],
-        ),
-        (
-            "fiducial_attenuation.csv",
-            "fiducial-attenuation",
-            ["harmonic", "cos_moment"],
-            enumerate(mom.cos_moments),
-        ),
-        (
-            "fiducial_coefficients.csv",
-            "fiducial-coefficients",
-            ["n", "momentum", "coefficient"],
-            zip(basis.n_values(), basis.momenta(), coeffs.coeffs.real),
-        ),
+        ("fiducial_profile.csv", "fiducial-profile", {
+            "theta": theta, "density": np.abs(amp) ** 2, "re": amp.real, "im": amp.imag,
+            "upper_envelope": upper, "lower_envelope": gauss,
+        }),
+        ("fiducial_moments.csv", "fiducial-moments", {
+            "r": spec.r, "alpha": spec.alpha, "hbar": spec.hbar,
+            "mean_q": mom.mean_q, "mean_p": mom.mean_p, "var_p": mom.var_p,
+            "envelope_ok": envelope.passed, "envelope_upper_margin": envelope.upper_margin,
+            "envelope_lower_margin": envelope.lower_margin,
+        }),
+        ("fiducial_attenuation.csv", "fiducial-attenuation", {
+            "harmonic": np.arange(len(mom.cos_moments)), "cos_moment": mom.cos_moments,
+        }),
+        ("fiducial_coefficients.csv", "fiducial-coefficients", {
+            "n": basis.n_values(), "momentum": basis.momenta(), "coefficient": coeffs.coeffs.real,
+        }),
     ]
     return tables, """
 profile = load("fiducial_profile.csv")
@@ -435,21 +432,19 @@ fig.savefig("fiducial_profile.png", dpi=150)
 def cmd_unity(cfg: RunConfig):
     spec, basis = cfg.spec, cfg.basis
     interior = np.abs(basis.n_values()) <= max(spec.localization, 1.0)
-    rows = []
-    for p_cutoff in cfg.p_cutoffs:
-        report = verify_unity(
-            spec, basis, p_cutoff=p_cutoff, p_nodes=cfg["run.p_nodes"], full_2d=cfg["run.full_2d"]
-        )
-        interior_defect = float(np.max(np.abs(report.diag_entries[interior] - 1.0)))
-        rows.append([
-            report.p_cutoff,
-            report.quadrature_meta["p_nodes"],
-            report.diag_defect,
-            interior_defect,
-            report.offdiag_defect,
-        ])
-    columns = ["p_cutoff", "p_nodes", "diag_defect", "interior_diag_defect", "offdiag_defect"]
-    return [("unity_defects.csv", "unity-defects", columns, rows)], """
+    reports = [
+        verify_unity(spec, basis, p_cutoff, p_nodes=cfg["run.p_nodes"], full_2d=cfg["run.full_2d"])
+        for p_cutoff in cfg.p_cutoffs
+    ]
+    return [("unity_defects.csv", "unity-defects", {
+        "p_cutoff": [report.p_cutoff for report in reports],
+        "p_nodes": [report.quadrature_meta["p_nodes"] for report in reports],
+        "diag_defect": [report.diag_defect for report in reports],
+        "interior_diag_defect": [
+            np.max(np.abs(report.diag_entries[interior] - 1.0)) for report in reports
+        ],
+        "offdiag_defect": [report.offdiag_defect for report in reports],
+    })], """
 defects = load("unity_defects.csv")
 fig, ax = plt.subplots()
 ax.loglog(defects["p_cutoff"], defects["interior_diag_defect"], "o-", label="interior diagonal")
@@ -470,20 +465,16 @@ def cmd_hamiltonian(cfg: RunConfig):
     h_shifted = enhanced_hamiltonian(model, canonical_shift(p, spec), q)
     h_c = classical_hamiltonian(potential, p, q)
     residual = h_shifted - h_c - model.kinetic_offset
-    grid = (p, q, h_cs, h_shifted, h_c, residual)
     tables = [
-        (
-            "hamiltonian_grid.csv",
-            "hamiltonian-grid",
-            ["p", "q", "h_coherent", "h_coherent_shifted", "h_classical", "residual"],
-            zip(*(column.ravel() for column in grid)),
-        ),
-        (
-            "hamiltonian_meta.csv",
-            "hamiltonian-meta",
-            ["kinetic_offset"] + [f"rho_{n}" for n in range(1, potential.degree + 1)],
-            [[model.kinetic_offset, *model.attenuation]],
-        ),
+        ("hamiltonian_grid.csv", "hamiltonian-grid", {
+            "p": p.ravel(), "q": q.ravel(), "h_coherent": h_cs.ravel(),
+            "h_coherent_shifted": h_shifted.ravel(), "h_classical": h_c.ravel(),
+            "residual": residual.ravel(),
+        }),
+        ("hamiltonian_meta.csv", "hamiltonian-meta", {
+            "kinetic_offset": model.kinetic_offset,
+            **{f"rho_{n}": rho for n, rho in enumerate(model.attenuation, start=1)},
+        }),
     ]
     return tables, """
 grid = load("hamiltonian_grid.csv")
@@ -544,22 +535,15 @@ def cmd_compare(cfg: RunConfig):
         _trajectory_table("compare_classical.csv", "classical", classical),
         _trajectory_table("compare_enhanced.csv", "enhanced", report.enhanced),
         _quantum_table("compare_quantum.csv", report.quantum),
-        (
-            "compare_deviation.csv",
-            "compare-deviation",
-            ["t", "momentum_deviation", "phase_deviation", "coherence"],
-            zip(report.times, report.momentum_deviation, report.phase_deviation, report.coherence),
-        ),
-        (
-            "compare_summary.csv",
-            "compare-summary",
-            ["max_momentum_deviation", "max_phase_deviation", "ehrenfest_window"],
-            [[
-                float(np.max(report.momentum_deviation)),
-                float(np.max(report.phase_deviation)),
-                report.ehrenfest_window,
-            ]],
-        ),
+        ("compare_deviation.csv", "compare-deviation", {
+            "t": report.times, "momentum_deviation": report.momentum_deviation,
+            "phase_deviation": report.phase_deviation, "coherence": report.coherence,
+        }),
+        ("compare_summary.csv", "compare-summary", {
+            "max_momentum_deviation": np.max(report.momentum_deviation),
+            "max_phase_deviation": np.max(report.phase_deviation),
+            "ehrenfest_window": report.ehrenfest_window,
+        }),
     ]
     return tables, """
 enh = load("compare_enhanced.csv")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .enhanced import EnhancedHamiltonian, TrigPotential
+from .enhanced import EnhancedHamiltonian
 from .hilbert import wrap_angle
 
 # stability heuristic: dt times the force scale must stay below this
@@ -48,35 +48,25 @@ class Trajectory:
     q_unwrapped: np.ndarray
     p: np.ndarray
     energies: np.ndarray
-    scheme_meta: dict
-
-    def __len__(self) -> int:
-        return len(self.times)
 
     def point(self, i: int) -> PhasePoint:
         return PhasePoint(q=float(self.q[i]), q_unwrapped=float(self.q_unwrapped[i]), p=float(self.p[i]))
 
 
 def _flow_pieces(h_kind: str, model: EnhancedHamiltonian):
-    """Kinetic shift, harmonic coefficient arrays and energy offset."""
+    """Kinetic shift, potential and energy offset of the flow: its
+    Hamiltonian is (p + shift)^2 + offset + potential(q)."""
     if h_kind == "enhanced":
-        shift = model.spec.hbar * model.spec.alpha
-        a0, a, b = model.effective_coefficients(attenuated=True)
-        offset = model.kinetic_offset
-    elif h_kind == "classical":
-        shift = 0.0
-        a0, a, b = model.effective_coefficients(attenuated=False)
-        offset = 0.0
-    else:
-        raise ValueError(f"h_kind must be 'enhanced' or 'classical', got {h_kind!r}")
-    return shift, a0, np.asarray(a), np.asarray(b), offset
+        return model.spec.hbar * model.spec.alpha, model.effective_potential(), model.kinetic_offset
+    if h_kind == "classical":
+        return 0.0, model.effective_potential(attenuated=False), 0.0
+    raise ValueError(f"h_kind must be 'enhanced' or 'classical', got {h_kind!r}")
 
 
 def max_stable_step(h_kind: str, model: EnhancedHamiltonian) -> float:
     """Largest |dt| :func:`evolve` accepts for the flow: ``MAX_STABLE_STEP``
     over the force scale of its (attenuated or bare) potential."""
-    _, a0, a, b, _ = _flow_pieces(h_kind, model)
-    scale = TrigPotential(a0, tuple(a), tuple(b)).force_scale()
+    scale = _flow_pieces(h_kind, model)[1].force_scale()
     return MAX_STABLE_STEP / scale if scale else math.inf
 
 
@@ -102,38 +92,32 @@ def evolve(
             f"step {dt} too large for the force scale; require |dt| <= {limit:.6g} "
             f"(|dt| * scale <= {MAX_STABLE_STEP})"
         )
-    shift, a0, a, b, offset = _flow_pieces(h_kind, model)
-    terms = [(float(n), float(an), float(bn)) for n, (an, bn) in enumerate(zip(a, b), start=1)]
+    shift, potential, offset = _flow_pieces(h_kind, model)
+    harmonics = enumerate(zip(potential.a, potential.b), start=1)
+    terms = [(float(n), an, bn) for n, (an, bn) in harmonics]
 
     # scalar math in the inner loop; harmonic counts are tiny and the
     # step count is not
     def force(q):
         return sum(n * (an * math.sin(n * q) - bn * math.cos(n * q)) for n, an, bn in terms)
 
-    def energy(q, p):
-        pot = a0 + sum(an * math.cos(n * q) + bn * math.sin(n * q) for n, an, bn in terms)
-        return (p + shift) ** 2 + offset + pot
-
-    times = dt * np.arange(steps + 1)
     qs = np.empty(steps + 1)
     ps = np.empty(steps + 1)
-    es = np.empty(steps + 1)
     q, p = start.q_unwrapped, start.p
-    qs[0], ps[0], es[0] = q, p, energy(q, p)
+    qs[0], ps[0] = q, p
     half = 0.5 * dt
     for i in range(1, steps + 1):
         p_half = p + half * force(q)
         q = q + dt * 2.0 * (p_half + shift)
         p = p_half + half * force(q)
-        qs[i], ps[i], es[i] = q, p, energy(q, p)
+        qs[i], ps[i] = q, p
 
     return Trajectory(
-        times=times,
+        times=dt * np.arange(steps + 1),
         q=wrap_angle(qs),
         q_unwrapped=qs,
         p=ps,
-        energies=es,
-        scheme_meta={"scheme": "leapfrog", "order": 2, "dt": dt, "kind": h_kind},
+        energies=(ps + shift) ** 2 + offset + potential.value(qs),
     )
 
 

@@ -100,18 +100,12 @@ class EnhancedHamiltonian:
             attenuation=rho[1 : potential.degree + 1],
         )
 
-    def effective_coefficients(self, attenuated: bool = True):
-        """(a0, a_n, b_n) with harmonics attenuated or left bare."""
-        a = np.asarray(self.potential.a, dtype=float)
-        b = np.asarray(self.potential.b, dtype=float)
-        if attenuated:
-            a = self.attenuation * a
-            b = self.attenuation * b
-        return self.potential.a0, a, b
-
-    def effective_potential(self, q, attenuated: bool = True):
-        a0, a, b = self.effective_coefficients(attenuated)
-        return TrigPotential(a0, tuple(a), tuple(b)).value(q)
+    def effective_potential(self, attenuated: bool = True) -> TrigPotential:
+        """The potential the flow sees: harmonics attenuated by rho_n, or bare."""
+        if not attenuated:
+            return self.potential
+        a0, a, b = self.potential.a0, self.potential.a, self.potential.b
+        return TrigPotential(a0, tuple(self.attenuation * a), tuple(self.attenuation * b))
 
 
 def _float_or_array(value):
@@ -123,7 +117,8 @@ def enhanced_hamiltonian(model: EnhancedHamiltonian, p, q):
     elementwise over broadcast arrays; a float for scalar p and q."""
     shift = model.spec.hbar * model.spec.alpha
     p = np.asarray(p, dtype=float)
-    return _float_or_array((p + shift) ** 2 + model.kinetic_offset + model.effective_potential(q))
+    potential = model.effective_potential().value(q)
+    return _float_or_array((p + shift) ** 2 + model.kinetic_offset + potential)
 
 
 def classical_hamiltonian(potential: TrigPotential, p, q):

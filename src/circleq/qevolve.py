@@ -165,7 +165,8 @@ def _edge_residuals(ham: HamiltonianMatrix, block: slice, modes: np.ndarray) -> 
     below = ham.matrix[max(block.start - m, 0):block.start, block]
     above = ham.matrix[block.stop:block.stop + m, block]
     leak = np.concatenate([below, above]) @ modes
-    return np.sqrt(np.sum(leak.real**2 + leak.imag**2, axis=0))
+    # hypot never squares, so huge couplings cannot overflow the norm
+    return np.hypot.reduce(np.abs(leak), axis=0)
 
 
 def evolve_quantum(

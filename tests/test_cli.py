@@ -180,6 +180,19 @@ def test_fiducial_outputs_and_moments_row(tmp_path):
     assert np.all(profile["density"] >= profile["lower_envelope"] * (1 - 1e-12))
 
 
+@pytest.mark.parametrize("r", ["0", "2.0"])
+def test_fiducial_moments_row_reports_the_envelope_check(tmp_path, monkeypatch, r):
+    # a failed EnvelopeCheck is falsy, so only r = 0 may stand for "no check"
+    from circleq.fiducial import EnvelopeCheck
+
+    monkeypatch.setattr(cli, "gaussian_bound_check", lambda spec, samples:
+                        EnvelopeCheck(False, 0.5, -1.5, 2.5))
+    code, outdir = run(tmp_path, "fiducial", f"model.r = {r}")
+    assert code == 0
+    row = stable_lines(outdir / "fiducial_moments.csv")[2].split(",")[-3:]
+    assert row == (["1", "0", "0"] if r == "0" else ["0", "-1.5", "2.5"])
+
+
 def test_fiducial_rerun_is_bit_identical(tmp_path):
     _, out1 = run(tmp_path / "a", "fiducial", "run.seed = 3")
     _, out2 = run(tmp_path / "b", "fiducial", "run.seed = 3")
@@ -199,6 +212,55 @@ def test_numbers_round_trip_at_17_digits(tmp_path):
     # default model is centered at zero twist
     row = read_table(outdir / "fiducial_moments.csv")
     assert abs(float(row["mean_q"])) < 1e-9 and abs(float(row["mean_p"])) < 1e-9
+
+
+def per_value(value):
+    """The per-value formatter write_csv replaced, kept as its oracle."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("rows", [1, len(EDGE_FLOATS), 2 * cli.CSV_CHUNK_ROWS + 3])
+def test_write_csv_matches_the_per_value_formatter(tmp_path, rows):
+    # the chunked %-template writer against one format() call per value,
+    # on float edge cases, negative numpy and Python ints, one-row tables
+    # and tables that cross chunk boundaries
+    rng = np.random.default_rng(rows)
+    floats = np.resize(np.array(EDGE_FLOATS), rows) * rng.choice([1.0, -1.0, 1e-300], rows)
+    table = {
+        "x": floats,
+        "n": -np.arange(rows, dtype=np.int64) - 2**40,
+        "k": [int(v) for v in rng.integers(-(2**62), 2**62, rows)],
+        "y": rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows),
+    }
+    path = cli.write_csv(tmp_path / "t.csv", "oracle", table)
+    assert path == tmp_path / "t.csv"
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# schema: circleq/oracle {cli.SCHEMA_VERSION}"
+    assert lines[1].startswith("# generated: ") and lines[2] == "x,n,k,y"
+    expected = [",".join(per_value(column[i]) for column in table.values()) for i in range(rows)]
+    assert lines[3:] == expected
+
+
+def test_write_csv_single_values_are_one_row(tmp_path):
+    path = cli.write_csv(tmp_path / "s.csv", "single", {"a": -0.0, "ok": True, "m": -7})
+    assert path.read_text().splitlines()[3] == "-0,1,-7"
+
+
+# numpy notes the overflow as it happens; the exit code is what counts here
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_output_exits_two_before_writing(tmp_path, capsys):
+    # finite coefficients whose sum overflows used to exit 0 with inf rows
+    code, outdir = run(tmp_path, "hamiltonian", "model.potential.a = 9.01e307, 9.01e307")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "hamiltonian_grid.csv" in err and "Traceback" not in err
+    assert not outdir.exists()
 
 
 def test_unity_ladder_csv(tmp_path):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from circleq.fiducial import FiducialSpec
-from circleq.enhanced import EnhancedHamiltonian, TrigPotential
+from circleq.enhanced import (
+    EnhancedHamiltonian,
+    TrigPotential,
+    classical_hamiltonian,
+    enhanced_hamiltonian,
+)
 from circleq.dynamics import (
     PhasePoint,
     action_along,
@@ -63,6 +68,21 @@ def test_energy_no_secular_drift():
     early = np.max(np.abs(traj.energies[:10000] - traj.energies[0]))
     late = np.max(np.abs(traj.energies[-10000:] - traj.energies[0]))
     assert late <= 1.5 * early + 1e-15
+
+
+@pytest.mark.parametrize("h_kind", ["classical", "enhanced"])
+def test_energies_are_the_flow_hamiltonian(h_kind):
+    # the energy column is the paper's H_cs (enhanced) or p^2 + V (classical)
+    # at every sample, not a separate evaluation that could drift from it
+    potential = TrigPotential(a0=0.3, a=(1.0, -0.4), b=(0.0, 0.25))
+    model = EnhancedHamiltonian.build(potential, FiducialSpec(r=1.5, alpha=0.3, hbar=0.2))
+    traj = evolve(h_kind, model, PhasePoint.start(2.0, 0.7), 0.01, 500)
+    if h_kind == "enhanced":
+        expected = enhanced_hamiltonian(model, traj.p, traj.q_unwrapped)
+    else:
+        expected = classical_hamiltonian(model.potential, traj.p, traj.q_unwrapped)
+    assert traj.energies.shape == (501,)
+    assert np.all(np.abs(traj.energies - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_leapfrog_second_order():

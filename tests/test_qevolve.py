@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ def test_long_horizon_grows_the_block():
     long = evolve_quantum(ham, state, dt, steps)
     assert short.slots_kept < long.slots_kept < ham.basis.dimension
     assert max(short.truncation_bound, long.truncation_bound) <= 1e-12
+
+
+def test_huge_couplings_keep_the_bound_finite():
+    # squared edge leaks of a 1e300 coupling overflowed to inf (with a
+    # RuntimeWarning) before the residual norms were taken through hypot
+    ham, state, _, steps = coherent_case(TrigPotential(a=(1e300,)), 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = evolve_quantum(ham, state, 0.01 / math.sqrt(1e300), steps)
+    assert math.isfinite(trace.truncation_bound)
+    assert np.all(np.isfinite(trace.energy))
 
 
 def test_propagation_memory_does_not_grow_with_steps():
