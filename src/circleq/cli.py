@@ -666,9 +666,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args.command, args.config, args.overrides)
-        tables, plot_body = _COMMANDS[args.command](cfg)
-        written = _emit(cfg["output.dir"], args.command, tables, plot_body)
+        # _emit's finite check reports an overflow; numpy need not warn of it too
+        with np.errstate(over="ignore", invalid="ignore"):
+            cfg = RunConfig.load(args.command, args.config, args.overrides)
+            tables, plot_body = _COMMANDS[args.command](cfg)
+            written = _emit(cfg["output.dir"], args.command, tables, plot_body)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -99,17 +99,23 @@ def evolve(
     # scalar math in the inner loop; harmonic counts are tiny and the
     # step count is not
     def force(q):
-        return sum(n * (an * math.sin(n * q) - bn * math.cos(n * q)) for n, an, bn in terms)
+        f = 0.0
+        for n, an, bn in terms:
+            f += n * (an * math.sin(n * q) - bn * math.cos(n * q))
+        return f
 
     qs = np.empty(steps + 1)
     ps = np.empty(steps + 1)
     q, p = start.q_unwrapped, start.p
     qs[0], ps[0] = q, p
     half = 0.5 * dt
+    # the closing kick of one step and the opening kick of the next share q
+    f = force(q)
     for i in range(1, steps + 1):
-        p_half = p + half * force(q)
+        p_half = p + half * f
         q = q + dt * 2.0 * (p_half + shift)
-        p = p_half + half * force(q)
+        f = force(q)
+        p = p_half + half * f
         qs[i], ps[i] = q, p
 
     return Trajectory(

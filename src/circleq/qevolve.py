@@ -20,9 +20,10 @@ gives each mode's exact residual, and with it a bound on the amplitude
 error over the whole horizon; the block grows until that bound is at most
 sqrt(WINDOW_TAIL) = 1e-12, and the trace reports the slots and modes kept,
 the weight dropped and the bound.  States are rebuilt in blocks of
-``TIME_CHUNK`` sample times, so memory does not grow with the step count,
-and the energy is measured on every state through the banded matvec
-rather than assumed from the spectrum.
+``TIME_CHUNK`` sample times, so memory does not grow with the step count.
+The energy is measured on every state rather than assumed from the
+spectrum, from the sums sum_i conj(psi_{i+k}) psi_i over the bandwidth
+that the circle moment needs for k = 1 anyway.
 
 The circle position is reported through <e^{iQ}>, never a bare <Q>: the
 chart [-pi, pi) makes <Q> jump under rotation, while the complex moment
@@ -146,27 +147,15 @@ def _spectral_window(weights: np.ndarray) -> tuple:
     return np.sort(order[dropped:]), discarded
 
 
-def _banded_apply(ham: HamiltonianMatrix, block: slice, states: np.ndarray) -> np.ndarray:
-    """H[block, block] @ states through the diagonal and the ``bandwidth``
-    band pairs."""
-    out = np.diagonal(ham.matrix)[block, None] * states
-    for k in range(1, ham.bandwidth + 1):
-        band = potential_band_value(ham.potential, k)
-        out[k:] += band * states[:-k]
-        out[:-k] += np.conj(band) * states[k:]
-    return out
-
-
-def _edge_residuals(ham: HamiltonianMatrix, block: slice, modes: np.ndarray) -> np.ndarray:
-    """||(H - E_j) v_j|| for the eigenvectors v_j of H[block, block], taken
-    as zero outside the block: inside it the residual vanishes, and outside
-    only the ``bandwidth`` slots on either side couple to the block."""
+def _edge_residuals(ham: HamiltonianMatrix, block: slice, modes: np.ndarray) -> list:
+    """The parts below and above the block of ||(H - E_j) v_j|| (their
+    hypot) for the eigenvectors v_j of H[block, block], taken as zero
+    outside the block: inside it the residual vanishes, and outside only
+    the ``bandwidth`` slots on either side couple to the block."""
     m = ham.bandwidth
-    below = ham.matrix[max(block.start - m, 0):block.start, block]
-    above = ham.matrix[block.stop:block.stop + m, block]
-    leak = np.concatenate([below, above]) @ modes
+    rows = (slice(max(block.start - m, 0), block.start), slice(block.stop, block.stop + m))
     # hypot never squares, so huge couplings cannot overflow the norm
-    return np.hypot.reduce(np.abs(leak), axis=0)
+    return [np.hypot.reduce(np.abs(ham.matrix[edge, block] @ modes), axis=0) for edge in rows]
 
 
 def evolve_quantum(
@@ -176,17 +165,19 @@ def evolve_quantum(
 
     The eigendecomposition runs on the principal block H[lo:hi, lo:hi] of
     the slots that hold all but ``WINDOW_TAIL`` of the initial weight plus
-    a margin, and exact phases at every sample time drive the modes inside
-    the spectral window.  Over the horizon T = |dt| steps the amplitude
-    error is at most
+    a margin, and exact phases drive the modes inside the spectral window:
+    each chunk of sample times multiplies the phases at its first sample by
+    one table of phases over a chunk's offsets.  Over the horizon
+    T = |dt| steps the amplitude error is at most
 
         sqrt(weight outside the block) + sqrt(discarded weight)
             + (T / hbar) sum_j |a_j| ||(H - E_j) v_j||
 
     (a Duhamel estimate per kept mode); while that exceeds
-    sqrt(WINDOW_TAIL) the margin doubles and the block is solved again.
-    On the whole lattice the bound is the window's alone, so the loop
-    ends.  The bound covers truncation only: roundoff, as for any
+    sqrt(WINDOW_TAIL) the block is solved again with the margin doubled on
+    each side whose own leak keeps the bound over (on both when neither
+    does alone).  On the whole lattice the bound is the window's alone, so
+    the loop ends.  The bound covers truncation only: roundoff, as for any
     eigendecomposition, grows like eps ||H|| T / hbar.  A failed
     decomposition raises numpy's LinAlgError untouched.
     """
@@ -204,38 +195,49 @@ def evolve_quantum(
     slot_weights = psi.real**2 + psi.imag**2
     held, _ = _spectral_window(slot_weights)
     first, last = int(held[0]), int(held[-1]) + 1
-    margin = max(1, (last - first) // MARGIN_DIVISOR)
-    horizon = abs(dt) * steps / hbar
+    margins = [max(1, (last - first) // MARGIN_DIVISOR)] * 2
+    horizon, limit = abs(dt) * steps / hbar, math.sqrt(WINDOW_TAIL)
     while True:
-        block = slice(max(first - margin, 0), min(last + margin, dim))
+        block = slice(max(first - margins[0], 0), min(last + margins[1], dim))
         energies, modes = np.linalg.eigh(ham.matrix[block, block])
         # a = modes^H psi, arranged so that a real ``modes`` is never copied
         amps = np.conj(_apply(modes.T, np.conj(psi[block])))
         kept, discarded = _spectral_window(amps.real**2 + amps.imag**2)
         energies, modes, amps = energies[kept], modes[:, kept], amps[kept]
-        outside = slot_weights[: block.start].sum() + slot_weights[block.stop:].sum()
-        bound = (
-            math.sqrt(outside)
-            + math.sqrt(discarded)
-            + horizon * float(np.abs(amps) @ _edge_residuals(ham, block, modes))
-        )
-        if bound <= math.sqrt(WINDOW_TAIL) or block.stop - block.start == dim:
+        outside = (slot_weights[: block.start].sum(), slot_weights[block.stop:].sum())
+        leaks, sizes = _edge_residuals(ham, block, modes), np.abs(amps)
+        bound = math.sqrt(sum(outside)) + math.sqrt(discarded)
+        bound += horizon * float(sizes @ np.hypot(*leaks))
+        if bound <= limit or block.stop - block.start == dim:
             break
-        margin *= 2
+        # a side grows when its leak alone keeps the bound over the limit;
+        # when neither does, both grow
+        over = [math.sqrt(w) + math.sqrt(discarded) + horizon * float(sizes @ leak) > limit
+                for w, leak in zip(outside, leaks)]
+        margins = [2 * margin if grow or not any(over) else margin
+                   for margin, grow in zip(margins, over)]
 
     momenta = ham.basis.momenta()[block]
+    diagonal = np.diagonal(ham.matrix)[block].real
+    bands = [potential_band_value(ham.potential, k) for k in range(1, ham.bandwidth + 1)]
     times = dt * np.arange(steps + 1)
+    # phases of one chunk's offsets from its first sample; each chunk scales
+    # them by the exact phases at that sample, so no error accumulates
+    table = np.exp(-1j * np.outer(energies, times[:TIME_CHUNK]) / hbar)
     cos_q, sin_q, mean_p, norm, energy = np.empty((5, steps + 1))
     for start in range(0, steps + 1, TIME_CHUNK):
         chunk = slice(start, start + TIME_CHUNK)
-        phases = np.exp(-1j * np.outer(energies, times[chunk]) / hbar)
-        states = _apply(modes, phases * amps[:, None])  # (block length, chunk length)
+        head = np.exp(-1j * (energies * times[start]) / hbar) * amps
+        states = _apply(modes, head[:, None] * table[:, : len(times[chunk])])  # (slots, times)
         weights = states.real**2 + states.imag**2
         norm[chunk] = weights.sum(axis=0)
         mean_p[chunk] = momenta @ weights
-        moment = np.sum(np.conj(states[1:]) * states[:-1], axis=0)
-        cos_q[chunk], sin_q[chunk] = moment.real, moment.imag
-        energy[chunk] = np.sum(np.conj(states) * _banded_apply(ham, block, states), axis=0).real
+        # s_k = sum_i conj(psi_{i+k}) psi_i: s_1 is <e^{iQ}>, and
+        # <H> = diagonal . weights + 2 sum_k Re(h_k s_k)
+        shifted = [np.sum(np.conj(states[k:]) * states[:-k], axis=0)
+                   for k in range(1, max(len(bands), 1) + 1)]
+        cos_q[chunk], sin_q[chunk] = shifted[0].real, shifted[0].imag
+        energy[chunk] = diagonal @ weights + 2.0 * sum((h * s).real for h, s in zip(bands, shifted))
     return ExpectationTrace(
         times=times,
         cos_q=cos_q,

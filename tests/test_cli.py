@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,14 +253,16 @@ def test_write_csv_single_values_are_one_row(tmp_path):
     assert path.read_text().splitlines()[3] == "-0,1,-7"
 
 
-# numpy notes the overflow as it happens; the exit code is what counts here
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_output_exits_two_before_writing(tmp_path, capsys):
-    # finite coefficients whose sum overflows used to exit 0 with inf rows
-    code, outdir = run(tmp_path, "hamiltonian", "model.potential.a = 9.01e307, 9.01e307")
+    # finite coefficients whose sum overflows used to exit 0 with inf rows;
+    # the exit-2 line is all the user sees, with no numpy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, outdir = run(tmp_path, "hamiltonian", "model.potential.a = 9.01e307, 9.01e307")
     assert code == 2
-    err = capsys.readouterr().err
-    assert "hamiltonian_grid.csv" in err and "Traceback" not in err
+    assert capsys.readouterr().err == (
+        "numerical contract violated: hamiltonian_grid.csv: column 'h_classical' is not finite\n"
+    )
     assert not outdir.exists()
 
 

@@ -10,13 +10,17 @@ from circleq.hilbert import MomentumState, TwistedBasis, default_cutoff
 from circleq.fiducial import FiducialSpec
 from circleq.coherent import CoherentLabel, coherent_state
 from circleq.enhanced import EnhancedHamiltonian, TrigPotential
+import circleq.qevolve as qevolve
+from circleq.cli import main
 from circleq.qevolve import (
+    MARGIN_DIVISOR,
     TIME_CHUNK,
     WINDOW_TAIL,
     build_hamiltonian,
     compare_restricted,
     comparison_basis,
     evolve_quantum,
+    potential_band_value,
 )
 
 
@@ -114,6 +118,66 @@ def test_propagation_matches_dense_oracle(name):
     assert ham.matrix.dtype == (np.float64 if real else np.complex128)
 
 
+def chunked_reference_trace(ham, initial, dt, steps):
+    """Oracle for the propagation on the first block: an exp for every mode
+    at every sample time, and the energy as <psi| (H @ psi) with H applied
+    through its diagonal and band pairs."""
+
+    def window(weights):
+        # all but the weakest entries whose summed weight is <= WINDOW_TAIL
+        order = np.argsort(weights)
+        return np.sort(order[np.searchsorted(np.cumsum(weights[order]), WINDOW_TAIL, side="right"):])
+
+    psi = initial.coeffs
+    held = window(np.abs(psi) ** 2)
+    margin = max(1, (held[-1] + 1 - held[0]) // MARGIN_DIVISOR)
+    block = slice(max(held[0] - margin, 0), min(held[-1] + 1 + margin, ham.basis.dimension))
+    energies, modes = np.linalg.eigh(ham.matrix[block, block])
+    amps = modes.conj().T @ psi[block]
+    kept = window(np.abs(amps) ** 2)
+    energies, modes, amps = energies[kept], modes[:, kept], amps[kept]
+    bands = [potential_band_value(ham.potential, k) for k in range(1, ham.bandwidth + 1)]
+    times = dt * np.arange(steps + 1)
+    out = {key: np.empty(steps + 1) for key in ("cos_q", "sin_q", "mean_p", "norm", "energy")}
+    for start in range(0, steps + 1, TIME_CHUNK):
+        chunk = slice(start, start + TIME_CHUNK)
+        states = modes @ (np.exp(-1j * np.outer(energies, times[chunk]) / ham.basis.hbar) * amps[:, None])
+        applied = np.diagonal(ham.matrix)[block, None] * states
+        for k, band in enumerate(bands, start=1):
+            applied[k:] += band * states[:-k]
+            applied[:-k] += np.conj(band) * states[k:]
+        weights = np.abs(states) ** 2
+        moment = np.sum(np.conj(states[1:]) * states[:-1], axis=0)
+        out["cos_q"][chunk], out["sin_q"][chunk] = moment.real, moment.imag
+        out["mean_p"][chunk] = ham.basis.momenta()[block] @ weights
+        out["norm"][chunk] = weights.sum(axis=0)
+        out["energy"][chunk] = np.sum(np.conj(states) * applied, axis=0).real
+    return out, block.stop - block.start
+
+
+CHUNK_ORACLE_CASES = {
+    "real": lambda: coherent_case(TrigPotential(a=(0.8, 0.2)), 300),
+    "complex": lambda: coherent_case(SINE_TERMS, 300),
+    "bandwidth3": lambda: coherent_case(TrigPotential(a0=0.3, a=(0.8, -0.2, 0.1), b=(0.0, 0.1, -0.05)), 300),
+    "free": lambda: coherent_case(TrigPotential.free(), 300),
+    "ragged_chunks": lambda: coherent_case(TrigPotential.pendulum(), 2 * TIME_CHUNK + 37),
+    "backward": lambda: coherent_case(SINE_TERMS, 300)[:2] + (-0.01, 300),
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNK_ORACLE_CASES))
+def test_propagation_matches_chunked_oracle(name):
+    # the phase table and the shifted sums reproduce per-sample phases and
+    # the banded matvec to roundoff
+    ham, state, dt, steps = CHUNK_ORACLE_CASES[name]()
+    trace = evolve_quantum(ham, state, dt, steps)
+    expected, slots = chunked_reference_trace(ham, state, dt, steps)
+    assert trace.slots_kept == slots  # the first block passes, as in the oracle
+    for key, values in expected.items():
+        got = getattr(trace, key)
+        assert np.all(np.abs(got - values) <= 1e-13 * np.maximum(1.0, np.abs(values))), key
+
+
 def test_long_horizon_grows_the_block():
     # the same state over a short horizon settles on the first block
     ham, state, dt, steps = ORACLE_CASES["long_horizon"]()
@@ -121,6 +185,31 @@ def test_long_horizon_grows_the_block():
     long = evolve_quantum(ham, state, dt, steps)
     assert short.slots_kept < long.slots_kept < ham.basis.dimension
     assert max(short.truncation_bound, long.truncation_bound) <= 1e-12
+
+
+def test_block_grows_only_on_the_leaking_side(tmp_path, monkeypatch):
+    # compare at r/hbar = 200 from p0 = 1: the first block of 312 slots leaks
+    # about 2e-5 through its lower edge and 2e-20 through its upper one, so
+    # only the lower margin doubles (growing both solved 312, 416 and 624)
+    solved, traces = [], []
+    eigh, evolve = np.linalg.eigh, qevolve.evolve_quantum
+
+    def spy_eigh(matrix):
+        solved.append(matrix.shape[0])
+        return eigh(matrix)
+
+    def spy_evolve(*args):
+        traces.append(evolve(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(qevolve, "evolve_quantum", spy_evolve)
+    args = ["compare", "--set", "model.r = 2.5", "--set", "model.hbar = 0.0125",
+            "--set", "model.potential.a = 1.0", "--set", f"output.dir = {tmp_path}"]
+    assert main(args) == 0
+    assert solved[0] == 312 and len(solved) > 1 and max(solved) < 624
+    assert traces[0].slots_kept == solved[-1]
+    assert traces[0].truncation_bound <= 1e-12
 
 
 def test_huge_couplings_keep_the_bound_finite():
