@@ -26,6 +26,7 @@ except for the ``# generated:`` header line.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -312,6 +313,122 @@ class RunConfig:
 # rows formatted and written at a time; bounds the text held in memory
 CSV_CHUNK_ROWS = 4096
 
+# A value's text is a cell of four little-endian words: byte 0 the sign, 2-6
+# the "0.000" of -4 <= k < 0, 7 the leading digit, 8-24 the other 16 and the
+# point, 25-29 the exponent, 31 the separator; NUL bytes are dropped.
+_WORD = np.dtype("<u8")
+
+# %.17g of a finite nonzero x is D = round(y), y = |x| 10^(16-k) in [1e16,
+# 1e17), k = floor(log10 |x|).  y is a long-double product with 10^(16-k)
+# whose roundings (the product's, and the power's unless 10^j is exact) move
+# it by at most 1e17 eps / 2 each, eps the long-double epsilon: D is certain
+# when y is further than that per rounding from a half-integer (2^-10 spare
+# covers y's fraction in float64).  A plain-double long double certifies none.
+_MARGIN = 1e17 * float(np.finfo(np.longdouble).eps) / 2 * (1 + 2**-10)
+_POW_LO, _K_LO = -294, -330
+
+
+def _words(texts: list, width: int) -> np.ndarray:
+    """Each text's NUL-padded ``width`` bytes as little-endian words, a row per word."""
+    return np.array(texts, f"S{width}").view(_WORD).reshape(len(texts), -1).T.copy()
+
+
+@functools.cache
+def _tables() -> tuple:
+    """The formatter's tables, built on first use (``--version`` needs none)."""
+    # 10^j for every scale j = 16 - k a double needs (k in [-325, 310]), and
+    # the roundings of y at j: 1 where 10^j = 2^j 5^j is exact, else 2
+    scales = range(_POW_LO, 343)
+    exact = (np.finfo(np.longdouble).nmant + 1) / math.log2(5)  # 5^j < 2^bits
+    pow10 = np.array([f"1e{j}" for j in scales], dtype=np.longdouble)
+    roundings = np.array([1 if 0 <= j < exact else 2 for j in scales])
+    # per group 100 h + l in 0..9999: the digits of h and l as a word, and their trailing zeros
+    pairs = np.array([b"%02d" % i for i in range(100)], "S2").view("<u2").astype(_WORD)
+    zeros = np.array([2] + [i % 10 == 0 for i in range(1, 100)], np.int8)
+    four = (pairs[:, None] | pairs << 16).ravel()
+    trailing = (zeros + (zeros == 2) * zeros[:, None]).ravel()
+    # for c = 0..16: the low c bytes of the 16-digit string, and a point after them
+    keep = _words([b"\xff" * c for c in range(17)], 16)
+    point = _words([b"\0" * c + b"." for c in range(16)] + [b""], 16)
+    # per k in [-330, 330]: word 0's "0.000" and word 3's "e-05" (%g: fixed at -4 <= k < 17)
+    ks = range(_K_LO, 331)
+    prefix = _words([b"\0\0" + b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"" for k in ks], 8)
+    suffix = _words([b"" if -4 <= k < 17 else b"\0e%+03d" % k for k in ks], 8)
+    return pow10, roundings, four, trailing, *keep, *point, prefix[0], suffix[0]
+
+
+def _text_cells(template: str, values: np.ndarray) -> np.ndarray:
+    """Cells holding ``template % v`` per value (at most 31 bytes)."""
+    return np.array([template % v for v in values.tolist()], "S32").view(_WORD).reshape(-1, 4)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """Cells holding ``"%.17g" % v`` for a float64 vector: the digits of
+    every value certified by ``_MARGIN`` from array arithmetic, the rest
+    (zeros, non-finite values, near-ties) per value."""
+    (pow10, roundings, four, trailing_zeros, keep_lo, keep_hi, point_lo, point_hi,
+     prefix, suffix) = _tables()
+    with np.errstate(all="ignore"):
+        ax = np.abs(x)
+        certified = np.isfinite(ax) & (ax > 0)
+        ax[~certified] = 1.0
+        k = np.floor(np.log10(ax)).astype(np.intp)
+        ax = ax.astype(np.longdouble)
+        y = ax * pow10[16 - _POW_LO - k]
+        d = y.astype(np.int64)
+        # log10 can miss k by one next to a power of ten: rescale once
+        fix = np.flatnonzero((d < 10**16) | (d >= 10**17))
+        k[fix] += np.where(d[fix] >= 10**17, 1, -1)
+        y[fix] = ax[fix] * pow10[16 - _POW_LO - k[fix]]
+        d[fix] = y[fix].astype(np.int64)
+        certified[fix] &= (d[fix] >= 10**16) & (d[fix] < 10**17)
+        fraction = (y - d.astype(np.longdouble)).astype(np.float64)
+        certified &= np.abs(fraction - 0.5) > _MARGIN * roundings[16 - _POW_LO - k]
+        d += fraction > 0.5
+        carry = d == 10**17
+        d[carry] = 10**16
+        k += carry
+        # the leading digit and four groups of four digits
+        q = [d // 10**e for e in (16, 12, 8, 4)] + [d]
+        lead, groups = q[0], [b - 10**4 * a for a, b in zip(q, q[1:])]
+        trailing = 0
+        for g in groups:
+            trailing = trailing_zeros[g] + (g == 0) * trailing
+        kept = 16 - trailing
+        lo = four[groups[0]] | four[groups[1]] << 32
+        hi = four[groups[2]] | four[groups[3]] << 32
+        # fixed notation at k >= 0 puts the point after k more digits, which
+        # stay even when zero; exponent notation puts it after the lead
+        exponent = (k < -4) | (k >= 17)
+        at = np.where(exponent | (k < 0), 0, k)
+        point = (kept > at) & ((k >= 0) | exponent)
+        head_lo, head_hi = keep_lo[at], keep_hi[at]
+        tail_lo = lo & keep_lo[kept] & ~head_lo
+        tail_hi = hi & keep_hi[kept] & ~head_hi
+        cells = np.empty((x.size, 4), _WORD)
+        sign = (x < 0) * np.uint64(ord("-"))
+        cells[:, 0] = prefix[k - _K_LO] | sign | (lead + ord("0")).astype(_WORD) << 56
+        cells[:, 1] = (lo & head_lo) | tail_lo << 8 | point_lo[at] * point
+        cells[:, 2] = (hi & head_hi) | tail_hi << 8 | tail_lo >> 56 | point_hi[at] * point
+        cells[:, 3] = tail_hi >> 56 | suffix[k - _K_LO]
+    fallback = np.flatnonzero(~certified)
+    cells[fallback] = _text_cells("%.17g", x[fallback])
+    return cells
+
+
+def _chunk_text(columns: list) -> str:
+    """Rows of columns as CSV text: every value a ``_float_cells`` cell in
+    one call, then integer and bool columns as ``%d`` per value."""
+    ints = [i for i, c in enumerate(columns) if c.dtype.kind in "biu"]
+    values = np.stack(columns, axis=1).astype(np.float64)
+    values[:, ints] = 1.0  # replaced below; spares them the per-value route
+    cells = _float_cells(values.ravel()).reshape(*values.shape, 4)
+    for i in ints:
+        cells[:, i] = _text_cells("%d", columns[i])
+    text = cells.view(np.uint8).reshape(*values.shape, 32)
+    text[:, :, -1] = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
+    return text[text != 0].tobytes().decode("ascii")
+
 
 def _open(path: Path):
     # the output directory appears with the first file: commands check
@@ -323,17 +440,15 @@ def _open(path: Path):
 
 def write_csv(path: Path, name: str, table: dict) -> Path:
     """Write ``{column: values}`` under a schema line, a timestamp and the
-    column names; integer and bool columns as ``%d``, the rest with 17
-    significant digits."""
+    column names; integer and bool columns as ``%d``, the rest as
+    ``%.17g``, byte for byte."""
     columns = [np.atleast_1d(values) for values in table.values()]
-    row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
     with _open(path) as handle:
         handle.write(f"# schema: circleq/{name} {SCHEMA_VERSION}\n")
         handle.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
         handle.write(",".join(table) + "\n")
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            chunk = (c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns)
-            handle.write("".join(row % values for values in zip(*chunk)))
+            handle.write(_chunk_text([c[start:start + CSV_CHUNK_ROWS] for c in columns]))
     return path
 
 

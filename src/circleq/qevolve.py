@@ -176,8 +176,9 @@ def evolve_quantum(
     (a Duhamel estimate per kept mode); while that exceeds
     sqrt(WINDOW_TAIL) the block is solved again with the margin doubled on
     each side whose own leak keeps the bound over (on both when neither
-    does alone).  On the whole lattice the bound is the window's alone, so
-    the loop ends.  The bound covers truncation only: roundoff, as for any
+    does alone), or on the whole lattice once a growth cuts the leak term by
+    less than half.  On the whole lattice the bound is the window's alone,
+    so the loop ends.  The bound covers truncation only: roundoff, as for any
     eigendecomposition, grows like eps ||H|| T / hbar.  A failed
     decomposition raises numpy's LinAlgError untouched.
     """
@@ -197,6 +198,7 @@ def evolve_quantum(
     first, last = int(held[0]), int(held[-1]) + 1
     margins = [max(1, (last - first) // MARGIN_DIVISOR)] * 2
     horizon, limit = abs(dt) * steps / hbar, math.sqrt(WINDOW_TAIL)
+    previous_leak = math.inf
     while True:
         block = slice(max(first - margins[0], 0), min(last + margins[1], dim))
         energies, modes = np.linalg.eigh(ham.matrix[block, block])
@@ -206,16 +208,19 @@ def evolve_quantum(
         energies, modes, amps = energies[kept], modes[:, kept], amps[kept]
         outside = (slot_weights[: block.start].sum(), slot_weights[block.stop:].sum())
         leaks, sizes = _edge_residuals(ham, block, modes), np.abs(amps)
-        bound = math.sqrt(sum(outside)) + math.sqrt(discarded)
-        bound += horizon * float(sizes @ np.hypot(*leaks))
+        leak = horizon * float(sizes @ np.hypot(*leaks))
+        bound = math.sqrt(sum(outside)) + math.sqrt(discarded) + leak
         if bound <= limit or block.stop - block.start == dim:
             break
-        # a side grows when its leak alone keeps the bound over the limit;
-        # when neither does, both grow
-        over = [math.sqrt(w) + math.sqrt(discarded) + horizon * float(sizes @ leak) > limit
-                for w, leak in zip(outside, leaks)]
-        margins = [2 * margin if grow or not any(over) else margin
+        # a side grows when its leak alone keeps the bound over the limit, both
+        # when neither does; a growth that cut the leak by less than half (not
+        # one that raised it) met delocalized modes: the whole lattice is next
+        over = [math.sqrt(w) + math.sqrt(discarded) + horizon * float(sizes @ side) > limit
+                for w, side in zip(outside, leaks)]
+        futile = previous_leak / 2 < leak <= previous_leak
+        margins = [dim if futile else 2 * margin if grow or not any(over) else margin
                    for margin, grow in zip(margins, over)]
+        previous_leak = leak
 
     momenta = ham.basis.momenta()[block]
     diagonal = np.diagonal(ham.matrix)[block].real

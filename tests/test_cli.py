@@ -253,6 +253,84 @@ def test_write_csv_single_values_are_one_row(tmp_path):
     assert path.read_text().splitlines()[3] == "-0,1,-7"
 
 
+def written_floats(values) -> list:
+    """The data lines write_csv gives a one-column float table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = cli.write_csv(Path(tmp) / "v.csv", "values", {"x": np.asarray(values, float)})
+        return path.read_text().splitlines()[3:]
+
+
+def assert_per_value(values):
+    values = np.asarray(values, float)
+    assert written_floats(values) == [per_value(v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_float_text_matches_per_value_on_any_floats(values):
+    assert_per_value(values)
+
+
+def test_float_text_matches_per_value_on_raw_bit_patterns():
+    # every exponent and sign, NaN payloads and infinities among them
+    bits = np.random.default_rng(20121022).integers(0, 2**64, 200_000, np.uint64, endpoint=False)
+    assert_per_value(bits.view(np.float64))
+
+
+def ties():
+    # 2^50 <= |x| < 2^51 has quarter ulps and 16 integer digits, so x.25 and
+    # x.75 end the 17 digits on an exact half; 2^49..2^50 has eighth ulps
+    # and 15, so x.125 and x.375 do: %.17g rounds them to even
+    return [1234567890123456.25, 1234567890123456.75, 1234567890123457.25,
+            1234567890123457.75, 562949953421312.125, 562949953421312.375]
+
+
+FORMAT_EDGES = {
+    "ties": ties() + [-x for x in ties()],
+    # %g switches to exponent notation below 1e-4 and from 1e17 on
+    "notation_switch": [v for p in (1e-5, 1e-4, 1e16, 1e17)
+                        for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))],
+    # doubles just below a power of ten whose 17 digits carry into it
+    "decade_carry": [99999999999999999.0, 1e-305, 1e-243, 1e-176, 1e-79, 1e-14, 1e98, 1e129,
+                     1e153, 1e220, 9.9999999999999999e22, 0.99999999999999994],
+    "subnormal": [5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308],
+    "extremes": [1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0],
+    "three_digit_exponents": [1e100, -1e-100, 9.999999999999999e99, 1e-99, 1.2345e-150, 6.02e307],
+}
+
+
+@pytest.mark.parametrize("name", list(FORMAT_EDGES))
+def test_float_text_matches_per_value_on_edge_cases(name):
+    assert_per_value(FORMAT_EDGES[name])
+
+
+def test_uncertified_route_gives_the_same_bytes(tmp_path, monkeypatch):
+    # a margin of 1/2 certifies nothing, as where long double is plain
+    # double: every float then takes the per-value route, to the same bytes
+    rng = np.random.default_rng(5)
+    x = np.concatenate([sum(FORMAT_EDGES.values(), []), rng.normal(size=3000)])
+    table = {"x": x, "y": rng.normal(size=x.size) * 1e-7}
+    per_value_route, text_cells = [], cli._text_cells
+
+    def spy(template, values):
+        per_value_route.append(len(values))
+        return text_cells(template, values)
+
+    monkeypatch.setattr(cli, "_text_cells", spy)
+    fast = stable_lines(cli.write_csv(tmp_path / "fast.csv", "t", table))
+    assert sum(per_value_route) < 0.1 * 2 * x.size
+    per_value_route.clear()
+    monkeypatch.setattr(cli, "_MARGIN", 0.5)
+    slow = stable_lines(cli.write_csv(tmp_path / "slow.csv", "t", table))
+    assert sum(per_value_route) == 2 * x.size
+    assert fast == slow
+
+
+def test_write_csv_writes_non_finite_values_as_percent_does():
+    # _emit refuses them, but write_csv is public
+    assert written_floats([math.nan, math.inf, -math.inf, -1.5]) == ["nan", "inf", "-inf", "-1.5"]
+
+
 def test_non_finite_output_exits_two_before_writing(tmp_path, capsys):
     # finite coefficients whose sum overflows used to exit 0 with inf rows;
     # the exit-2 line is all the user sees, with no numpy warning before it

@@ -212,6 +212,32 @@ def test_block_grows_only_on_the_leaking_side(tmp_path, monkeypatch):
     assert traces[0].truncation_bound <= 1e-12
 
 
+class WholeLattice(Exception):
+    """Raised by an eigh spy to stop a run at its whole-lattice solve."""
+
+
+@pytest.mark.parametrize("hbar, blocks", [(0.05, [159, 211, 859]), (0.0125, [312, 416, 3379])])
+def test_futile_growth_goes_to_the_whole_lattice(tmp_path, monkeypatch, hbar, blocks):
+    # a 1e300 coupling delocalizes the modes, so growing the block barely
+    # moves the edge leak; the third solve is the whole lattice (859 and 3379
+    # slots) where doubling made 5 and 7 solves.  The spy stops there: the
+    # 3379-slot eigh alone takes seconds
+    solved, eigh = [], np.linalg.eigh
+
+    def spy_eigh(matrix):
+        solved.append(matrix.shape[0])
+        if len(solved) == len(blocks):
+            raise WholeLattice
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    args = ["compare", "--set", "model.r = 2.5", "--set", f"model.hbar = {hbar}",
+            "--set", "model.potential.a = 1e300", "--set", f"output.dir = {tmp_path}"]
+    with pytest.raises(WholeLattice):
+        main(args)
+    assert solved == blocks
+
+
 def test_huge_couplings_keep_the_bound_finite():
     # squared edge leaks of a 1e300 coupling overflowed to inf (with a
     # RuntimeWarning) before the residual norms were taken through hypot
