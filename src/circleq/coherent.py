@@ -20,11 +20,13 @@ lags n - k, and a whole table of momenta is a single product of those
 runs with the Hankel matrix of c.
 
 The resolution of unity integrates f_m(p) f_n(p) e^{i (m - n) q} over
-the cylinder.  The integrand factorizes, so the momentum sum is the Gram
-matrix of the boosted table and the angle sum is the q rule's aliasing
-vector A[m - n] = sum_j w_j e^{i (m - n) q_j}; the literal double sum is
-their entrywise product, and the tests keep the per-node double loop as
-its oracle.
+the cylinder.  The integrand factorizes, and an equispaced rule of Q
+angle nodes sums e^{i d q} to the aliasing vector A[d] = 2 pi delta_d0
+for every lag |d| < Q: the phases of a nonzero lag are Q-th roots of unity
+whose sum vanishes.  A lattice of half-width N has lags |d| <= 2N, so
+any rule with Q > 2N, the exact angle integral among them, leaves only
+the diagonal and a single momentum sweep; the tests keep the literal
+double sum over momentum and angle nodes as the oracle of that identity.
 
 For p/hbar not an integer the boosted function leaves the twisted domain
 (the boundary phase defect is nonzero) and its lattice tail decays only
@@ -37,12 +39,11 @@ checks below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .specfun import TWO_PI
 from .fiducial import FiducialSpec, momentum_coefficients, default_basis
 from .hilbert import MomentumState, ResolutionError, TwistedBasis, wrap_angle
 
@@ -111,14 +112,14 @@ def coherent_state(
 @dataclass(eq=False)
 class UnityReport:
     """Defects of the phase-space integral of |p,q><p,q| dp dq / (2 pi hbar)
-    against the identity, on a momentum window |p| <= p_cutoff."""
+    against the identity, on a momentum window |p| <= p_cutoff of
+    ``p_nodes`` Gauss-Legendre nodes; ``diag_entries`` follows the slots of
+    the basis."""
 
     p_cutoff: float
+    p_nodes: int
     diag_defect: float
-    offdiag_defect: float
-    quadrature_meta: dict = field(default_factory=dict)
-    diag_entries: np.ndarray | None = None
-    ns: np.ndarray | None = None
+    diag_entries: np.ndarray
 
 
 def legendre_node_count(p_cutoff: float, hbar: float, p_nodes: int) -> int:
@@ -131,27 +132,18 @@ def legendre_node_count(p_cutoff: float, hbar: float, p_nodes: int) -> int:
 
 
 def verify_unity(
-    spec: FiducialSpec,
-    basis: TwistedBasis,
-    p_cutoff: float,
-    p_nodes: int = 64,
-    full_2d: bool = False,
+    spec: FiducialSpec, basis: TwistedBasis, p_cutoff: float, p_nodes: int = 64
 ) -> UnityReport:
     """Measure how far the truncated coherent-state integral sits from
     the identity on the lattice.
 
-    The angle integral of e^{-i (m - n) q} is 2 pi delta_mn, so by default
-    only the diagonal survives and a single Gauss-Legendre sweep over the
-    momentum window remains; the diagonal entries then increase
-    monotonically toward 1 with the cutoff.  With ``full_2d`` the entire
-    matrix of the literal two-dimensional quadrature is assembled, which
-    measures the off-diagonal defect instead of asserting it.  Its
-    integrand factorizes as f_m f_n e^{i (m - n) q}, so the double sum is
-    the Gram matrix G = f^T W f of the boosted table (W the momentum
-    weights) times the q rule's aliasing vector A[m - n], computed from
-    the same q nodes; the Gram matrix is one real O(P S^2) product.
-    Memory is O(P (D + S) + S Q) for a lattice of S slots, a fiducial
-    support of D slots and Q angle nodes.
+    The angle integral contributes A[m - n] = 2 pi delta_mn exactly (see
+    the module docstring), so the off-diagonal entries vanish identically
+    and the diagonal is one Gauss-Legendre sweep over the momentum window,
+    diag[k] = sum_i (w_i / hbar) f_k(p_i)^2, with f the boosted table.
+    The entries increase monotonically toward 1 with the cutoff.  Memory
+    is O(P (D + S)) for P momentum nodes, a lattice of S slots and a
+    fiducial support of D slots.
 
     The sweep touches no shared mutable state, so independent calls may
     run concurrently.
@@ -161,41 +153,13 @@ def verify_unity(
     if p_nodes < 64:
         raise ValueError("p_nodes must be >= 64")
 
-    slots = basis.n_values()
     p_count = legendre_node_count(p_cutoff, spec.hbar, p_nodes)
     x, w = np.polynomial.legendre.leggauss(p_count)
-    p_values, p_weights = p_cutoff * x, p_cutoff * w
-    f = _boost_table(spec, p_values / spec.hbar, basis)  # f[i, k] = f_k(p_i)
-
-    meta = {"p_nodes": p_count, "mode": "analytic-q"}
-    if not full_2d:
-        diag = (p_weights / spec.hbar) @ (f * f)
-        diag_defect = float(np.max(np.abs(diag - 1.0)))
-        # off-diagonal entries vanish identically under the analytic
-        # angle integral
-        offdiag_defect = 0.0
-    else:
-        q_nodes = max(64, 4 * basis.cutoff_n + 4)
-        q_values = -math.pi + TWO_PI * np.arange(q_nodes) / q_nodes
-        meta = {"p_nodes": p_count, "mode": "full-2d", "q_nodes": q_nodes}
-        gram = f.T @ (p_weights[:, None] * f)
-        # A[d] for d = 0..S-1; A[-d] = conj(A[d]) holds exactly in floating
-        # point (cos is even, sin odd), so the negative lags are mirrored
-        lags = np.arange(slots.size)
-        half = (TWO_PI / q_nodes) * np.exp(1j * np.outer(lags, q_values)).sum(axis=1)
-        aliasing = np.concatenate([half[:0:-1].conj(), half])  # A[d] at d + S - 1
-        matrix = gram * aliasing[np.subtract.outer(lags, lags) + slots.size - 1]
-        matrix /= TWO_PI * spec.hbar
-        diag = matrix.diagonal().real.copy()
-        diag_defect = float(np.max(np.abs(diag - 1.0)))
-        np.fill_diagonal(matrix, 0.0)
-        offdiag_defect = float(np.max(np.abs(matrix)))
-
+    f = _boost_table(spec, p_cutoff * x / spec.hbar, basis)  # f[i, k] = f_k(p_i)
+    diag = (p_cutoff * w / spec.hbar) @ (f * f)
     return UnityReport(
         p_cutoff=float(p_cutoff),
-        diag_defect=diag_defect,
-        offdiag_defect=offdiag_defect,
-        quadrature_meta=meta,
-        diag_entries=np.asarray(diag, dtype=float),
-        ns=slots.copy(),
+        p_nodes=p_count,
+        diag_defect=float(np.max(np.abs(diag - 1.0))),
+        diag_entries=diag,
     )

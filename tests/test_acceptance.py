@@ -24,6 +24,7 @@ from circleq.enhanced import (
 from circleq.dynamics import PhasePoint, action_along, alpha_invariance_check, evolve, winding_number
 from circleq.qevolve import build_hamiltonian, compare_restricted
 
+from test_coherent import literal_unity_reference
 from test_enhanced import displaced_expectation
 
 
@@ -69,14 +70,18 @@ def test_criterion_03_resolution_of_unity():
     basis = TwistedBasis(0.25, 1.0, 32)
     scale = math.sqrt(spec.hbar * max(spec.r, spec.hbar))
     interior = np.abs(basis.n_values()) <= max(spec.localization, 1.0)
-    defects, offdiags = [], []
+    defects, offdiags, gaps = [], [], []
     for factor in (5.0, 10.0, 20.0, 40.0):
-        rep = verify_unity(spec, basis, p_cutoff=factor * scale, full_2d=True)
+        rep = verify_unity(spec, basis, p_cutoff=factor * scale)
+        # the literal double sum over momentum and angle nodes
+        diag, offdiag = literal_unity_reference(spec, basis, factor * scale, full_2d=True)
         defects.append(float(np.max(np.abs(rep.diag_entries[interior] - 1.0))))
-        offdiags.append(rep.offdiag_defect)
+        offdiags.append(offdiag)
+        gaps.append(float(np.max(np.abs(rep.diag_entries - diag))))
     elapsed = time.perf_counter() - start
     ok = (
         max(offdiags) <= 1e-10
+        and max(gaps) <= 1e-13
         and defects[-1] <= 1e-3
         and all(a > b for a, b in zip(defects, defects[1:]))
         and elapsed < 30.0
@@ -84,7 +89,7 @@ def test_criterion_03_resolution_of_unity():
     report(
         3,
         ok,
-        f"unity offdiag {max(offdiags):.1e}, interior diag ladder "
+        f"unity offdiag {max(offdiags):.1e}, diag vs oracle {max(gaps):.1e}, interior diag ladder "
         f"{['%.1e' % d for d in defects]} ({elapsed:.1f}s)",
     )
 

@@ -177,8 +177,37 @@ def test_fiducial_outputs_and_moments_row(tmp_path):
     assert float(row["mean_p"]) == pytest.approx(0.3, abs=1e-9)
     assert int(row["envelope_ok"]) == 1
     profile = read_table(outdir / "fiducial_profile.csv")
-    assert np.all(profile["density"] <= profile["upper_envelope"] * (1 + 1e-12))
-    assert np.all(profile["density"] >= profile["lower_envelope"] * (1 - 1e-12))
+    assert np.all(profile["log_density"] <= profile["log_upper_envelope"] + 1e-12)
+    assert np.all(profile["log_density"] >= profile["log_lower_envelope"] - 1e-12)
+
+
+@pytest.mark.parametrize("r", ["120", "200"])
+def test_fiducial_runs_at_large_localization(tmp_path, r):
+    # the linear upper envelope overflowed past r/hbar of about 119, and
+    # load refused such runs
+    code, outdir = run(tmp_path, "fiducial", f"model.r = {r}")
+    assert code == 0
+    for name in SCHEMAS:
+        if name.startswith("fiducial"):
+            table = np.loadtxt(outdir / name, delimiter=",", skiprows=3, ndmin=2)
+            assert table.size and np.all(np.isfinite(table)), name
+
+
+def test_fiducial_log_profile_matches_linear_formulas(tmp_path):
+    from circleq.fiducial import FiducialSpec, evaluate, normalization
+
+    code, outdir = run(tmp_path, "fiducial", "model.r = 2.0")
+    assert code == 0
+    profile = read_table(outdir / "fiducial_profile.csv")
+    spec, theta = FiducialSpec(r=2.0), profile["theta"]
+    gauss = normalization(spec) ** 2 * np.exp(-2.0 * theta * theta)
+    linear = {
+        "log_density": np.abs(evaluate(spec, theta)) ** 2,
+        "log_upper_envelope": math.exp(2.0 * (math.pi**2 - 4.0)) * gauss,
+        "log_lower_envelope": gauss,
+    }
+    for column, values in linear.items():
+        assert np.allclose(np.exp(profile[column]), values, rtol=1e-14, atol=0.0), column
 
 
 @pytest.mark.parametrize("r", ["0", "2.0"])
@@ -351,7 +380,7 @@ def test_unity_ladder_csv(tmp_path):
     interior = table["interior_diag_defect"]
     assert np.all(np.diff(interior) < 0.0)
     assert interior[-1] <= 1e-3
-    assert np.all(table["offdiag_defect"] <= 1e-10)
+    assert np.all(table["offdiag_defect"] == 0.0)
     assert (outdir / "unity_defects.csv").read_text().splitlines()[0] == SCHEMAS["unity_defects.csv"]
 
 
@@ -402,8 +431,8 @@ def test_docstring_key_table_matches_defaults():
     for key, default, kind, bounds, _ in cli._KEYS:
         assert rows[key].endswith(f"({default or 'empty'})")
         span = rows[key].split(";")[0]
-        if kind in ("bool", "choice", "path"):
-            assert span == ({"bool": "true|false", "path": "nonempty path"}.get(kind) or "|".join(bounds))
+        if kind in ("choice", "path"):
+            assert span == ("nonempty path" if kind == "path" else "|".join(bounds))
             continue
         # finite bounds are inclusive, [x and x], except (0 for the
         # smallest normal double; infinite ones are open
@@ -426,7 +455,7 @@ def test_readme_key_table_is_the_generated_one():
 READER = {
     "run.grid_nodes": "fiducial", "run.max_harmonic": "fiducial", "run.samples": "fiducial",
     "run.profile_points": "fiducial", "output.dir": "fiducial", "run.cutoff": "unity",
-    "run.p_cutoff_factors": "unity", "run.p_nodes": "unity", "run.full_2d": "unity",
+    "run.p_cutoff_factors": "unity", "run.p_nodes": "unity",
     "run.kind": "evolve", "run.p_grid": "hamiltonian", "run.q_points": "hamiltonian",
     "run.seed": "selftest",
 }
@@ -436,8 +465,8 @@ def _key_values(kind, bounds):
     """Unparsable, non-finite, negative, zero and over-cap values of a key,
     then small values inside its range."""
     edges = ["banana", "", "1,,2", "nan", "inf", "-inf", "1, nan", "-1", "-0.5", "0", "auto"]
-    if kind in ("bool", "choice"):
-        return st.sampled_from(edges + ["maybe"]) | st.sampled_from(bounds or ["true", "off"])
+    if kind == "choice":
+        return st.sampled_from(edges + ["maybe"]) | st.sampled_from(bounds)
     if kind == "path":
         return st.sampled_from(["", "{tmp}/a b", "{tmp}/x/y"])
     lo, hi, _ = bounds
@@ -502,7 +531,7 @@ def test_main_on_any_value_of_any_key(row, data):
         ("compare", ("run.total_time = 1e9",), "run.total_time"),
         ("evolve", ("run.kind = quantum", "model.hbar = 1e200"), "model.hbar"),
         ("fiducial", ("output.dir =",), "output.dir"),
-        ("fiducial", ("model.r = 120",), "model.r"),
+        ("unity", ("run.full_2d = true",), "unknown key 'run.full_2d'"),
         ("evolve", ("run.p0 = 1e200",), "run.p0"),
         ("hamiltonian", ("run.p_grid = -1e200, 1, 3",), "run.p_grid"),
         ("compare", ("run.dt = 9e306",), "run.dt"),
@@ -512,7 +541,8 @@ def test_main_on_any_value_of_any_key(row, data):
 )
 def test_out_of_range_inputs_exit_one(tmp_path, capsys, command, settings, key):
     # each used to raise out of main, ask for huge arrays, or exit 0 with
-    # empty or one-step tables; now load refuses it before any work
+    # empty or one-step tables (run.full_2d: ran the removed literal 2-D
+    # unity quadrature); now load refuses it before any work
     start = time.perf_counter()
     code, outdir = run(tmp_path, command, *settings)
     assert code == 1
