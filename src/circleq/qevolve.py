@@ -1,15 +1,15 @@
 """Full quantum time evolution in the truncated twisted basis, and the
 side-by-side comparison against the coherent-state-restricted flow.
 
-The Hamiltonian P^2 + V(e^{iQ}, e^{-iQ}) is a banded Hermitian matrix:
-kinetic terms on the diagonal, the k-th potential harmonic on the k-th
-bands through cos kQ = (S^k + S^{-k})/2 and sin kQ = (S^k - S^{-k})/(2i)
-with S the unit lattice shift.  With no sine terms the matrix is real
-symmetric and is stored as float64, so the eigendecomposition takes the
-real LAPACK path.  Propagation goes through that one-time
-eigendecomposition -- at desk-scale dimensions this removes all
-integrator error from the quantum side, so any discrepancy with the
-enhanced trajectory is physics (dispersion), not numerics.
+The Hamiltonian P^2 + V(e^{iQ}, e^{-iQ}) is stored as its bands: kinetic
+terms on the diagonal, the k-th potential harmonic on the k-th bands
+through cos kQ = (S^k + S^{-k})/2 and sin kQ = (S^k - S^{-k})/(2i) with S
+the unit lattice shift.  Only the block being solved is formed densely,
+as float64 when there are no sine terms (the real LAPACK path).
+Propagation goes through that one-time eigendecomposition -- at
+desk-scale dimensions this removes all integrator error from the quantum
+side, so any discrepancy with the enhanced trajectory is physics
+(dispersion), not numerics.
 
 A coherent state occupies a small run of the lattice, so the
 eigendecomposition runs on a principal block of contiguous slots around
@@ -55,10 +55,32 @@ MAX_LATTICE_DIM = 8192
 
 @dataclass(eq=False)
 class HamiltonianMatrix:
+    """P^2 + V in the twisted basis, stored as the data it has: ``diagonal``
+    holds P^2 + a0 on each slot and ``bands[k - 1]`` the value h_k on the
+    k-th band below it (its conjugate on the k-th band above)."""
+
     basis: TwistedBasis
     potential: TrigPotential
-    matrix: np.ndarray
-    bandwidth: int
+    diagonal: np.ndarray
+    bands: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The whole dense matrix: O(dim^2) memory, for oracles and checks only."""
+        return self.block(slice(None), slice(None))
+
+    def block(self, rows: slice, cols: slice) -> np.ndarray:
+        """Dense H[rows, cols], each range clipped to [0, dim) as slicing clips it."""
+        dim = self.diagonal.size
+        (r0, r1, _), (c0, c1, _) = rows.indices(dim), cols.indices(dim)
+        out = np.zeros((max(r1 - r0, 0), max(c1 - c0, 0)), self.diagonal.dtype)
+        for k in range(-len(self.bands), len(self.bands) + 1):
+            # H[i, i - k] sits at local column = local row + shift
+            shift = r0 - c0 - k
+            local = np.arange(max(-shift, 0), min(out.shape[0], out.shape[1] - shift))
+            out[local, local + shift] += (self.diagonal[r0 + local] if k == 0 else
+                                          self.bands[k - 1] if k > 0 else np.conj(self.bands[-k - 1]))
+        return out
 
 
 def potential_band_value(potential: TrigPotential, k: int) -> complex:
@@ -73,28 +95,17 @@ def potential_band_value(potential: TrigPotential, k: int) -> complex:
 
 
 def build_hamiltonian(potential: TrigPotential, basis: TwistedBasis) -> HamiltonianMatrix:
-    """Assemble the banded Hermitian matrix of P^2 + V in the twisted basis.
-
-    The matrix is float64 when the potential has no sine terms (it is then
-    real symmetric) and complex otherwise.
-    """
+    """The banded Hermitian P^2 + V in the twisted basis: float64 when the
+    potential has no sine terms (it is then real symmetric), else complex."""
     m = potential.degree
     if basis.cutoff_n <= m:
-        raise ValueError(
-            f"cutoff {basis.cutoff_n} must exceed the potential degree {m}"
-        )
-    dim = basis.dimension
+        raise ValueError(f"cutoff {basis.cutoff_n} must exceed the potential degree {m}")
     momenta = basis.momenta()
-    real = not any(potential.b)
-    matrix = np.diag((momenta * momenta + potential.a0).astype(float if real else complex))
-    for k in range(1, m + 1):
-        band = potential_band_value(potential, k)
-        if real:
-            band = band.real
-        idx = np.arange(dim - k)
-        matrix[idx + k, idx] += band
-        matrix[idx, idx + k] += np.conj(band)
-    return HamiltonianMatrix(basis=basis, potential=potential, matrix=matrix, bandwidth=m)
+    diagonal = momenta * momenta + potential.a0
+    bands = np.array([potential_band_value(potential, k) for k in range(1, m + 1)])
+    if any(potential.b):
+        return HamiltonianMatrix(basis, potential, diagonal.astype(complex), bands)
+    return HamiltonianMatrix(basis, potential, diagonal, bands.real)
 
 
 @dataclass(eq=False)
@@ -151,11 +162,11 @@ def _edge_residuals(ham: HamiltonianMatrix, block: slice, modes: np.ndarray) -> 
     """The parts below and above the block of ||(H - E_j) v_j|| (their
     hypot) for the eigenvectors v_j of H[block, block], taken as zero
     outside the block: inside it the residual vanishes, and outside only
-    the ``bandwidth`` slots on either side couple to the block."""
-    m = ham.bandwidth
+    the m = len(ham.bands) slots on either side couple to the block."""
+    m = len(ham.bands)
     rows = (slice(max(block.start - m, 0), block.start), slice(block.stop, block.stop + m))
     # hypot never squares, so huge couplings cannot overflow the norm
-    return [np.hypot.reduce(np.abs(ham.matrix[edge, block] @ modes), axis=0) for edge in rows]
+    return [np.hypot.reduce(np.abs(ham.block(edge, block) @ modes), axis=0) for edge in rows]
 
 
 def evolve_quantum(
@@ -182,11 +193,7 @@ def evolve_quantum(
     eigendecomposition, grows like eps ||H|| T / hbar.  A failed
     decomposition raises numpy's LinAlgError untouched.
     """
-    if initial.basis is not ham.basis and (
-        initial.basis.alpha != ham.basis.alpha
-        or initial.basis.hbar != ham.basis.hbar
-        or initial.basis.cutoff_n != ham.basis.cutoff_n
-    ):
+    if initial.basis != ham.basis:
         raise ValueError("initial state and Hamiltonian use different bases")
     if abs(initial.norm_sq() - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
@@ -201,7 +208,7 @@ def evolve_quantum(
     previous_leak = math.inf
     while True:
         block = slice(max(first - margins[0], 0), min(last + margins[1], dim))
-        energies, modes = np.linalg.eigh(ham.matrix[block, block])
+        energies, modes = np.linalg.eigh(ham.block(block, block))
         # a = modes^H psi, arranged so that a real ``modes`` is never copied
         amps = np.conj(_apply(modes.T, np.conj(psi[block])))
         kept, discarded = _spectral_window(amps.real**2 + amps.imag**2)
@@ -223,8 +230,7 @@ def evolve_quantum(
         previous_leak = leak
 
     momenta = ham.basis.momenta()[block]
-    diagonal = np.diagonal(ham.matrix)[block].real
-    bands = [potential_band_value(ham.potential, k) for k in range(1, ham.bandwidth + 1)]
+    diagonal, bands = ham.diagonal[block].real, ham.bands
     times = dt * np.arange(steps + 1)
     # phases of one chunk's offsets from its first sample; each chunk scales
     # them by the exact phases at that sample, so no error accumulates
@@ -244,16 +250,9 @@ def evolve_quantum(
         cos_q[chunk], sin_q[chunk] = shifted[0].real, shifted[0].imag
         energy[chunk] = diagonal @ weights + 2.0 * sum((h * s).real for h, s in zip(bands, shifted))
     return ExpectationTrace(
-        times=times,
-        cos_q=cos_q,
-        sin_q=sin_q,
-        mean_p=mean_p,
-        norm=norm,
-        energy=energy,
-        modes_kept=int(kept.size),
-        discarded_weight=discarded,
-        slots_kept=block.stop - block.start,
-        truncation_bound=bound,
+        times=times, cos_q=cos_q, sin_q=sin_q, mean_p=mean_p, norm=norm, energy=energy,
+        modes_kept=int(kept.size), discarded_weight=discarded,
+        slots_kept=block.stop - block.start, truncation_bound=bound,
     )
 
 

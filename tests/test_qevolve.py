@@ -30,10 +30,26 @@ def basis_state(basis, n):
     return MomentumState(basis, coeffs)
 
 
+def dense_hamiltonian(potential, basis):
+    """Oracle matrix of P^2 + V: the whole dim x dim array filled band by
+    band, float64 when the potential has no sine terms."""
+    dim, real = basis.dimension, not any(potential.b)
+    momenta = basis.momenta()
+    matrix = np.diag((momenta * momenta + potential.a0).astype(float if real else complex))
+    for k in range(1, potential.degree + 1):
+        band = potential_band_value(potential, k)
+        if real:
+            band = band.real
+        idx = np.arange(dim - k)
+        matrix[idx + k, idx] += band
+        matrix[idx, idx + k] += np.conj(band)
+    return matrix
+
+
 def dense_reference_trace(ham, initial, dt, steps):
     """Oracle propagation: complex eigh of the dense matrix, every mode,
     every state at once, and the energy through the dense H @ states."""
-    matrix = ham.matrix.astype(complex)
+    matrix = dense_hamiltonian(ham.potential, ham.basis).astype(complex)
     energies, modes = np.linalg.eigh(matrix)
     amps = modes.conj().T @ initial.coeffs
     times = dt * np.arange(steps + 1)
@@ -128,21 +144,21 @@ def chunked_reference_trace(ham, initial, dt, steps):
         order = np.argsort(weights)
         return np.sort(order[np.searchsorted(np.cumsum(weights[order]), WINDOW_TAIL, side="right"):])
 
-    psi = initial.coeffs
+    psi, matrix = initial.coeffs, dense_hamiltonian(ham.potential, ham.basis)
     held = window(np.abs(psi) ** 2)
     margin = max(1, (held[-1] + 1 - held[0]) // MARGIN_DIVISOR)
     block = slice(max(held[0] - margin, 0), min(held[-1] + 1 + margin, ham.basis.dimension))
-    energies, modes = np.linalg.eigh(ham.matrix[block, block])
+    energies, modes = np.linalg.eigh(matrix[block, block])
     amps = modes.conj().T @ psi[block]
     kept = window(np.abs(amps) ** 2)
     energies, modes, amps = energies[kept], modes[:, kept], amps[kept]
-    bands = [potential_band_value(ham.potential, k) for k in range(1, ham.bandwidth + 1)]
+    bands = [potential_band_value(ham.potential, k) for k in range(1, ham.potential.degree + 1)]
     times = dt * np.arange(steps + 1)
     out = {key: np.empty(steps + 1) for key in ("cos_q", "sin_q", "mean_p", "norm", "energy")}
     for start in range(0, steps + 1, TIME_CHUNK):
         chunk = slice(start, start + TIME_CHUNK)
         states = modes @ (np.exp(-1j * np.outer(energies, times[chunk]) / ham.basis.hbar) * amps[:, None])
-        applied = np.diagonal(ham.matrix)[block, None] * states
+        applied = np.diagonal(matrix)[block, None] * states
         for k, band in enumerate(bands, start=1):
             applied[k:] += band * states[:-k]
             applied[:-k] += np.conj(band) * states[k:]
@@ -265,6 +281,55 @@ def test_propagation_memory_does_not_grow_with_steps():
     assert peak < 16 * 2**20
 
 
+def test_quantum_path_memory_stays_banded():
+    # compare's coherent state at r/hbar = 200: the dense 3379 x 3379
+    # float64 matrix alone would take 87 MiB; the bands and the solved
+    # blocks of at most a few hundred slots take a few MiB
+    spec = FiducialSpec(r=2.5, alpha=0.0, hbar=0.0125)
+    model = EnhancedHamiltonian.build(TrigPotential.pendulum(), spec)
+    label = CoherentLabel(p=1.0, q=0.0)
+    basis = comparison_basis(model, label)
+    state = coherent_state(label, spec, basis).normalized()
+    tracemalloc.start()
+    try:
+        trace = evolve_quantum(build_hamiltonian(model.potential, basis), state, 0.01, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.dimension == 3379 and trace.slots_kept < 3379
+    assert peak < 16 * 2**20
+
+
+BLOCK_POTENTIALS = {
+    "real": TrigPotential(a0=-0.4, a=(0.9, 0.1, -0.7)),
+    "complex": TrigPotential(a0=0.3, a=(0.8, -0.2, 0.1), b=(0.0, 0.1, -0.05)),
+    "free": TrigPotential.free(),
+}
+# (rows, cols) on the 13-slot lattice below; stops past 13 are clipped
+BLOCK_SLICES = {
+    "inside": (slice(4, 9), slice(4, 9)),
+    "off_diagonal": (slice(1, 4), slice(4, 9)),
+    "uncoupled": (slice(0, 3), slice(9, 13)),
+    "lower_edge": (slice(0, 3), slice(0, 6)),
+    "upper_edge": (slice(10, 13), slice(5, 13)),
+    "past_dim": (slice(13, 16), slice(0, 13)),
+    "straddling_dim": (slice(11, 20), slice(9, 40)),
+    "whole": (slice(None), slice(None)),
+}
+
+
+@pytest.mark.parametrize("potential", list(BLOCK_POTENTIALS))
+@pytest.mark.parametrize("where", list(BLOCK_SLICES))
+def test_block_matches_dense_oracle(potential, where):
+    basis = TwistedBasis(0.3, 0.7, 6)
+    ham = build_hamiltonian(BLOCK_POTENTIALS[potential], basis)
+    dense = dense_hamiltonian(ham.potential, basis)
+    rows, cols = BLOCK_SLICES[where]
+    for got, expected in ((ham.matrix, dense), (ham.block(rows, cols), dense[rows, cols])):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()  # bit for bit
+
+
 def test_free_hamiltonian_is_diagonal():
     basis = TwistedBasis(0.3, 0.5, 6)
     ham = build_hamiltonian(TrigPotential.free(), basis)
@@ -378,11 +443,22 @@ def test_initial_state_must_be_normalized():
         evolve_quantum(ham, bad, 0.1, 2)
 
 
-def test_basis_mismatch_rejected():
+@pytest.mark.parametrize(
+    "other",
+    [TwistedBasis(0.5, 1.0, 4), TwistedBasis(0.0, 0.5, 4), TwistedBasis(0.0, 1.0, 5)],
+    ids=["alpha", "hbar", "cutoff_n"],
+)
+def test_basis_mismatch_rejected(other):
     ham = build_hamiltonian(TrigPotential.free(), TwistedBasis(0.0, 1.0, 4))
-    other = basis_state(TwistedBasis(0.5, 1.0, 4), 0)
     with pytest.raises(ValueError):
-        evolve_quantum(ham, other, 0.1, 2)
+        evolve_quantum(ham, basis_state(other, 0), 0.1, 2)
+
+
+def test_equal_basis_is_accepted():
+    # a separately built basis with equal fields is the same lattice
+    ham = build_hamiltonian(TrigPotential.free(), TwistedBasis(0.3, 1.0, 4))
+    trace = evolve_quantum(ham, basis_state(TwistedBasis(0.3, 1.0, 4), 0), 0.1, 2)
+    assert trace.mean_p[0] == pytest.approx(0.3)
 
 
 def test_ehrenfest_rate_at_start():
