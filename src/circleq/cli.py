@@ -79,7 +79,7 @@ from .qevolve import (
     comparison_basis,
     evolve_quantum,
 )
-from .specfun import QuadratureGrid, bessel_i, integrate_periodic
+from .specfun import ConvergenceError, QuadratureGrid, bessel_i, integrate_periodic
 
 OUTDIR_ENV = "CIRCLEQ_OUTDIR"
 SCHEMA_VERSION = "v1"
@@ -103,8 +103,7 @@ class ContractViolation(RuntimeError):
 # (key, default, kind, bounds, meaning): the whole input format.  bounds
 # is (least, most, auto allowed), inclusive, for a number or each entry of
 # a float list, the values of a choice, and None for a path.
-# Quadrature nodes share the lattice's cap: P nodes solve a dense P x P
-# eigenproblem.
+# Quadrature nodes share the lattice's cap; placing P nodes takes O(P^2) time.
 _KEYS = (
     ("model.hbar", "1.0", "float", (_TINY, 1e100, False),
      "action scale; the cap keeps lattice energies (hbar N)^2 finite"),
@@ -779,7 +778,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ContractViolation, ResolutionError) as exc:
+    except (ContractViolation, ConvergenceError, ResolutionError) as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

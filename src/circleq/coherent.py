@@ -15,9 +15,11 @@ which is the exact value of the defining projection integral, evaluated
 term by term against the fiducial coefficients c_n (a direct quadrature
 of the same integral is kept in the tests as an independent oracle).
 The kernel depends on n - k only, so it is Toeplitz: every row of boosted
-coefficients is a correlation of c with one run of sinc values over the
+coefficients is a correlation of c with one run of kernel values over the
 lags n - k, and a whole table of momenta is a single product of those
-runs with the Hankel matrix of c.
+runs with the Hankel matrix of c.  With p/hbar = m + r, m = rint(p/hbar),
+sinc(n - k + p/hbar) = (-1)^(n + k + m) sin(pi r) / (pi (n - k + p/hbar)):
+one sine per momentum, with the signs folded into c and into the slots.
 
 The resolution of unity integrates f_m(p) f_n(p) e^{i (m - n) q} over
 the cylinder.  The integrand factorizes, and an equispaced rule of Q
@@ -46,6 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fiducial import FiducialSpec, momentum_coefficients, default_basis
 from .hilbert import MomentumState, ResolutionError, TwistedBasis, wrap_angle
+from .specfun import gauss_legendre
 
 # out-of-basis spectral weight above this triggers a truncation diagnostic
 EDGE_WEIGHT_LIMIT = 1e-8
@@ -66,10 +69,12 @@ def _boost_table(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis) ->
     """Boosted fiducial coefficients f[i, k] = sum_n c_n sinc(n - k + shifts[i])
     on the slots k of ``basis``, one row per shift p/hbar.
 
-    Over the lags n - k in [n_min - k_max, n_max - k_min] each row needs one
-    run of D + S - 1 sinc values; the sum over n is the correlation of that
-    run with c, taken for all rows at once against the (D + S - 1, S) Hankel
-    view H[m, k] = c[m + k - (S - 1)] of the zero-padded coefficients.
+    Over the lags n - k in [n_min - k_max, n_max - k_min] a row s = m + r
+    needs one run of D + S - 1 values 1 / (n - k + s), or the unit run at
+    n - k = -m if r = 0; the sum over n is the correlation of that run with
+    (-1)^n c, for all rows at once against the (D + S - 1, S) Hankel view
+    H[l, k] = c[l + k - (S - 1)] of the zero-padded coefficients, scaled by
+    (-1)^(k + m) sin(pi r) / pi with r = s - m exact, so |pi r| <= pi / 2.
     The support keeps only the central run of coefficients |c_n| >= the
     smallest normal double: the ones past it are zero or subnormal, add
     nothing a double can hold to any entry, and make the product crawl.
@@ -82,8 +87,14 @@ def _boost_table(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis) ->
     run = slice(normal[0], normal[-1] + 1)
     c, n_src, slots = c[run], support.n_values()[run], basis.n_values()
     lags = np.arange(n_src[0] - slots[-1], n_src[-1] - slots[0] + 1)
-    hankel = sliding_window_view(np.pad(c, slots.size - 1), slots.size)
-    return np.sinc(lags[None, :] + shifts[:, None]) @ hankel
+    hankel = sliding_window_view(np.pad(c * (-1.0) ** n_src, slots.size - 1), slots.size)
+    whole = np.rint(shifts)
+    at_whole = shifts == whole
+    kernel = np.add.outer(shifts, lags)
+    np.divide(1.0, kernel, out=kernel, where=kernel != 0.0)  # zero only where r = 0
+    kernel[at_whole] = lags == -whole[at_whole, None]
+    rows = (-1.0) ** whole * np.where(at_whole, 1.0, np.sin(math.pi * (shifts - whole)) / math.pi)
+    return (kernel @ hankel) * rows[:, None] * (-1.0) ** slots
 
 
 def coherent_state(
@@ -154,7 +165,7 @@ def verify_unity(
         raise ValueError("p_nodes must be >= 64")
 
     p_count = legendre_node_count(p_cutoff, spec.hbar, p_nodes)
-    x, w = np.polynomial.legendre.leggauss(p_count)
+    x, w = gauss_legendre(p_count)
     f = _boost_table(spec, p_cutoff * x / spec.hbar, basis)  # f[i, k] = f_k(p_i)
     diag = (p_cutoff * w / spec.hbar) @ (f * f)
     return UnityReport(

@@ -1,9 +1,9 @@
-"""Modified Bessel functions of integer order and periodic quadrature.
+"""Modified Bessel functions of integer order and quadrature rules.
 
-Everything else in the package sits on these two primitives: an
-overflow-safe evaluation of I_n(z) (exponentially scaled for large
-arguments) and the uniform trapezoidal rule on [-pi, pi), which is
-spectrally accurate for smooth periodic integrands.
+Everything else in the package sits on three primitives: an overflow-safe
+I_n(z) (exponentially scaled for large arguments), the uniform trapezoidal
+rule on [-pi, pi), spectrally accurate for smooth periodic integrands, and
+the Gauss-Legendre rule on [-1, 1] for the momentum integrals.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ _TINY_ARG = 1e-20
 # highest start order of the Miller recurrence (z up to about 8e5); past it
 # the Python loop would run for seconds to years
 _MAX_START_ORDER = 1_000_000
+_NEWTON_STEPS = 10  # from Tricomi's guess Newton settles in 2 or 3 steps
+
+
+class ConvergenceError(ArithmeticError):
+    """An iteration did not reach double precision within its step cap."""
 
 
 def _check_order_arg(order, z):
@@ -138,3 +143,38 @@ def integrate_periodic(f, grid: QuadratureGrid):
     if values.shape != grid.nodes.shape:
         values = np.broadcast_to(values, grid.nodes.shape)
     return grid.weight * values.sum()
+
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence."""
+    prev, last = np.ones_like(x), x
+    for j in range(2, n + 1):
+        prev, last = last, ((2 * j - 1) * (x * last) - (j - 1) * prev) / j
+    return last, prev
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on the recurrence from Tricomi's guess, for all x >= 0 at
+    once, costs O(n^2).  It stops when Newton's error dx^2 x / (1 - x^2) is
+    below eps x / 4, else raises ConvergenceError; one more pass gives the
+    weights 2 / ((1 - x^2) P_n'(x)^2).  P_n(0) = 0 exactly for odd n: x = 0 stays.
+    """
+    if n < 1:
+        raise ValueError(f"Gauss-Legendre rule needs n >= 1, got {n}")
+    theta = math.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    x = (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)) * np.cos(theta)
+    x[n // 2:] = 0.0  # the middle node of odd n
+    for _ in range(_NEWTON_STEPS):
+        p, q = _legendre_pair(n, x)
+        # P_n / P_n' with P_n' = n (x P_n - P_{n-1}) / (x^2 - 1), and 1 - x^2 = (1 - x)(1 + x)
+        dx = (x - 1.0) * (x + 1.0) * p / (n * (x * p - q))
+        x -= dx
+        if np.all(dx * dx <= 0.25 * np.finfo(float).eps * (1.0 - x) * (1.0 + x)):
+            break
+    else:
+        raise ConvergenceError(f"{n} Gauss-Legendre nodes unconverged after {_NEWTON_STEPS} steps")
+    p, q = _legendre_pair(n, x)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (x * p - q)) ** 2
+    return np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circleq.specfun import QuadratureGrid
+from circleq.specfun import QuadratureGrid, gauss_legendre
 from circleq.hilbert import ResolutionError, TwistedBasis
 from circleq.fiducial import FiducialSpec, default_basis, evaluate, momentum_coefficients
 from circleq.coherent import (
     CoherentLabel,
+    _boost_table,
     coherent_state,
     legendre_node_count,
     verify_unity,
@@ -82,11 +83,13 @@ def test_label_wraps_angle():
 
 
 def test_zero_label_reproduces_fiducial():
+    # bit for bit: the kernel row of an integer shift is a unit vector, where
+    # np.sinc(3.0) = 3.9e-17 left a roundoff trail
     spec = FiducialSpec(r=3.0, alpha=0.3)
     basis = default_basis(spec)
     state = coherent_state(CoherentLabel(0.0, 0.0), spec, basis)
     fid = momentum_coefficients(spec, basis)
-    assert np.max(np.abs(state.coeffs - fid.coeffs)) < 1e-13
+    assert np.array_equal(state.coeffs, fid.coeffs)
 
 
 def test_integer_boost_is_lattice_shift():
@@ -225,6 +228,26 @@ def test_unity_matches_literal_reference(r, alpha, full_2d):
     assert np.max(np.abs(report.diag_entries - diag)) < 1e-13
     assert report.diag_defect == np.max(np.abs(report.diag_entries - 1.0))
     assert offdiag <= 1e-10
+
+
+def test_boost_table_matches_dense_sinc_kernel():
+    spec = FiducialSpec(r=6.0, alpha=0.3, hbar=0.5)
+    basis = default_basis(spec)
+    edge = basis.cutoff_n
+    c = momentum_coefficients(spec, basis).coeffs.real
+    whole = [0.0, 3.0, -3.0, edge, -edge]
+    near = [m + d for m in (0.0, 3.0, -edge) for d in (1e-12, -1e-12)]
+    half = [0.5, -0.5, 3.5, -edge - 0.5]
+    nodes = 12.0 * gauss_legendre(65)[0]  # odd P: x = 0 among them
+    shifts = np.array([*whole, *near, *half, *nodes])
+    table = _boost_table(spec, shifts, basis)
+    assert np.max(np.abs(table - dense_boost(spec, basis, shifts))) < 1e-14
+    # an integer shift m moves c by m slots exactly: f_k = c_{k - m}
+    for row, m in zip(table, whole):
+        m = int(m)
+        expected = np.zeros_like(c)
+        expected[max(m, 0): c.size + min(m, 0)] = c[max(-m, 0): c.size - max(m, 0)]
+        assert np.array_equal(row, expected)
 
 
 def test_coherent_state_matches_dense_sinc_kernel():

@@ -6,12 +6,15 @@ import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circleq.specfun as specfun
+from circleq.cli import main
 from circleq.specfun import (
     QuadratureGrid,
     bessel_i,
     bessel_i_ratio,
     bessel_i_scaled,
     bessel_i_scaled_sequence,
+    gauss_legendre,
     integrate_periodic,
 )
 
@@ -149,3 +152,77 @@ def test_trig_polynomials_integrate_exactly(degree, seed):
 
     exact = 2 * math.pi * coeffs_a[0]
     assert integrate_periodic(poly, grid) == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 172, 475])
+def test_gauss_legendre_matches_leggauss(n):
+    x, w = gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.abs(x - ref_x) <= 2 * np.spacing(np.abs(ref_x)))
+    # against a 40-digit rule, leggauss' own weights are off by up to 1.0e-14
+    # at n = 475 and these by 1.3e-16
+    assert np.max(np.abs(w - ref_w)) <= 2e-14
+
+
+def _legendre_rule_mpmath(n, guesses):
+    """40-digit Newton polish of the nodes x >= 0 and their weights."""
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for x in map(mpmath.mpf, guesses):
+            for _ in range(4):
+                p, q = x, mpmath.mpf(1)
+                for j in range(2, n + 1):
+                    p, q = ((2 * j - 1) * x * p - (j - 1) * q) / j, p
+                slope = n * (x * p - q) / (x * x - 1)  # P_n'(x)
+                x -= p / slope
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * slope**2)))
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_gauss_legendre_matches_mpmath(n):
+    x, w = gauss_legendre(n)
+    upper = slice(n // 2, None)
+    exact_x, exact_w = _legendre_rule_mpmath(n, x[upper])
+    assert np.all(np.abs(x[upper] - exact_x) <= np.spacing(exact_x))
+    assert np.max(np.abs(w[upper] - exact_w)) <= 2e-16
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 172, 475])
+def test_gauss_legendre_integrates_even_monomials(n):
+    # exact for degree < 2n; leggauss misses by up to 7.9e-12 relative at 475
+    x, w = gauss_legendre(n)
+    for j in range(n):
+        assert w @ x ** (2 * j) == pytest.approx(2 / (2 * j + 1), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [475, 8192])
+def test_gauss_legendre_integrates_cosines(n):
+    # leggauss misses these by up to 1.5e-14 at n = 475 and 1.7e-13 at 1000
+    x, w = gauss_legendre(n)
+    for a in (1.0, 10.0, 100.0, n / 4, n / 2):
+        assert abs(w @ np.cos(a * x) - 2 * math.sin(a) / a) <= 1e-14
+
+
+def test_gauss_legendre_is_exactly_symmetric():
+    for n in [*range(1, 70), 171, 172, 474, 475]:
+        x, w = gauss_legendre(n)
+        assert x.size == w.size == n
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        if n % 2:
+            assert x[n // 2] == 0.0
+    with pytest.raises(ValueError):
+        gauss_legendre(0)
+
+
+def test_gauss_legendre_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(specfun, "_NEWTON_STEPS", 1)
+    with pytest.raises(specfun.ConvergenceError):
+        gauss_legendre(64)
+    out = tmp_path / "out"
+    assert main(["unity", "--set", f"output.dir = {out}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical contract violated:") and "Gauss-Legendre" in err
+    assert not out.exists()
