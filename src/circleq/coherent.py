@@ -133,18 +133,16 @@ class UnityReport:
     diag_entries: np.ndarray
 
 
-def legendre_node_count(p_cutoff: float, hbar: float, p_nodes: int) -> int:
+def legendre_node_count(p_cutoff: float, hbar: float) -> int:
     """Gauss-Legendre nodes :func:`verify_unity` puts on |p| <= p_cutoff.
 
     The integrand oscillates with unit wavelength in p/hbar, so the count
     scales with the window and the rule stays resolved at every cutoff.
     """
-    return max(p_nodes, int(math.ceil(3.5 * p_cutoff / hbar)) + 32)
+    return max(64, int(math.ceil(3.5 * p_cutoff / hbar)) + 32)
 
 
-def verify_unity(
-    spec: FiducialSpec, basis: TwistedBasis, p_cutoff: float, p_nodes: int = 64
-) -> UnityReport:
+def verify_unity(spec: FiducialSpec, basis: TwistedBasis, p_cutoff: float) -> UnityReport:
     """Measure how far the truncated coherent-state integral sits from
     the identity on the lattice.
 
@@ -161,10 +159,8 @@ def verify_unity(
     """
     if p_cutoff <= 0.0:
         raise ValueError("p_cutoff must be > 0")
-    if p_nodes < 64:
-        raise ValueError("p_nodes must be >= 64")
 
-    p_count = legendre_node_count(p_cutoff, spec.hbar, p_nodes)
+    p_count = legendre_node_count(p_cutoff, spec.hbar)
     x, w = gauss_legendre(p_count)
     f = _boost_table(spec, p_cutoff * x / spec.hbar, basis)  # f[i, k] = f_k(p_i)
     diag = (p_cutoff * w / spec.hbar) @ (f * f)

@@ -59,7 +59,7 @@ def _flow_pieces(h_kind: str, model: EnhancedHamiltonian):
     if h_kind == "enhanced":
         return model.spec.hbar * model.spec.alpha, model.effective_potential(), model.kinetic_offset
     if h_kind == "classical":
-        return 0.0, model.effective_potential(attenuated=False), 0.0
+        return 0.0, model.potential, 0.0
     raise ValueError(f"h_kind must be 'enhanced' or 'classical', got {h_kind!r}")
 
 

@@ -100,10 +100,8 @@ class EnhancedHamiltonian:
             attenuation=rho[1 : potential.degree + 1],
         )
 
-    def effective_potential(self, attenuated: bool = True) -> TrigPotential:
-        """The potential the flow sees: harmonics attenuated by rho_n, or bare."""
-        if not attenuated:
-            return self.potential
+    def effective_potential(self) -> TrigPotential:
+        """The potential the enhanced flow sees: harmonics attenuated by rho_n."""
         a0, a, b = self.potential.a0, self.potential.a, self.potential.b
         return TrigPotential(a0, tuple(self.attenuation * a), tuple(self.attenuation * b))
 

@@ -20,17 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (
-    TWO_PI,
-    QuadratureGrid,
-    bessel_i_ratio_sequence,
-    bessel_i_scaled,
-    bessel_i_scaled_sequence,
-    integrate_periodic,
-)
+from .specfun import TWO_PI, QuadratureGrid, bessel_i_scaled_sequence, integrate_periodic
 from .hilbert import MomentumState, TwistedBasis, default_cutoff, reduce_twist
 
 _SQRT_2PI = math.sqrt(TWO_PI)
+# angles sampled by the envelope check
+ENVELOPE_SAMPLES = 10000
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,7 @@ def normalization(spec: FiducialSpec) -> float:
     Uses the exponentially scaled Bessel value so the product never
     under- or overflows, whatever r/hbar.
     """
-    return 1.0 / math.sqrt(TWO_PI * bessel_i_scaled(0, 2.0 * spec.localization))
+    return 1.0 / math.sqrt(TWO_PI * bessel_i_scaled_sequence(0, 2.0 * spec.localization)[0])
 
 
 def evaluate(spec: FiducialSpec, theta):
@@ -99,29 +94,24 @@ def momentum_coefficients(spec: FiducialSpec, basis: TwistedBasis) -> MomentumSt
 
 
 def attenuations(spec: FiducialSpec, max_harmonic: int) -> np.ndarray:
-    """Moments <cos nQ> = I_n(2r/hbar)/I_0(2r/hbar) for n = 0..max_harmonic."""
+    """Moments <cos nQ> = I_n(2r/hbar)/I_0(2r/hbar) for n = 0..max_harmonic,
+    from scaled values only; r = 0 gives exactly [1, 0, 0, ...]."""
     if max_harmonic < 0:
         raise ValueError("max_harmonic must be >= 0")
-    z2 = 2.0 * spec.localization
-    if z2 == 0.0:
-        rho = np.zeros(max_harmonic + 1)
-        rho[0] = 1.0
-        return rho
-    return bessel_i_ratio_sequence(max_harmonic, z2)
+    seq = bessel_i_scaled_sequence(max_harmonic, 2.0 * spec.localization)
+    return seq / seq[0]
 
 
-def moments(
-    spec: FiducialSpec, max_harmonic: int = 0, grid: QuadratureGrid | None = None
-) -> FiducialMoments:
-    """Position mean by quadrature, momentum moments by lattice sums, and
-    the potential-attenuation factors <cos nQ> by Bessel ratios.
+def moments(spec: FiducialSpec, max_harmonic: int = 0) -> FiducialMoments:
+    """Position mean by quadrature on the 512-node grid, momentum moments
+    by lattice sums, and the potential-attenuation factors <cos nQ> by
+    Bessel ratios.
 
     These are measurements, not closed forms: the closed forms <Q> = 0,
     <P> = hbar alpha and var_p = hbar r rho_1 / 2 are what they are
     checked against.
     """
-    if grid is None:
-        grid = QuadratureGrid.make()
+    grid = QuadratureGrid.make()
     basis = default_basis(spec)
 
     density = np.abs(evaluate(spec, grid.nodes)) ** 2
@@ -159,9 +149,10 @@ class EnvelopeCheck:
         return self.passed
 
 
-def gaussian_bound_check(spec: FiducialSpec, samples: int = 10000) -> EnvelopeCheck:
-    """Verify N^2 e^{-z theta^2} <= |eta|^2 <= K N^2 e^{-z theta^2} pointwise,
-    z = r/hbar, with the explicit constant K = e^{z (pi^2 - 4)}.
+def gaussian_bound_check(spec: FiducialSpec) -> EnvelopeCheck:
+    """Verify N^2 e^{-z theta^2} <= |eta|^2 <= K N^2 e^{-z theta^2} at
+    ``ENVELOPE_SAMPLES`` equispaced angles, z = r/hbar, with the explicit
+    constant K = e^{z (pi^2 - 4)}.
 
     K is the analytic maximum of |eta|^2 over the Gaussian: the exponent
     gap z (2 cos theta - 2 + theta^2) is monotone away from 0 and peaks at
@@ -171,10 +162,8 @@ def gaussian_bound_check(spec: FiducialSpec, samples: int = 10000) -> EnvelopeCh
     """
     if spec.r <= 0.0:
         raise ValueError("the envelope bound needs r > 0")
-    if samples < 2:
-        raise ValueError("need at least 2 sample points")
     z = spec.localization
-    theta = -math.pi + TWO_PI * np.arange(samples) / samples
+    theta = -math.pi + TWO_PI * np.arange(ENVELOPE_SAMPLES) / ENVELOPE_SAMPLES
     gap = z * (2.0 * np.cos(theta) - 2.0 + theta * theta)
     upper = float(np.min(z * (math.pi**2 - 4.0) - gap))
     lower = float(np.min(gap))

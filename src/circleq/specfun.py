@@ -1,9 +1,9 @@
 """Modified Bessel functions of integer order and quadrature rules.
 
-Everything else in the package sits on three primitives: an overflow-safe
-I_n(z) (exponentially scaled for large arguments), the uniform trapezoidal
-rule on [-pi, pi), spectrally accurate for smooth periodic integrands, and
-the Gauss-Legendre rule on [-1, 1] for the momentum integrals.
+Everything else in the package sits on three primitives: the overflow-safe
+sequence e^{-z} I_n(z), n = 0..m, the uniform trapezoidal rule on
+[-pi, pi), spectrally accurate for smooth periodic integrands, and the
+Gauss-Legendre rule on [-1, 1] for the momentum integrals.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# exp(z) * I0e(z) stays below float range up to here; past it only the
-# scaled value is representable.
-_UNSCALED_LIMIT = 700.0
 # below this argument e^{-z} I_n(z) = (z/2)^n / n! to double precision
 _TINY_ARG = 1e-20
 # highest start order of the Miller recurrence (z up to about 8e5); past it
@@ -28,15 +25,6 @@ _NEWTON_STEPS = 10  # from Tricomi's guess Newton settles in 2 or 3 steps
 
 class ConvergenceError(ArithmeticError):
     """An iteration did not reach double precision within its step cap."""
-
-
-def _check_order_arg(order, z):
-    if not isinstance(order, (int, np.integer)):
-        raise ValueError(f"Bessel order must be an integer, got {order!r}")
-    if order < 0:
-        raise ValueError(f"Bessel order must be >= 0, got {order}")
-    if z < 0.0:
-        raise ValueError(f"Bessel argument must be >= 0, got {z}")
 
 
 def _miller_scaled(max_order: int, z: float) -> np.ndarray:
@@ -68,45 +56,17 @@ def _miller_scaled(max_order: int, z: float) -> np.ndarray:
 
 def bessel_i_scaled_sequence(max_order: int, z: float) -> np.ndarray:
     """Array of exponentially scaled values e^{-z} I_n(z), n = 0..max_order."""
-    _check_order_arg(max_order, z)
+    if not isinstance(max_order, (int, np.integer)):
+        raise ValueError(f"Bessel order must be an integer, got {max_order!r}")
+    if max_order < 0:
+        raise ValueError(f"Bessel order must be >= 0, got {max_order}")
+    if z < 0.0:
+        raise ValueError(f"Bessel argument must be >= 0, got {z}")
     if z < _TINY_ARG:  # also z = 0; the recurrence's 2k/z would overflow
         terms = np.full(max_order + 1, 0.5 * z) / np.maximum(np.arange(max_order + 1), 1)
         terms[0] = 1.0
         return np.cumprod(terms)
     return _miller_scaled(max_order, z)
-
-
-def bessel_i_scaled(order: int, z: float) -> float:
-    """Exponentially scaled modified Bessel function e^{-z} I_order(z)."""
-    return float(bessel_i_scaled_sequence(order, z)[order])
-
-
-def bessel_i(order: int, z: float) -> float:
-    """Modified Bessel function of the first kind, I_order(z).
-
-    Valid for 0 <= z <= 700; beyond that the unscaled value overflows a
-    double and callers must switch to :func:`bessel_i_scaled`.
-    """
-    _check_order_arg(order, z)
-    if z > _UNSCALED_LIMIT:
-        raise OverflowError(
-            f"I_{order}({z}) exceeds double range; use bessel_i_scaled"
-        )
-    return float(math.exp(z) * bessel_i_scaled(order, z))
-
-
-def bessel_i_ratio_sequence(max_order: int, z: float) -> np.ndarray:
-    """Ratios I_n(z)/I_0(z) for n = 0..max_order, stable at large z."""
-    _check_order_arg(max_order, z)
-    if z <= 0.0:
-        raise ValueError(f"ratio requires z > 0, got {z}")
-    seq = bessel_i_scaled_sequence(max_order, z)
-    return seq / seq[0]
-
-
-def bessel_i_ratio(order: int, z: float) -> float:
-    """I_order(z)/I_0(z) in [0, 1], computed from scaled values only."""
-    return float(bessel_i_ratio_sequence(order, z)[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,18 +90,15 @@ class QuadratureGrid:
         return cls(node_count=node_count, nodes=nodes, weight=TWO_PI / node_count)
 
 
-def integrate_periodic(f, grid: QuadratureGrid):
-    """Trapezoidal integral of f over [-pi, pi) on a uniform grid.
+def integrate_periodic(values: np.ndarray, grid: QuadratureGrid):
+    """Trapezoidal integral over [-pi, pi) of the samples ``values`` at the
+    grid nodes.
 
-    ``f`` may be a callable of the node array or an array of samples.
     Exact (to roundoff) for trigonometric polynomials of degree < M/2 and
     geometrically convergent for analytic periodic integrands.  For
     integrands that jump at the chart seam theta = +/-pi the accuracy
     degrades; the error is then proportional to the seam jump.
     """
-    values = f(grid.nodes) if callable(f) else np.asarray(f)
-    if values.shape != grid.nodes.shape:
-        values = np.broadcast_to(values, grid.nodes.shape)
     return grid.weight * values.sum()
 
 

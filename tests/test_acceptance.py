@@ -10,9 +10,9 @@ import time
 
 import numpy as np
 
-from circleq.specfun import QuadratureGrid, bessel_i_ratio
+from circleq.specfun import QuadratureGrid
 from circleq.hilbert import TwistedBasis
-from circleq.fiducial import FiducialSpec, gaussian_bound_check, moments
+from circleq.fiducial import FiducialSpec, attenuations, gaussian_bound_check, moments
 from circleq.coherent import CoherentLabel, verify_unity
 from circleq.enhanced import (
     EnhancedHamiltonian,
@@ -141,9 +141,9 @@ def test_criterion_05_classical_limit():
                 )
         defects.append(worst)
     slope = float(np.polyfit(np.log(ratios), np.log(defects), 1)[0])
+    rho = attenuations(FiducialSpec(r=200.0), 3)  # I_n(400)/I_0(400)
     attenuation_gap = max(
-        abs(400.0 * (1.0 - bessel_i_ratio(n, 400.0)) - n * n / 2.0) / (n * n / 2.0)
-        for n in (1, 2, 3)
+        abs(400.0 * (1.0 - rho[n]) - n * n / 2.0) / (n * n / 2.0) for n in (1, 2, 3)
     )
     ok = abs(slope + 1.0) <= 0.15 and attenuation_gap <= 0.05
     report(5, ok, f"classical-limit slope {slope:.3f}, z(1-rho_n) gap {attenuation_gap:.3%} at z=400")
@@ -226,7 +226,7 @@ def test_criterion_09_quantum_classical_correspondence():
 def test_criterion_10_gaussian_envelope():
     margins = []
     for ratio in (1.0, 5.0, 20.0):
-        check = gaussian_bound_check(FiducialSpec(r=ratio, hbar=1.0), samples=10000)
+        check = gaussian_bound_check(FiducialSpec(r=ratio, hbar=1.0))
         margins.append((ratio, bool(check)))
     ok = all(passed for _, passed in margins)
     report(10, ok, f"two-sided envelope with K=exp(z(pi^2-4)) at 1e4 points: {margins}")

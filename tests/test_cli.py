@@ -215,8 +215,7 @@ def test_fiducial_moments_row_reports_the_envelope_check(tmp_path, monkeypatch, 
     # a failed EnvelopeCheck is falsy, so only r = 0 may stand for "no check"
     from circleq.fiducial import EnvelopeCheck
 
-    monkeypatch.setattr(cli, "gaussian_bound_check", lambda spec, samples:
-                        EnvelopeCheck(False, 0.5, -1.5, 2.5))
+    monkeypatch.setattr(cli, "gaussian_bound_check", lambda spec: EnvelopeCheck(False, 0.5, -1.5, 2.5))
     code, outdir = run(tmp_path, "fiducial", f"model.r = {r}")
     assert code == 0
     row = stable_lines(outdir / "fiducial_moments.csv")[2].split(",")[-3:]
@@ -224,8 +223,8 @@ def test_fiducial_moments_row_reports_the_envelope_check(tmp_path, monkeypatch, 
 
 
 def test_fiducial_rerun_is_bit_identical(tmp_path):
-    _, out1 = run(tmp_path / "a", "fiducial", "run.seed = 3")
-    _, out2 = run(tmp_path / "b", "fiducial", "run.seed = 3")
+    _, out1 = run(tmp_path / "a", "fiducial")
+    _, out2 = run(tmp_path / "b", "fiducial")
     for name in ("fiducial_profile.csv", "fiducial_moments.csv",
                  "fiducial_attenuation.csv", "fiducial_coefficients.csv"):
         assert stable_lines(out1 / name) == stable_lines(out2 / name)
@@ -453,11 +452,9 @@ def test_readme_key_table_is_the_generated_one():
 # the command that reads each run key; compare reads every model key and
 # the rest of the run keys
 READER = {
-    "run.grid_nodes": "fiducial", "run.max_harmonic": "fiducial", "run.samples": "fiducial",
-    "run.profile_points": "fiducial", "output.dir": "fiducial", "run.cutoff": "unity",
-    "run.p_cutoff_factors": "unity", "run.p_nodes": "unity",
+    "run.max_harmonic": "fiducial", "run.profile_points": "fiducial", "output.dir": "fiducial",
+    "run.cutoff": "unity", "run.p_cutoff_factors": "unity",
     "run.kind": "evolve", "run.p_grid": "hamiltonian", "run.q_points": "hamiltonian",
-    "run.seed": "selftest",
 }
 
 
@@ -503,6 +500,9 @@ def test_main_on_any_value_of_any_key(row, data):
                 assert table.size and np.all(np.isfinite(table)), (argv, name)
 
 
+# the rows of the retired keys run.samples, run.grid_nodes, run.p_nodes
+# and run.seed now reach the unknown-key path; they stay in place so the
+# ids of the rows after them keep their numbers
 @pytest.mark.parametrize(
     "command, settings, key",
     [
@@ -550,6 +550,28 @@ def test_out_of_range_inputs_exit_one(tmp_path, capsys, command, settings, key):
     assert key in err and "Traceback" not in err
     assert not outdir.exists()
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("via", ["--set", "--config"])
+@pytest.mark.parametrize("command, key", [
+    ("unity", "run.p_nodes"), ("fiducial", "run.grid_nodes"), ("fiducial", "run.samples"),
+    ("selftest", "run.seed"),
+])
+def test_retired_keys_exit_one(tmp_path, capsys, command, key, via):
+    # each only set the resolution or seed of an internal check, and is now
+    # a constant: verify_unity's node count, moments' 512-node grid, the
+    # envelope check's 10000 angles and selftest's seed 0
+    outdir = tmp_path / "out"
+    setting = f"{key} = 64"
+    if via == "--config":
+        (tmp_path / "run.cfg").write_text(setting + "\n")
+        argv = [command, "--config", str(tmp_path / "run.cfg")]
+    else:
+        argv = [command, "--set", setting]
+    assert main(argv + ["--set", f"output.dir = {outdir}"]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown key '{key}'" in err and "Traceback" not in err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("command", ["evolve", "compare"])
@@ -693,7 +715,7 @@ def test_selftest_failure_exits_two(monkeypatch, capsys):
     import circleq.cli as climod
 
     monkeypatch.setattr(
-        climod, "_selftest_checks", lambda cfg: [("doomed", lambda: False)]
+        climod, "_selftest_checks", lambda: [("doomed", lambda: False)]
     )
     assert main(["selftest"]) == 2
     captured = capsys.readouterr()

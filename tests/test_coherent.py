@@ -52,12 +52,13 @@ def dense_boost(spec, basis, shifts):
     return kernel @ c
 
 
-def literal_unity_reference(spec, basis, p_cutoff, p_nodes=64, full_2d=False, q_nodes=None):
-    """Oracle for verify_unity: the dense boost tensor and, with ``full_2d``,
+def literal_unity_reference(spec, basis, p_cutoff, p_nodes=None, full_2d=False, q_nodes=None):
+    """Oracle for verify_unity on ``p_nodes`` momentum nodes (by default
+    verify_unity's count): the dense boost tensor and, with ``full_2d``,
     the literal double sum over momentum nodes and angle nodes, one state
     d_n(p_i, q_j) at a time, which checks that the angle rule's aliasing
     vector is 2 pi delta_d0.  Returns (diagonal entries, off-diagonal defect)."""
-    x, w = np.polynomial.legendre.leggauss(legendre_node_count(p_cutoff, spec.hbar, p_nodes))
+    x, w = np.polynomial.legendre.leggauss(p_nodes or legendre_node_count(p_cutoff, spec.hbar))
     p_values, p_weights = p_cutoff * x, p_cutoff * w
     f = dense_boost(spec, basis, p_values / spec.hbar)
     if not full_2d:
@@ -173,8 +174,6 @@ def test_unity_preconditions():
     basis = TwistedBasis(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         verify_unity(spec, basis, p_cutoff=0.0)
-    with pytest.raises(ValueError):
-        verify_unity(spec, basis, p_cutoff=10.0, p_nodes=32)
 
 
 def test_unity_ladder_monotone_and_interior_defect():
@@ -205,13 +204,13 @@ def test_unity_uniform_state_sinc_mass_oracle():
         assert entry == pytest.approx(mass, abs=1e-8)
 
 
-def test_unity_diagonal_grows_with_quadrature_refinement():
+def test_unity_automatic_node_count_is_resolved():
     # doubling the momentum rule must not move the answer
     spec = FiducialSpec(r=2.0, alpha=0.1)
     basis = TwistedBasis(0.1, 1.0, 16)
-    coarse = verify_unity(spec, basis, p_cutoff=30.0, p_nodes=128)
-    fine = verify_unity(spec, basis, p_cutoff=30.0, p_nodes=256)
-    assert np.max(np.abs(coarse.diag_entries - fine.diag_entries)) < 1e-10
+    report = verify_unity(spec, basis, p_cutoff=30.0)
+    fine, _ = literal_unity_reference(spec, basis, p_cutoff=30.0, p_nodes=2 * report.p_nodes)
+    assert np.max(np.abs(report.diag_entries - fine)) < 1e-10
 
 
 @pytest.mark.parametrize("full_2d", [False, True])
@@ -224,7 +223,7 @@ def test_unity_matches_literal_reference(r, alpha, full_2d):
     basis = TwistedBasis(alpha, 1.0, 12)
     report = verify_unity(spec, basis, p_cutoff=20.0)
     diag, offdiag = literal_unity_reference(spec, basis, p_cutoff=20.0, full_2d=full_2d)
-    assert report.p_nodes == legendre_node_count(20.0, spec.hbar, 64)
+    assert report.p_nodes == legendre_node_count(20.0, spec.hbar)
     assert np.max(np.abs(report.diag_entries - diag)) < 1e-13
     assert report.diag_defect == np.max(np.abs(report.diag_entries - 1.0))
     assert offdiag <= 1e-10

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from circleq.specfun import QuadratureGrid, bessel_i_ratio, integrate_periodic
+from circleq.specfun import QuadratureGrid, integrate_periodic
 from circleq.hilbert import TwistedBasis, analyze, PositionWavefunction, check_boundary_phase
 from circleq.fiducial import (
     FiducialSpec,
+    attenuations,
     default_basis,
     evaluate,
     gaussian_bound_check,
@@ -158,15 +159,20 @@ def test_attenuation_asymptotics():
     ladder = (50.0, 100.0, 200.0, 400.0)
     for n in (1, 2, 3):
         target = n * n / 2.0
-        gaps = [abs(z * (1.0 - bessel_i_ratio(n, z)) - target) for z in ladder]
+        gaps = [abs(z * (1.0 - attenuations(FiducialSpec(r=z / 2), n)[n]) - target) for z in ladder]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
-        final = ladder[-1] * (1.0 - bessel_i_ratio(n, ladder[-1]))
+        final = ladder[-1] * (1.0 - attenuations(FiducialSpec(r=ladder[-1] / 2), n)[n])
         assert abs(final - target) <= 0.05 * target
+
+
+def test_uniform_state_attenuations_are_exact():
+    # the sequence's series branch at z = 0, with no special case for r = 0
+    assert attenuations(FiducialSpec(r=0.0), 4).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("ratio", [1.0, 5.0, 20.0])
 def test_gaussian_bound_two_sided(ratio):
-    check = gaussian_bound_check(FiducialSpec(r=ratio, hbar=1.0), samples=10000)
+    check = gaussian_bound_check(FiducialSpec(r=ratio, hbar=1.0))
     assert bool(check)
     assert check.failed_at is None
     assert check.upper_margin >= -1e-10 and check.lower_margin >= -1e-10
