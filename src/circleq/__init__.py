@@ -7,13 +7,10 @@ classical / enhanced / quantum dynamics side by side."""
 from .specfun import QuadratureGrid, bessel_i_scaled_sequence, integrate_periodic
 from .hilbert import (
     MomentumState,
-    PositionWavefunction,
     ResolutionError,
     TwistedBasis,
-    analyze,
     check_boundary_phase,
     default_cutoff,
-    synthesize,
     wrap_angle,
 )
 from .fiducial import (
@@ -32,15 +29,12 @@ from .enhanced import (
     canonical_shift,
     classical_hamiltonian,
     enhanced_hamiltonian,
-    surface_term,
 )
 from .dynamics import (
     PhasePoint,
     Trajectory,
-    action_along,
     alpha_invariance_check,
     evolve,
-    winding_number,
 )
 from .qevolve import (
     ComparisonReport,

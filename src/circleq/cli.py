@@ -63,15 +63,7 @@ from .fiducial import (
     momentum_coefficients,
     normalization,
 )
-from .hilbert import (
-    MomentumState,
-    ResolutionError,
-    TwistedBasis,
-    analyze,
-    check_boundary_phase,
-    default_cutoff,
-    synthesize,
-)
+from .hilbert import ResolutionError, TwistedBasis, check_boundary_phase, default_cutoff
 from .qevolve import (
     MAX_LATTICE_DIM,
     build_hamiltonian,
@@ -620,17 +612,15 @@ fig.savefig("trajectory.png", dpi=150)
 
 
 def cmd_compare(cfg: RunConfig):
-    model, dt, q0, p0 = cfg.model, cfg["run.dt"], cfg["run.q0"], cfg["run.p0"]
-    label = CoherentLabel(p=p0, q=q0)
+    model, p0 = cfg.model, cfg["run.p0"]
+    label = CoherentLabel(p=p0, q=cfg["run.q0"])
     try:  # the coherent state's leak is the only ResolutionError it raises
-        report = compare_restricted(model, label, cfg["run.total_time"], dt, cfg.basis)
+        report = compare_restricted(model, label, cfg["run.total_time"], cfg["run.dt"])
     except ResolutionError:
         raise _fractional_boost(model.spec, p0) from None
-    steps = len(report.times) - 1
-    classical = evolve("classical", model, PhasePoint.start(q0, p0), dt, steps)
 
     tables = [
-        _trajectory_table("compare_classical.csv", "classical", classical),
+        _trajectory_table("compare_classical.csv", "classical", report.classical),
         _trajectory_table("compare_enhanced.csv", "enhanced", report.enhanced),
         _quantum_table("compare_quantum.csv", report.quantum),
         ("compare_deviation.csv", "compare-deviation", {
@@ -666,20 +656,12 @@ fig.savefig("compare.png", dpi=150)
 
 def _selftest_checks():
     """Fast battery of the package's numerical contracts."""
-    rng = np.random.default_rng(0)
     grid = QuadratureGrid.make(256)
 
     def check_quadrature():
         value = integrate_periodic(np.exp(2.0 * np.cos(grid.nodes)), grid)
         i0 = math.exp(2.0) * bessel_i_scaled_sequence(0, 2.0)[0]  # I_0(2)
         return abs(value - 2.0 * math.pi * i0) < 1e-10
-
-    def check_round_trip():
-        basis = TwistedBasis(0.3, 1.0, 20)
-        coeffs = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
-        state = MomentumState(basis, coeffs).normalized()
-        back = analyze(synthesize(state, grid), basis)
-        return float(np.max(np.abs(back.coeffs - state.coeffs))) < 1e-12
 
     def check_centering():
         for r in (0.5, 2.0, 10.0):
@@ -714,7 +696,6 @@ def _selftest_checks():
 
     return [
         ("periodic-quadrature", check_quadrature),
-        ("lattice-round-trip", check_round_trip),
         ("fiducial-centering", check_centering),
         ("boundary-membership", check_boundary),
         ("unity-diagonal", check_unity_diag),

@@ -49,9 +49,6 @@ class Trajectory:
     p: np.ndarray
     energies: np.ndarray
 
-    def point(self, i: int) -> PhasePoint:
-        return PhasePoint(q=float(self.q[i]), q_unwrapped=float(self.q_unwrapped[i]), p=float(self.p[i]))
-
 
 def _flow_pieces(h_kind: str, model: EnhancedHamiltonian):
     """Kinetic shift, potential and energy offset of the flow: its
@@ -159,25 +156,3 @@ def alpha_invariance_check(
             dp = np.max(np.abs(tracks[i][1] - tracks[j][1]))
             worst = max(worst, float(dq), float(dp))
     return worst
-
-
-def winding_number(trajectory: Trajectory) -> int:
-    """Net number of full turns accumulated by the unwrapped angle."""
-    return int(round((trajectory.q_unwrapped[-1] - trajectory.q_unwrapped[0]) / (2.0 * math.pi)))
-
-
-def action_along(
-    trajectory: Trajectory, model: EnhancedHamiltonian, include_surface: bool = False
-) -> float:
-    """Midpoint-rule value of the integral of [p qdot - H] dt, optionally
-    adding the boundary value hbar alpha (q(T) - q(0)) of the surface term
-    (winding aware through the unwrapped angle)."""
-    dq = np.diff(trajectory.q_unwrapped)
-    p_mid = 0.5 * (trajectory.p[1:] + trajectory.p[:-1])
-    e_mid = 0.5 * (trajectory.energies[1:] + trajectory.energies[:-1])
-    dt = np.diff(trajectory.times)
-    action = float(p_mid @ dq - e_mid @ dt)
-    if include_surface:
-        hbar, alpha = model.spec.hbar, model.spec.alpha
-        action += hbar * alpha * (trajectory.q_unwrapped[-1] - trajectory.q_unwrapped[0])
-    return action

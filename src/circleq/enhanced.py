@@ -57,12 +57,6 @@ class TrigPotential:
             total = total + an * np.cos(n * q) + bn * np.sin(n * q)
         return total if total.ndim else float(total)
 
-    def derivative(self, q):
-        total = np.zeros_like(np.asarray(q, dtype=float))
-        for n, (an, bn) in enumerate(zip(self.a, self.b), start=1):
-            total = total + n * (-an * np.sin(n * q) + bn * np.cos(n * q))
-        return total if total.ndim else float(total)
-
     def coefficient_scale(self) -> float:
         return abs(self.a0) + sum(abs(x) + abs(y) for x, y in zip(self.a, self.b))
 
@@ -133,13 +127,3 @@ def canonical_shift(p: float, spec: FiducialSpec) -> float:
     p^2 + var_p + V_rho(q), symmetric in p for every alpha.
     """
     return p - spec.hbar * spec.alpha
-
-
-def surface_term(alpha: float, hbar: float, qdot: float) -> float:
-    """Total-derivative power hbar alpha qdot split off the restricted action.
-
-    Along a trajectory it integrates to hbar alpha (q(T) - q(0)) with the
-    unwrapped angle, i.e. 2 pi hbar alpha per winding; it never enters the
-    equations of motion.
-    """
-    return hbar * alpha * qdot

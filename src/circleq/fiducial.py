@@ -145,9 +145,6 @@ class EnvelopeCheck:
     upper_margin: float  # min over samples of log(K N^2 e^{-z theta^2}) - log|eta|^2
     lower_margin: float  # min over samples of log|eta|^2 - log(N^2 e^{-z theta^2})
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def gaussian_bound_check(spec: FiducialSpec) -> EnvelopeCheck:
     """Verify N^2 e^{-z theta^2} <= |eta|^2 <= K N^2 e^{-z theta^2} at

@@ -3,9 +3,9 @@ boundary condition phi(pi) = e^{2 pi i alpha} phi(-pi).
 
 The momentum operator then has the pure point spectrum hbar (n + alpha),
 n integer, with plane-wave eigenfunctions e^{i (n + alpha) theta} / sqrt(2 pi).
-States are kept as coefficient vectors over the lattice n in [-N, N];
-position-space data lives on a quadrature grid (sharp position states are
-distributions and get no finite-norm representation here).
+States are kept as coefficient vectors over the lattice n in [-N, N]
+(sharp position states are distributions and get no finite-norm
+representation here).
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import TWO_PI, QuadratureGrid
+from .specfun import TWO_PI
 
 _SQRT_2PI = math.sqrt(TWO_PI)
 
 
 class ResolutionError(ValueError):
-    """A grid or basis truncation is too coarse for the requested result."""
+    """A basis truncation is too coarse for the requested result."""
 
 
 def wrap_angle(theta):
@@ -92,67 +92,14 @@ class MomentumState:
     def normalized(self) -> "MomentumState":
         return MomentumState(self.basis, self.coeffs / math.sqrt(self.norm_sq()))
 
-    def inner(self, other: "MomentumState") -> complex:
-        return complex(np.vdot(self.coeffs, other.coeffs))
 
-
-@dataclass(eq=False)
-class PositionWavefunction:
-    """Samples psi(theta_j) on a quadrature grid."""
-
-    grid: QuadratureGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.grid.nodes.shape:
-            raise ValueError("sample count does not match the grid")
-
-    def norm_sq(self) -> float:
-        return float(self.grid.weight * np.vdot(self.values, self.values).real)
-
-
-def synthesize(state: MomentumState, grid: QuadratureGrid) -> PositionWavefunction:
-    """psi(theta_j) = sum_n c_n e^{i (n + alpha) theta_j} / sqrt(2 pi)."""
-    k = state.basis.n_values() + state.basis.alpha
-    phases = np.exp(1j * np.outer(grid.nodes, k))
-    return PositionWavefunction(grid, phases @ state.coeffs / _SQRT_2PI)
-
-
-def analyze(psi: PositionWavefunction, basis: TwistedBasis) -> MomentumState:
-    """Project grid samples onto the twisted basis.
-
-    c_n is the trapezoidal evaluation of
-    integral e^{-i (n + alpha) theta} psi(theta) / sqrt(2 pi) d theta, which
-    is exact for band-limited psi once the grid resolves 2 (N + 1) modes.
-    """
-    if psi.grid.node_count < 2 * (basis.cutoff_n + 1):
-        raise ResolutionError(
-            f"grid with {psi.grid.node_count} nodes cannot resolve "
-            f"cutoff {basis.cutoff_n}; need at least {2 * (basis.cutoff_n + 1)}"
-        )
-    k = basis.n_values() + basis.alpha
-    kernel = np.exp(-1j * np.outer(k, psi.grid.nodes))
-    coeffs = psi.grid.weight * (kernel @ psi.values) / _SQRT_2PI
-    return MomentumState(basis, coeffs)
-
-
-def check_boundary_phase(psi, alpha: float | None = None) -> float:
+def check_boundary_phase(state: MomentumState) -> float:
     """Defect |psi(pi) - e^{2 pi i alpha} psi(-pi)| of the twisted boundary
-    condition; 0 means the state lies in the twisted domain.
-
-    ``psi`` is either a MomentumState, whose synthesized Fourier series is
-    evaluated exactly at the endpoints (alpha taken from its basis), or a
-    callable of the angle together with an explicit ``alpha``.
-    """
-    if isinstance(psi, MomentumState):
-        alpha = psi.basis.alpha
-        k = psi.basis.n_values() + alpha
-        at_plus = np.sum(psi.coeffs * np.exp(1j * math.pi * k)) / _SQRT_2PI
-        at_minus = np.sum(psi.coeffs * np.exp(-1j * math.pi * k)) / _SQRT_2PI
-    else:
-        if alpha is None:
-            raise ValueError("alpha is required when psi is a callable")
-        at_plus = psi(math.pi)
-        at_minus = psi(-math.pi)
+    condition, with the state's Fourier series evaluated exactly at the
+    endpoints and alpha taken from its basis; 0 means the state lies in
+    the twisted domain."""
+    alpha = state.basis.alpha
+    k = state.basis.n_values() + alpha
+    at_plus = np.sum(state.coeffs * np.exp(1j * math.pi * k)) / _SQRT_2PI
+    at_minus = np.sum(state.coeffs * np.exp(-1j * math.pi * k)) / _SQRT_2PI
     return float(abs(at_plus - np.exp(2j * math.pi * alpha) * at_minus))

@@ -258,14 +258,17 @@ def evolve_quantum(
 
 @dataclass(eq=False)
 class ComparisonReport:
-    """Quantum vs enhanced-classical deviation time series.
+    """The three flows from one phase-space point, and how far the
+    enhanced flow strays from the quantum one.
 
-    ``phase_deviation`` is the Euclidean gap between the unit vectors
-    (cos q, sin q) of the enhanced angle and the normalized quantum
-    moment <e^{iQ}>/|<e^{iQ}>|; ``momentum_deviation`` compares the
-    quantum <P> against the shifted classical momentum p + hbar alpha.
-    ``ehrenfest_window`` is the time the phase deviation first reaches
-    0.1 (the full horizon if it never does).
+    ``quantum`` is the exact evolution of |p, q>, ``enhanced`` the leapfrog
+    flow of H_cs and ``classical`` the leapfrog flow of p^2 + V(q), all
+    sampled at ``times``.  ``phase_deviation`` is the Euclidean gap between
+    the unit vectors (cos q, sin q) of the enhanced angle and the
+    normalized quantum moment <e^{iQ}>/|<e^{iQ}>|; ``momentum_deviation``
+    compares the quantum <P> against the shifted enhanced momentum
+    p + hbar alpha.  ``ehrenfest_window`` is the time the phase deviation
+    first reaches 0.1 (the full horizon if it never does).
     """
 
     times: np.ndarray
@@ -275,6 +278,7 @@ class ComparisonReport:
     ehrenfest_window: float
     quantum: ExpectationTrace
     enhanced: Trajectory
+    classical: Trajectory
 
 
 def comparison_basis(model: EnhancedHamiltonian, label: CoherentLabel) -> TwistedBasis:
@@ -299,13 +303,12 @@ def compare_restricted(
     label: CoherentLabel,
     total_time: float,
     dt: float,
-    basis: TwistedBasis | None = None,
 ) -> ComparisonReport:
-    """Run the true quantum evolution from |p, q> and the enhanced flow
-    from (p, q) and report their deviation traces."""
+    """Run the true quantum evolution from |p, q> on the
+    :func:`comparison_basis` lattice, and the enhanced and classical flows
+    from (p, q) on the same steps, and report their deviation traces."""
     spec = model.spec
-    if basis is None:
-        basis = comparison_basis(model, label)
+    basis = comparison_basis(model, label)
     steps = max(1, int(round(total_time / dt)))
 
     initial = coherent_state(label, spec, basis).normalized()
@@ -313,15 +316,16 @@ def compare_restricted(
     quantum = evolve_quantum(ham, initial, dt, steps)
 
     start = PhasePoint.start(label.q, label.p)
-    classical = evolve("enhanced", model, start, dt, steps)
+    enhanced = evolve("enhanced", model, start, dt, steps)
+    classical = evolve("classical", model, start, dt, steps)
 
     shift = spec.hbar * spec.alpha
-    momentum_dev = np.abs(quantum.mean_p - (classical.p + shift))
+    momentum_dev = np.abs(quantum.mean_p - (enhanced.p + shift))
     coherence = np.abs(quantum.circle_moment())
     safe = np.where(coherence > 1e-12, coherence, 1.0)
     cos_n = np.where(coherence > 1e-12, quantum.cos_q / safe, np.nan)
     sin_n = np.where(coherence > 1e-12, quantum.sin_q / safe, np.nan)
-    phase_dev = np.hypot(np.cos(classical.q) - cos_n, np.sin(classical.q) - sin_n)
+    phase_dev = np.hypot(np.cos(enhanced.q) - cos_n, np.sin(enhanced.q) - sin_n)
     # a fully dispersed moment carries no phase; count that as maximal
     phase_dev = np.where(np.isnan(phase_dev), 2.0, phase_dev)
 
@@ -334,5 +338,6 @@ def compare_restricted(
         coherence=coherence,
         ehrenfest_window=window,
         quantum=quantum,
-        enhanced=classical,
+        enhanced=enhanced,
+        classical=classical,
     )

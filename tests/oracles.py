@@ -1,0 +1,104 @@
+"""Reference implementations the tests compare the package against.
+
+None of these has a caller in ``src/``: position-space synthesis and
+analysis, the action along a trajectory with its surface term, the force
+V'(q) of a trigonometric potential and the boundary-condition defect of a
+function of the angle.  Each is a literal transcription of its formula.
+"""
+
+import math
+
+import numpy as np
+
+from circleq.dynamics import PhasePoint, Trajectory
+from circleq.enhanced import EnhancedHamiltonian, TrigPotential
+from circleq.hilbert import MomentumState, ResolutionError, TwistedBasis
+from circleq.specfun import QuadratureGrid
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+class PositionWavefunction:
+    """Samples psi(theta_j) on a quadrature grid."""
+
+    def __init__(self, grid: QuadratureGrid, values):
+        self.grid = grid
+        self.values = np.asarray(values, dtype=complex)
+        if self.values.shape != grid.nodes.shape:
+            raise ValueError("sample count does not match the grid")
+
+    def norm_sq(self) -> float:
+        return float(self.grid.weight * np.vdot(self.values, self.values).real)
+
+
+def synthesize(state: MomentumState, grid: QuadratureGrid) -> PositionWavefunction:
+    """psi(theta_j) = sum_n c_n e^{i (n + alpha) theta_j} / sqrt(2 pi)."""
+    k = state.basis.n_values() + state.basis.alpha
+    phases = np.exp(1j * np.outer(grid.nodes, k))
+    return PositionWavefunction(grid, phases @ state.coeffs / SQRT_2PI)
+
+
+def analyze(psi: PositionWavefunction, basis: TwistedBasis) -> MomentumState:
+    """Trapezoidal c_n = integral e^{-i (n + alpha) theta} psi(theta) / sqrt(2 pi)
+    d theta, exact for band-limited psi once the grid resolves 2 (N + 1) modes."""
+    if psi.grid.node_count < 2 * (basis.cutoff_n + 1):
+        raise ResolutionError(
+            f"grid with {psi.grid.node_count} nodes cannot resolve "
+            f"cutoff {basis.cutoff_n}; need at least {2 * (basis.cutoff_n + 1)}"
+        )
+    k = basis.n_values() + basis.alpha
+    kernel = np.exp(-1j * np.outer(k, psi.grid.nodes))
+    return MomentumState(basis, psi.grid.weight * (kernel @ psi.values) / SQRT_2PI)
+
+
+def boundary_defect(psi, alpha: float) -> float:
+    """|psi(pi) - e^{2 pi i alpha} psi(-pi)| for a callable psi of the angle."""
+    return float(abs(psi(math.pi) - np.exp(2j * math.pi * alpha) * psi(-math.pi)))
+
+
+def potential_derivative(potential: TrigPotential, q):
+    """V'(q) = sum_n n [-a_n sin nq + b_n cos nq], elementwise."""
+    total = np.zeros_like(np.asarray(q, dtype=float))
+    for n, (an, bn) in enumerate(zip(potential.a, potential.b), start=1):
+        total = total + n * (-an * np.sin(n * q) + bn * np.cos(n * q))
+    return total if total.ndim else float(total)
+
+
+def phase_point(trajectory: Trajectory, i: int) -> PhasePoint:
+    """Sample i of a trajectory as a phase-space point."""
+    return PhasePoint(
+        q=float(trajectory.q[i]), q_unwrapped=float(trajectory.q_unwrapped[i]),
+        p=float(trajectory.p[i]),
+    )
+
+
+def winding_number(trajectory: Trajectory) -> int:
+    """Net number of full turns accumulated by the unwrapped angle."""
+    return int(round((trajectory.q_unwrapped[-1] - trajectory.q_unwrapped[0]) / (2.0 * math.pi)))
+
+
+def surface_term(alpha: float, hbar: float, qdot: float) -> float:
+    """Total-derivative power hbar alpha qdot split off the restricted action.
+
+    Along a trajectory it integrates to hbar alpha (q(T) - q(0)) with the
+    unwrapped angle, i.e. 2 pi hbar alpha per winding; it never enters the
+    equations of motion.
+    """
+    return hbar * alpha * qdot
+
+
+def action_along(
+    trajectory: Trajectory, model: EnhancedHamiltonian, include_surface: bool = False
+) -> float:
+    """Midpoint-rule value of the integral of [p qdot - H] dt, optionally
+    adding the boundary value hbar alpha (q(T) - q(0)) of the surface term
+    (winding aware through the unwrapped angle)."""
+    dq = np.diff(trajectory.q_unwrapped)
+    p_mid = 0.5 * (trajectory.p[1:] + trajectory.p[:-1])
+    e_mid = 0.5 * (trajectory.energies[1:] + trajectory.energies[:-1])
+    dt = np.diff(trajectory.times)
+    action = float(p_mid @ dq - e_mid @ dt)
+    if include_surface:
+        hbar, alpha = model.spec.hbar, model.spec.alpha
+        action += hbar * alpha * (trajectory.q_unwrapped[-1] - trajectory.q_unwrapped[0])
+    return action

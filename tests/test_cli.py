@@ -500,43 +500,42 @@ def test_main_on_any_value_of_any_key(row, data):
                 assert table.size and np.all(np.isfinite(table)), (argv, name)
 
 
-# the rows of the retired keys run.samples, run.grid_nodes, run.p_nodes
-# and run.seed now reach the unknown-key path; they stay in place so the
-# ids of the rows after them keep their numbers
+def _case(number: int, command: str, settings: tuple, key: str):
+    """A row of test_out_of_range_inputs_exit_one under a fixed id: removing a
+    row renames no other, and a new row takes a new number."""
+    return pytest.param(command, settings, key, id=f"{command}-settings{number}-{key}")
+
+
 @pytest.mark.parametrize(
     "command, settings, key",
     [
-        ("fiducial", ("run.samples = 1",), "run.samples"),
-        ("fiducial", ("run.samples = 0",), "run.samples"),
-        ("fiducial", ("run.max_harmonic = -1",), "run.max_harmonic"),
-        ("fiducial", ("run.max_harmonic = 100000000",), "run.max_harmonic"),
-        ("fiducial", ("run.grid_nodes = 100000000",), "run.grid_nodes"),
-        ("fiducial", ("run.profile_points = 0",), "run.profile_points"),
-        ("fiducial", ("run.profile_points = -5",), "run.profile_points"),
-        ("unity", ("run.p_cutoff_factors = -1",), "run.p_cutoff_factors"),
-        ("unity", ("run.p_cutoff_factors = 1e9",), "run.p_cutoff_factors"),
-        ("unity", ("run.p_cutoff_factors = 3000",), "run.p_cutoff_factors"),
-        ("unity", ("run.p_nodes = 100000",), "run.p_nodes"),
-        ("unity", ("model.hbar = 1e200", "model.r = 1e200"), "model.hbar"),
-        ("selftest", ("run.seed = -1",), "run.seed"),
-        ("selftest", ("run.q_points = 0",), "run.q_points"),
-        ("evolve", ("model.potential.a = 1", "run.dt = 5"), "run.dt"),
-        ("compare", ("model.potential.a = 1", "run.dt = 5"), "run.dt"),
-        ("hamiltonian", ("run.p_grid = -1, 1, 1e12",), "run.p_grid"),
-        ("hamiltonian", ("run.p_grid = -1, 1, 2.5",), "run.p_grid"),
-        ("hamiltonian", ("run.q_points = -3",), "run.q_points"),
-        ("hamiltonian", ("run.q_points = 0",), "run.q_points"),
-        ("compare", ("run.total_time = -1",), "run.total_time"),
-        ("compare", ("run.total_time = 0",), "run.total_time"),
-        ("compare", ("run.total_time = 1e9",), "run.total_time"),
-        ("evolve", ("run.kind = quantum", "model.hbar = 1e200"), "model.hbar"),
-        ("fiducial", ("output.dir =",), "output.dir"),
-        ("unity", ("run.full_2d = true",), "unknown key 'run.full_2d'"),
-        ("evolve", ("run.p0 = 1e200",), "run.p0"),
-        ("hamiltonian", ("run.p_grid = -1e200, 1, 3",), "run.p_grid"),
-        ("compare", ("run.dt = 9e306",), "run.dt"),
-        ("evolve", ("run.kind = classical", "model.potential.a = 0, 9e307"), "model.potential.a"),
-        ("compare", ("model.hbar = 1e-3", "model.r = 1e-3", "run.p0 = 100"), "model.hbar"),
+        _case(2, "fiducial", ("run.max_harmonic = -1",), "run.max_harmonic"),
+        _case(3, "fiducial", ("run.max_harmonic = 100000000",), "run.max_harmonic"),
+        _case(5, "fiducial", ("run.profile_points = 0",), "run.profile_points"),
+        _case(6, "fiducial", ("run.profile_points = -5",), "run.profile_points"),
+        _case(7, "unity", ("run.p_cutoff_factors = -1",), "run.p_cutoff_factors"),
+        _case(8, "unity", ("run.p_cutoff_factors = 1e9",), "run.p_cutoff_factors"),
+        _case(9, "unity", ("run.p_cutoff_factors = 3000",), "run.p_cutoff_factors"),
+        _case(11, "unity", ("model.hbar = 1e200", "model.r = 1e200"), "model.hbar"),
+        _case(13, "selftest", ("run.q_points = 0",), "run.q_points"),
+        _case(14, "evolve", ("model.potential.a = 1", "run.dt = 5"), "run.dt"),
+        _case(15, "compare", ("model.potential.a = 1", "run.dt = 5"), "run.dt"),
+        _case(16, "hamiltonian", ("run.p_grid = -1, 1, 1e12",), "run.p_grid"),
+        _case(17, "hamiltonian", ("run.p_grid = -1, 1, 2.5",), "run.p_grid"),
+        _case(18, "hamiltonian", ("run.q_points = -3",), "run.q_points"),
+        _case(19, "hamiltonian", ("run.q_points = 0",), "run.q_points"),
+        _case(20, "compare", ("run.total_time = -1",), "run.total_time"),
+        _case(21, "compare", ("run.total_time = 0",), "run.total_time"),
+        _case(22, "compare", ("run.total_time = 1e9",), "run.total_time"),
+        _case(23, "evolve", ("run.kind = quantum", "model.hbar = 1e200"), "model.hbar"),
+        _case(24, "fiducial", ("output.dir =",), "output.dir"),
+        _case(25, "unity", ("run.full_2d = true",), "unknown key 'run.full_2d'"),
+        _case(26, "evolve", ("run.p0 = 1e200",), "run.p0"),
+        _case(27, "hamiltonian", ("run.p_grid = -1e200, 1, 3",), "run.p_grid"),
+        _case(28, "compare", ("run.dt = 9e306",), "run.dt"),
+        _case(29, "evolve", ("run.kind = classical", "model.potential.a = 0, 9e307"),
+              "model.potential.a"),
+        _case(30, "compare", ("model.hbar = 1e-3", "model.r = 1e-3", "run.p0 = 100"), "model.hbar"),
     ],
 )
 def test_out_of_range_inputs_exit_one(tmp_path, capsys, command, settings, key):
@@ -558,9 +557,9 @@ def test_out_of_range_inputs_exit_one(tmp_path, capsys, command, settings, key):
     ("selftest", "run.seed"),
 ])
 def test_retired_keys_exit_one(tmp_path, capsys, command, key, via):
-    # each only set the resolution or seed of an internal check, and is now
-    # a constant: verify_unity's node count, moments' 512-node grid, the
-    # envelope check's 10000 angles and selftest's seed 0
+    # each only set the resolution or seed of an internal check: verify_unity's
+    # node count, moments' 512-node grid and the envelope check's 10000 angles
+    # are constants, and selftest draws no random numbers
     outdir = tmp_path / "out"
     setting = f"{key} = 64"
     if via == "--config":
@@ -734,8 +733,11 @@ def test_environment_variable_overrides_outdir(tmp_path, monkeypatch):
 
 def test_selftest_passes(tmp_path, capsys):
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok  ") >= 7 and "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == [
+        f"ok   {name}" for name in ("periodic-quadrature", "fiducial-centering",
+                                  "boundary-membership", "unity-diagonal",
+                                  "alpha-invariance", "free-spectrum")
+    ]
 
 
 def test_plot_scripts_compile(tmp_path):

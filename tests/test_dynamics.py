@@ -10,13 +10,9 @@ from circleq.enhanced import (
     classical_hamiltonian,
     enhanced_hamiltonian,
 )
-from circleq.dynamics import (
-    PhasePoint,
-    action_along,
-    alpha_invariance_check,
-    evolve,
-    winding_number,
-)
+from circleq.dynamics import PhasePoint, alpha_invariance_check, evolve
+
+from oracles import action_along, phase_point, potential_derivative, winding_number
 
 
 def pendulum_model(r=2.0, alpha=0.0, hbar=1.0):
@@ -46,6 +42,24 @@ def test_wrapped_chart_stays_in_range():
     traj = evolve("classical", pendulum_model(), PhasePoint.start(0.0, 1.6), 0.01, 3000)
     assert np.all(traj.q >= -math.pi) and np.all(traj.q < math.pi)
     assert winding_number(traj) >= 3
+
+
+@pytest.mark.parametrize("kind", ["classical", "enhanced"])
+def test_leapfrog_step_against_the_force_oracle(kind):
+    # one kick-drift-kick step written out with V' from the oracle, for a
+    # potential with cosine and sine terms
+    spec = FiducialSpec(r=1.5, alpha=0.3, hbar=0.5)
+    model = EnhancedHamiltonian.build(TrigPotential(a0=0.2, a=(1.0, -0.4), b=(0.3, 0.25)), spec)
+    potential, shift = model.potential, 0.0
+    if kind == "enhanced":
+        potential, shift = model.effective_potential(), spec.hbar * spec.alpha
+    q, p, dt = 0.9, -0.6, 0.01
+    p_half = p - 0.5 * dt * potential_derivative(potential, q)
+    q1 = q + 2.0 * dt * (p_half + shift)
+    p1 = p_half - 0.5 * dt * potential_derivative(potential, q1)
+    traj = evolve(kind, model, PhasePoint.start(q, p), dt, 1)
+    assert traj.q_unwrapped[1] == pytest.approx(q1, abs=1e-15)
+    assert traj.p[1] == pytest.approx(p1, abs=1e-15)
 
 
 def test_step_size_rejection():
@@ -153,7 +167,7 @@ def test_reversibility():
     model = pendulum_model()
     start = PhasePoint.start(math.pi - 0.8, 0.0)
     forward = evolve("classical", model, start, 0.01, 1000)
-    back = evolve("classical", model, forward.point(1000), -0.01, 1000)
+    back = evolve("classical", model, phase_point(forward, 1000), -0.01, 1000)
     assert abs(back.q_unwrapped[-1] - start.q) < 1e-9
     assert abs(back.p[-1] - start.p) < 1e-9
 
@@ -162,7 +176,7 @@ def test_reversibility_enhanced_with_twist():
     model = pendulum_model(alpha=0.3)
     start = PhasePoint.start(0.5, 0.8)
     forward = evolve("enhanced", model, start, 0.01, 1000)
-    back = evolve("enhanced", model, forward.point(1000), -0.01, 1000)
+    back = evolve("enhanced", model, phase_point(forward, 1000), -0.01, 1000)
     assert abs(back.q_unwrapped[-1] - start.q) < 1e-9
     assert abs(back.p[-1] - start.p) < 1e-9
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from circleq.specfun import QuadratureGrid, integrate_periodic
-from circleq.hilbert import TwistedBasis, analyze, PositionWavefunction, check_boundary_phase
+from circleq.hilbert import TwistedBasis, check_boundary_phase
+
+from oracles import PositionWavefunction, analyze
 from circleq.fiducial import (
     FiducialSpec,
     attenuations,
@@ -173,7 +175,7 @@ def test_uniform_state_attenuations_are_exact():
 @pytest.mark.parametrize("ratio", [1.0, 5.0, 20.0])
 def test_gaussian_bound_two_sided(ratio):
     check = gaussian_bound_check(FiducialSpec(r=ratio, hbar=1.0))
-    assert bool(check)
+    assert check.passed
     assert check.failed_at is None
     assert check.upper_margin >= -1e-10 and check.lower_margin >= -1e-10
 

