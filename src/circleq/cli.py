@@ -287,8 +287,10 @@ class RunConfig:
 # CSV emission ---------------------------------------------------------
 
 
-# rows formatted and written at a time; bounds the text held in memory
-CSV_CHUNK_ROWS = 4096
+# values formatted and written at a time: a chunk's vectors (32 KB each)
+# stay in cache; much larger chunks fault their temporaries back in from
+# the OS, much smaller ones pay the fixed cost per call more often
+CSV_CHUNK_VALUES = 4096
 
 # A value's text is a cell of four little-endian words: byte 0 the sign, 2-6
 # the "0.000" of -4 <= k < 0, 7 the leading digit, 8-24 the other 16 and the
@@ -296,13 +298,17 @@ CSV_CHUNK_ROWS = 4096
 _WORD = np.dtype("<u8")
 
 # %.17g of a finite nonzero x is D = round(y), y = |x| 10^(16-k) in [1e16,
-# 1e17), k = floor(log10 |x|).  y is a long-double product with 10^(16-k)
-# whose roundings (the product's, and the power's unless 10^j is exact) move
-# it by at most 1e17 eps / 2 each, eps the long-double epsilon: D is certain
-# when y is further than that per rounding from a half-integer (2^-10 spare
-# covers y's fraction in float64).  A plain-double long double certifies none.
-_MARGIN = 1e17 * float(np.finfo(np.longdouble).eps) / 2 * (1 + 2**-10)
-_POW_LO, _K_LO = -294, -330
+# 1e17), k = floor(log10 |x|).  With 10^(16-k) as the double-double h + l,
+# y = p + e: p = fl(|x| h), and e = (|x| h - p) + fl(|x| l), the bracket
+# exact by Dekker's product.  e misses y - p by at most 1e17 2^-106 (l's
+# rounding) + 2^-51 (l subnormal, |x| < 2^1024) + 2^-50 (fl(|x| l) < 16)
+# + 2^-49 (the sum, |e| < 32) < 4.4e-15: D is certain when e's fraction is
+# further than the margin from 1/2.
+_MARGIN = 1e-14
+# decimal exponents with a table row: 10^(16-k) is finite from k = -292,
+# the rows below that are NaN (their values stay uncertified), and one
+# spare row each side takes a rescale
+_K_LO, _K_HI = -325, 309
 
 
 def _words(texts: list, width: int) -> np.ndarray:
@@ -310,28 +316,59 @@ def _words(texts: list, width: int) -> np.ndarray:
     return np.array(texts, f"S{width}").view(_WORD).reshape(len(texts), -1).T.copy()
 
 
+def _pairs(values) -> np.ndarray:
+    """128-bit integers as 16-byte items, so one 1-D gather fetches two words."""
+    return np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), np.complex128)
+
+
+def _split(h: float) -> tuple:
+    """Dekker's split h = h1 + h2, 26 significant bits each, in integers (no overflow)."""
+    m, e = math.frexp(h)
+    mantissa = int(m * 2**53)
+    top = (mantissa + 2**26) >> 27 << 27
+    return math.ldexp(top, e - 53), math.ldexp(mantissa - top, e - 53)
+
+
 @functools.cache
 def _tables() -> tuple:
     """The formatter's tables, built on first use (``--version`` needs none)."""
-    # 10^j for every scale j = 16 - k a double needs (k in [-325, 310]), and
-    # the roundings of y at j: 1 where 10^j = 2^j 5^j is exact, else 2
-    scales = range(_POW_LO, 343)
-    exact = (np.finfo(np.longdouble).nmant + 1) / math.log2(5)  # 5^j < 2^bits
-    pow10 = np.array([f"1e{j}" for j in scales], dtype=np.longdouble)
-    roundings = np.array([1 if 0 <= j < exact else 2 for j in scales])
-    # per group 100 h + l in 0..9999: the digits of h and l as a word, and their trailing zeros
-    pairs = np.array([b"%02d" % i for i in range(100)], "S2").view("<u2").astype(_WORD)
-    zeros = np.array([2] + [i % 10 == 0 for i in range(1, 100)], np.int8)
-    four = (pairs[:, None] | pairs << 16).ravel()
-    trailing = (zeros + (zeros == 2) * zeros[:, None]).ravel()
-    # for c = 0..16: the low c bytes of the 16-digit string, and a point after them
-    keep = _words([b"\xff" * c for c in range(17)], 16)
-    point = _words([b"\0" * c + b"." for c in range(16)] + [b""], 16)
-    # per k in [-330, 330]: word 0's "0.000" and word 3's "e-05" (%g: fixed at -4 <= k < 17)
-    ks = range(_K_LO, 331)
+    # per k: 10^(16-k) = h1 + h2 + l, h = h1 + h2 and l correctly rounded
+    ks = range(_K_LO, _K_HI + 1)
+    scale = np.full((3, len(ks)), math.nan)
+    for i, k in enumerate(ks):
+        if k >= -292:
+            a, b = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+            h = a / b  # int / int rounds correctly
+            n, d = h.as_integer_ratio()
+            scale[:, i] = *_split(h), (a * d - n * b) / (b * d)
+    # per 17 r + c (c of the 16 digits after the lead kept, the point after r
+    # of them, r = 17 for none at -4 <= k < 0): the s digits before the
+    # point, those after it (moved up a byte) and the point
+    keep = [2 ** (8 * c) - 1 for c in range(17)]
+    before = [(c if r == 17 else r, c) for r in range(18) for c in range(17)]
+    head, tail, point = (_pairs(column) for column in zip(*[
+        (keep[s], keep[c] & ~keep[s], (c > s) * ord(".") << 8 * s) for s, c in before]))
+    layout = np.array([0 if k < -4 or k >= 17 else 17 * 17 if k < 0 else 17 * k for k in ks])
+    # per k: word 0's "0.000" and word 3's "e-05" (%g: fixed at -4 <= k < 17)
     prefix = _words([b"\0\0" + b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"" for k in ks], 8)
     suffix = _words([b"" if -4 <= k < 17 else b"\0e%+03d" % k for k in ks], 8)
-    return pow10, roundings, four, trailing, *keep, *point, prefix[0], suffix[0]
+    return *scale, head, tail, point, layout, prefix[0], suffix[0]
+
+
+def _scaled(ax: np.ndarray, i: np.ndarray) -> tuple:
+    """floor(y) and its fraction for y = ax 10^(16-k), k = i + _K_LO."""
+    h1, h2, low = (table[i] for table in _tables()[:3])
+    a1 = (ax.view(_WORD) & -2**27 % 2**64).view(np.float64)  # 26 bits, a2 the other 27
+    a2 = ax - a1
+    p = ax * (h1 + h2)
+    # each partial product fits 53 bits, and each sum in this order is exact
+    e = a1 * h1 - p
+    e += a2 * h1
+    e += a1 * h2
+    e += a2 * h2
+    e += ax * low
+    whole = np.floor(e)
+    return p.astype(np.int64) + whole.astype(np.int64), e - whole
 
 
 def _text_cells(template: str, values: np.ndarray) -> np.ndarray:
@@ -342,69 +379,70 @@ def _text_cells(template: str, values: np.ndarray) -> np.ndarray:
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """Cells holding ``"%.17g" % v`` for a float64 vector: the digits of
     every value certified by ``_MARGIN`` from array arithmetic, the rest
-    (zeros, non-finite values, near-ties) per value."""
-    (pow10, roundings, four, trailing_zeros, keep_lo, keep_hi, point_lo, point_hi,
-     prefix, suffix) = _tables()
+    (zeros, non-finite values, magnitudes below 1e-292 and exact ties at
+    the 17th digit) per value."""
+    *_, head, tail, point, layout, prefix, suffix = _tables()
     with np.errstate(all="ignore"):
         ax = np.abs(x)
-        certified = np.isfinite(ax) & (ax > 0)
+        certified = (ax > 0) & (ax < math.inf)
         ax[~certified] = 1.0
-        k = np.floor(np.log10(ax)).astype(np.intp)
-        ax = ax.astype(np.longdouble)
-        y = ax * pow10[16 - _POW_LO - k]
-        d = y.astype(np.int64)
+        i = np.floor(np.log10(ax)).astype(np.intp) - _K_LO
+        d, f = _scaled(ax, i)
         # log10 can miss k by one next to a power of ten: rescale once
         fix = np.flatnonzero((d < 10**16) | (d >= 10**17))
-        k[fix] += np.where(d[fix] >= 10**17, 1, -1)
-        y[fix] = ax[fix] * pow10[16 - _POW_LO - k[fix]]
-        d[fix] = y[fix].astype(np.int64)
-        certified[fix] &= (d[fix] >= 10**16) & (d[fix] < 10**17)
-        fraction = (y - d.astype(np.longdouble)).astype(np.float64)
-        certified &= np.abs(fraction - 0.5) > _MARGIN * roundings[16 - _POW_LO - k]
-        d += fraction > 0.5
+        if fix.size:
+            i[fix] += np.where(d[fix] < 10**16, -1, 1)
+            d[fix], f[fix] = _scaled(ax[fix], i[fix])
+            certified[fix] &= (d[fix] >= 10**16) & (d[fix] < 10**17)
+        certified &= np.abs(f - 0.5) > _MARGIN
+        d += f > 0.5
         carry = d == 10**17
         d[carry] = 10**16
-        k += carry
-        # the leading digit and four groups of four digits
-        q = [d // 10**e for e in (16, 12, 8, 4)] + [d]
-        lead, groups = q[0], [b - 10**4 * a for a, b in zip(q, q[1:])]
-        trailing = 0
-        for g in groups:
-            trailing = trailing_zeros[g] + (g == 0) * trailing
-        kept = 16 - trailing
-        lo = four[groups[0]] | four[groups[1]] << 32
-        hi = four[groups[2]] | four[groups[3]] << 32
-        # fixed notation at k >= 0 puts the point after k more digits, which
-        # stay even when zero; exponent notation puts it after the lead
-        exponent = (k < -4) | (k >= 17)
-        at = np.where(exponent | (k < 0), 0, k)
-        point = (kept > at) & ((k >= 0) | exponent)
-        head_lo, head_hi = keep_lo[at], keep_hi[at]
-        tail_lo = lo & keep_lo[kept] & ~head_lo
-        tail_hi = hi & keep_hi[kept] & ~head_hi
+        i += carry
+        # the lead, and the other 16 digits as two words of 8 split lane by
+        # lane: 4 digits per 32 bits, 2 per 16, 1 per byte, first digit lowest
+        top = d // 10**8
+        lead = top // 10**8
+        w = np.stack([top - lead * 10**8, d - top * 10**8], axis=1).view(_WORD)
+        q = w * 109951163 >> 40
+        w = q | (w - q * 10**4) << 32
+        q = w * 10486 >> 20 & 0x7F_0000_007F
+        w = q | (w - q * 100) << 16
+        q = w * 103 >> 10 & 0x000F_000F_000F_000F
+        w = q | (w - q * 10) << 8
+        # digits kept: up to the highest nonzero byte, found from a float's exponent
+        second = w[:, 1] != 0
+        bits = np.where(second, w[:, 1], w[:, 0]).astype(np.float64).view(np.int64) >> 52
+        j = layout[i] + (np.maximum(bits - 1015, 0) >> 3) + 8 * second
+        w |= 0x3030303030303030
+        after = w & tail[j].view(_WORD).reshape(-1, 2)
+        w &= head[j].view(_WORD).reshape(-1, 2)
+        w |= after << 8
+        w |= point[j].view(_WORD).reshape(-1, 2)
+        w[:, 1] |= after[:, 0] >> 56
+        # words 1 and 2 of each cell, as one 16-byte item
         cells = np.empty((x.size, 4), _WORD)
-        sign = (x < 0) * np.uint64(ord("-"))
-        cells[:, 0] = prefix[k - _K_LO] | sign | (lead + ord("0")).astype(_WORD) << 56
-        cells[:, 1] = (lo & head_lo) | tail_lo << 8 | point_lo[at] * point
-        cells[:, 2] = (hi & head_hi) | tail_hi << 8 | tail_lo >> 56 | point_hi[at] * point
-        cells[:, 3] = tail_hi >> 56 | suffix[k - _K_LO]
+        cells.view(np.uint8)[:, 8:24].view(np.complex128)[:, 0] = w.view(np.complex128)[:, 0]
+        sign = (x.view(_WORD) >> 63) * ord("-")
+        np.bitwise_or(prefix[i] | sign, (lead.view(_WORD) + ord("0")) << 56, out=cells[:, 0])
+        np.bitwise_or(after[:, 1] >> 56, suffix[i], out=cells[:, 3])
     fallback = np.flatnonzero(~certified)
     cells[fallback] = _text_cells("%.17g", x[fallback])
     return cells
 
 
-def _chunk_text(columns: list) -> str:
+def _chunk_text(columns: list) -> bytes:
     """Rows of columns as CSV text: every value a ``_float_cells`` cell in
     one call, then integer and bool columns as ``%d`` per value."""
     ints = [i for i, c in enumerate(columns) if c.dtype.kind in "biu"]
-    values = np.stack(columns, axis=1).astype(np.float64)
+    values = np.stack(columns, axis=1, dtype=np.float64)
     values[:, ints] = 1.0  # replaced below; spares them the per-value route
     cells = _float_cells(values.ravel()).reshape(*values.shape, 4)
     for i in ints:
         cells[:, i] = _text_cells("%d", columns[i])
     text = cells.view(np.uint8).reshape(*values.shape, 32)
     text[:, :, -1] = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
-    return text[text != 0].tobytes().decode("ascii")
+    return text.tobytes().translate(None, b"\0")
 
 
 def _open(path: Path):
@@ -412,7 +450,7 @@ def _open(path: Path):
     # every key, and _emit every column, before writing, so a rejected run
     # leaves none
     path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w")
+    return open(path, "wb")
 
 
 def write_csv(path: Path, name: str, table: dict) -> Path:
@@ -420,12 +458,13 @@ def write_csv(path: Path, name: str, table: dict) -> Path:
     column names; integer and bool columns as ``%d``, the rest as
     ``%.17g``, byte for byte."""
     columns = [np.atleast_1d(values) for values in table.values()]
+    rows = max(1, CSV_CHUNK_VALUES // len(columns))
     with _open(path) as handle:
-        handle.write(f"# schema: circleq/{name} {SCHEMA_VERSION}\n")
-        handle.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
-        handle.write(",".join(table) + "\n")
-        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            handle.write(_chunk_text([c[start:start + CSV_CHUNK_ROWS] for c in columns]))
+        handle.write(f"# schema: circleq/{name} {SCHEMA_VERSION}\n"
+                     f"# generated: {datetime.now(timezone.utc).isoformat()}\n"
+                     f"{','.join(table)}\n".encode())
+        for start in range(0, len(columns[0]), rows):
+            handle.write(_chunk_text([c[start:start + rows] for c in columns]))
     return path
 
 
@@ -444,7 +483,7 @@ def load(name):
 
 def write_plot_script(path: Path, body: str):
     with _open(path) as handle:
-        handle.write(_PLOT_PRELUDE + body)
+        handle.write((_PLOT_PRELUDE + body).encode())
     return path
 
 
@@ -726,6 +765,9 @@ _COMMANDS = {
 }
 
 
+# one parser per process: argparse copies the ``--set`` default list before
+# appending to it, so no call sees another's overrides
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circleq",

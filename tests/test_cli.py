@@ -254,11 +254,11 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e30
                -1.7976931348623157e308, 0.1, 1 / 3]
 
 
-@pytest.mark.parametrize("rows", [1, len(EDGE_FLOATS), 2 * cli.CSV_CHUNK_ROWS + 3])
+@pytest.mark.parametrize("rows", [1, len(EDGE_FLOATS), 2 * cli.CSV_CHUNK_VALUES + 3])
 def test_write_csv_matches_the_per_value_formatter(tmp_path, rows):
     # the chunked %-template writer against one format() call per value,
-    # on float edge cases, negative numpy and Python ints, one-row tables
-    # and tables that cross chunk boundaries
+    # on float edge cases, negative numpy and Python ints, bools, one-row
+    # tables and tables that cross chunk boundaries (11 chunks at 8195 rows)
     rng = np.random.default_rng(rows)
     floats = np.resize(np.array(EDGE_FLOATS), rows) * rng.choice([1.0, -1.0, 1e-300], rows)
     table = {
@@ -266,12 +266,13 @@ def test_write_csv_matches_the_per_value_formatter(tmp_path, rows):
         "n": -np.arange(rows, dtype=np.int64) - 2**40,
         "k": [int(v) for v in rng.integers(-(2**62), 2**62, rows)],
         "y": rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows),
+        "ok": rng.random(rows) < 0.5,
     }
     path = cli.write_csv(tmp_path / "t.csv", "oracle", table)
     assert path == tmp_path / "t.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == f"# schema: circleq/oracle {cli.SCHEMA_VERSION}"
-    assert lines[1].startswith("# generated: ") and lines[2] == "x,n,k,y"
+    assert lines[1].startswith("# generated: ") and lines[2] == "x,n,k,y,ok"
     expected = [",".join(per_value(column[i]) for column in table.values()) for i in range(rows)]
     assert lines[3:] == expected
 
@@ -333,8 +334,8 @@ def test_float_text_matches_per_value_on_edge_cases(name):
 
 
 def test_uncertified_route_gives_the_same_bytes(tmp_path, monkeypatch):
-    # a margin of 1/2 certifies nothing, as where long double is plain
-    # double: every float then takes the per-value route, to the same bytes
+    # a margin of 1/2 certifies nothing: every float then takes the
+    # per-value route, to the same bytes
     rng = np.random.default_rng(5)
     x = np.concatenate([sum(FORMAT_EDGES.values(), []), rng.normal(size=3000)])
     table = {"x": x, "y": rng.normal(size=x.size) * 1e-7}
@@ -352,6 +353,28 @@ def test_uncertified_route_gives_the_same_bytes(tmp_path, monkeypatch):
     slow = stable_lines(cli.write_csv(tmp_path / "slow.csv", "t", table))
     assert sum(per_value_route) == 2 * x.size
     assert fast == slow
+
+
+def test_realistic_values_take_the_per_value_route_only_at_zero(monkeypatch):
+    # time axes, and normal draws scaled from 1e-12 to 1e3 as trajectories,
+    # energies and deviations are: % formats their zero alone, and again
+    # every value once a margin of 1/2 certifies none
+    rng = np.random.default_rng(20121022)
+    x = np.concatenate([0.002 * np.arange(50_000),
+                        rng.normal(size=50_000) * 10.0 ** rng.integers(-12, 4, 50_000)])
+    per_value_route, text_cells = [], cli._text_cells
+
+    def spy(template, values):
+        per_value_route.extend(values.tolist())
+        return text_cells(template, values)
+
+    monkeypatch.setattr(cli, "_text_cells", spy)
+    assert written_floats(x) == ["%.17g" % v for v in x.tolist()]
+    assert per_value_route == [0.0]
+    per_value_route.clear()
+    monkeypatch.setattr(cli, "_MARGIN", 0.5)
+    assert written_floats(x) == ["%.17g" % v for v in x.tolist()]
+    assert len(per_value_route) == x.size
 
 
 def test_write_csv_writes_non_finite_values_as_percent_does():
@@ -603,6 +626,19 @@ def test_tiny_action_units_run(tmp_path, command):
     # r/hbar = p0/hbar = 1 in units where the product hbar r underflows
     code, _ = run(tmp_path, command, "model.hbar = 1e-200", "model.r = 1e-200", "run.p0 = 1e-200")
     assert code == 0
+
+
+def test_main_builds_one_parser_and_keeps_calls_apart(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code_a, out_a = run(tmp_path / "a", "fiducial", "run.profile_points = 3")
+    code_b, out_b = run(tmp_path / "b", "fiducial")
+    assert code_a == code_b == 0
+    assert read_table(out_a / "fiducial_profile.csv").size == 3
+    assert read_table(out_b / "fiducial_profile.csv").size == 720
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == f"circleq {cli.__version__}"
 
 
 def test_benchmark_jobs_load(monkeypatch, tmp_path):
