@@ -334,13 +334,18 @@ def _tables() -> tuple:
     """The formatter's tables, built on first use (``--version`` needs none)."""
     # per k: 10^(16-k) = h1 + h2 + l, h = h1 + h2 and l correctly rounded
     ks = range(_K_LO, _K_HI + 1)
-    scale = np.full((3, len(ks)), math.nan)
-    for i, k in enumerate(ks):
-        if k >= -292:
-            a, b = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
-            h = a / b  # int / int rounds correctly
-            n, d = h.as_integer_ratio()
-            scale[:, i] = *_split(h), (a * d - n * b) / (b * d)
+    scale = [(math.nan,) * 3] * (-292 - _K_LO)
+    for k in range(-292, _K_HI + 1):
+        a, b = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        h = a / b  # int / int rounds correctly
+        n, d = h.as_integer_ratio()
+        # d is a power of two: divide by b alone and scale exactly, unless
+        # the result is subnormal, where the scaling would round again
+        low = math.ldexp((a * d - n * b) / b, 1 - d.bit_length())
+        if abs(low) < sys.float_info.min:
+            low = (a * d - n * b) / (b * d)
+        scale.append((*_split(h), low))
+    scale = np.array(scale).T.copy()
     # per 17 r + c (c of the 16 digits after the lead kept, the point after r
     # of them, r = 17 for none at -4 <= k < 0): the s digits before the
     # point, those after it (moved up a byte) and the point
@@ -564,7 +569,7 @@ fig.savefig("fiducial_profile.png", dpi=150)
 def cmd_unity(cfg: RunConfig):
     spec, basis = cfg.spec, cfg.basis
     interior = np.abs(basis.n_values()) <= max(spec.localization, 1.0)
-    reports = [verify_unity(spec, basis, cutoff) for cutoff in cfg.p_cutoffs]
+    reports = verify_unity(spec, basis, cfg.p_cutoffs)
     return [("unity_defects.csv", "unity-defects", {
         "p_cutoff": [report.p_cutoff for report in reports],
         "p_nodes": [report.p_nodes for report in reports],
@@ -717,7 +722,7 @@ def _selftest_checks():
 
     def check_unity_diag():
         basis = TwistedBasis(0.25, 1.0, 8)
-        report = verify_unity(FiducialSpec(r=1.0, alpha=0.25), basis, p_cutoff=40.0)
+        [report] = verify_unity(FiducialSpec(r=1.0, alpha=0.25), basis, [40.0])
         interior = np.abs(basis.n_values()) <= 1
         return float(np.max(np.abs(report.diag_entries[interior] - 1.0))) < 1e-3
 

@@ -16,8 +16,11 @@ term by term against the fiducial coefficients c_n (a direct quadrature
 of the same integral is kept in the tests as an independent oracle).
 The kernel depends on n - k only, so it is Toeplitz: every row of boosted
 coefficients is a correlation of c with one run of kernel values over the
-lags n - k, and a whole table of momenta is a single product of those
-runs with the Hankel matrix of c.  With p/hbar = m + r, m = rint(p/hbar),
+lags n - k, and a whole table of momenta is a product of those runs with
+the Hankel matrix of c.  Each column of that matrix holds only the D
+coefficients, so the product goes by blocks of b slots, each against the
+D + b - 1 lags it meets, and no (P, S) table is ever held.  With
+p/hbar = m + r, m = rint(p/hbar),
 sinc(n - k + p/hbar) = (-1)^(n + k + m) sin(pi r) / (pi (n - k + p/hbar)):
 one sine per momentum, with the signs folded into c and into the slots.
 
@@ -29,6 +32,9 @@ whose sum vanishes.  A lattice of half-width N has lags |d| <= 2N, so
 any rule with Q > 2N, the exact angle integral among them, leaves only
 the diagonal and a single momentum sweep; the tests keep the literal
 double sum over momentum and angle nodes as the oracle of that identity.
+c_n is even, so f_k(-p) = f_{-k}(p): the sweep boosts only the momenta
+p >= 0 of each Gauss-Legendre rule and mirrors the diagonal, and one sweep
+serves every cutoff of a command, in memory O(P (D + b)).
 
 For p/hbar not an integer the boosted function leaves the twisted domain
 (the boundary phase defect is nonzero) and its lattice tail decays only
@@ -52,6 +58,11 @@ from .specfun import gauss_legendre
 
 # out-of-basis spectral weight above this triggers a truncation diagnostic
 EDGE_WEIGHT_LIMIT = 1e-8
+# slots per column block of the boost: a block meets D + 511 lags
+_BLOCK = 512
+# cutoffs per unity sweep, the default ladder's four: memory stays bounded
+# however many cutoffs a command lists
+_SWEEP_CUTOFFS = 4
 
 
 @dataclass(frozen=True)
@@ -65,20 +76,23 @@ class CoherentLabel:
         object.__setattr__(self, "q", float(wrap_angle(self.q)))
 
 
-def _boost_table(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis) -> np.ndarray:
+def _boost_blocks(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis):
     """Boosted fiducial coefficients f[i, k] = sum_n c_n sinc(n - k + shifts[i])
-    on the slots k of ``basis``, one row per shift p/hbar.
+    on the slots k of ``basis``, one row per shift p/hbar, yielded as column
+    blocks f[:, k0:k0 + b] in slot order.
 
-    Over the lags n - k in [n_min - k_max, n_max - k_min] a row s = m + r
-    needs one run of D + S - 1 values 1 / (n - k + s), or the unit run at
-    n - k = -m if r = 0; the sum over n is the correlation of that run with
-    (-1)^n c, for all rows at once against the (D + S - 1, S) Hankel view
-    H[l, k] = c[l + k - (S - 1)] of the zero-padded coefficients, scaled by
-    (-1)^(k + m) sin(pi r) / pi with r = s - m exact, so |pi r| <= pi / 2.
-    The support keeps only the central run of coefficients |c_n| >= the
-    smallest normal double: the ones past it are zero or subnormal, add
-    nothing a double can hold to any entry, and make the product crawl.
-    Memory is O(P (D + S)).
+    A row s = m + r needs the run of values 1 / (n - k + s) over the lags
+    n - k, or the unit run at n - k = -m if r = 0; the sum over n is the
+    correlation of that run with (-1)^n c, scaled by (-1)^(k + m) sin(pi r) / pi
+    with r = s - m exact, so |pi r| <= pi / 2.  A block of b slots meets only
+    D + b - 1 lags, against the (D + b - 1, b) Hankel matrix
+    H[l, j] = c[l + j - (b - 1)] of the zero-padded coefficients, the same for
+    every block.  Many rows copy it once into a layout BLAS takes; a single
+    row reads the strided view with no copy, summing in lag order, the same
+    sum bit for bit as over all D + S - 1 lags at once.  The support keeps
+    only the central run of coefficients |c_n| >= the smallest normal
+    double: the ones past it are zero or subnormal, add nothing a double can
+    hold to any entry, and make the product crawl.  Memory is O(P (D + b)).
     """
     support = default_basis(spec)
     c = momentum_coefficients(spec, support).coeffs.real
@@ -86,15 +100,23 @@ def _boost_table(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis) ->
     normal = np.flatnonzero(c >= np.finfo(float).tiny)
     run = slice(normal[0], normal[-1] + 1)
     c, n_src, slots = c[run], support.n_values()[run], basis.n_values()
-    lags = np.arange(n_src[0] - slots[-1], n_src[-1] - slots[0] + 1)
-    hankel = sliding_window_view(np.pad(c * (-1.0) ** n_src, slots.size - 1), slots.size)
+    b = min(_BLOCK, slots.size)
+    hankel = sliding_window_view(np.pad(c * (-1.0) ** n_src, b - 1), b)
+    if shifts.size > 1:
+        hankel = hankel.copy()
     whole = np.rint(shifts)
     at_whole = shifts == whole
-    kernel = np.add.outer(shifts, lags)
-    np.divide(1.0, kernel, out=kernel, where=kernel != 0.0)  # zero only where r = 0
-    kernel[at_whole] = lags == -whole[at_whole, None]
     rows = (-1.0) ** whole * np.where(at_whole, 1.0, np.sin(math.pi * (shifts - whole)) / math.pi)
-    return (kernel @ hankel) * rows[:, None] * (-1.0) ** slots
+    for k0 in range(0, slots.size, b):
+        block = slots[k0: k0 + b]
+        lags = np.arange(n_src[0] - block[-1], n_src[-1] - block[0] + 1)
+        kernel = np.add.outer(shifts, lags)
+        np.divide(1.0, kernel, out=kernel, where=kernel != 0.0)  # zero only where r = 0
+        kernel[at_whole] = lags == -whole[at_whole, None]
+        f = kernel @ hankel[: lags.size, b - block.size:]  # a short last block: H's right end
+        f *= rows[:, None]
+        f *= (-1.0) ** block
+        yield f
 
 
 def coherent_state(
@@ -109,7 +131,8 @@ def coherent_state(
     """
     if basis.alpha != spec.alpha or basis.hbar != spec.hbar:
         raise ValueError("basis and fiducial spec disagree on alpha or hbar")
-    f = _boost_table(spec, np.array([label.p / spec.hbar]), basis)[0]
+    blocks = _boost_blocks(spec, np.array([label.p / spec.hbar]), basis)
+    f = np.concatenate([block[0] for block in blocks])
     deficit = 1.0 - float(f @ f)
     if deficit > EDGE_WEIGHT_LIMIT:
         raise ResolutionError(
@@ -142,31 +165,44 @@ def legendre_node_count(p_cutoff: float, hbar: float) -> int:
     return max(64, int(math.ceil(3.5 * p_cutoff / hbar)) + 32)
 
 
-def verify_unity(spec: FiducialSpec, basis: TwistedBasis, p_cutoff: float) -> UnityReport:
+def verify_unity(spec: FiducialSpec, basis: TwistedBasis, p_cutoffs) -> list[UnityReport]:
     """Measure how far the truncated coherent-state integral sits from
-    the identity on the lattice.
+    the identity on the lattice, one report per cutoff in ``p_cutoffs``.
 
     The angle integral contributes A[m - n] = 2 pi delta_mn exactly (see
     the module docstring), so the off-diagonal entries vanish identically
     and the diagonal is one Gauss-Legendre sweep over the momentum window,
-    diag[k] = sum_i (w_i / hbar) f_k(p_i)^2, with f the boosted table.
-    The entries increase monotonically toward 1 with the cutoff.  Memory
-    is O(P (D + S)) for P momentum nodes, a lattice of S slots and a
-    fiducial support of D slots.
+    diag[k] = sum_i (w_i / hbar) f_k(p_i)^2, with f the boosted coefficients.
+    c_n is even and the slots run over -N..N, so f_k(-p) = f_{-k}(p): only
+    the nodes x >= 0 are boosted, an odd rule's node x = 0 at half weight,
+    and diag = d + d reversed.  The half-rules of up to ``_SWEEP_CUTOFFS``
+    cutoffs (all four at the defaults) share one sweep, and the boost goes
+    by column blocks: memory is O(P (D + b)) for P nodes in a sweep, a
+    fiducial support of D slots and blocks of b = min(_BLOCK, S) of the S
+    lattice slots.  The entries increase monotonically toward 1 with the
+    cutoff.
 
     The sweep touches no shared mutable state, so independent calls may
     run concurrently.
     """
-    if p_cutoff <= 0.0:
-        raise ValueError("p_cutoff must be > 0")
-
-    p_count = legendre_node_count(p_cutoff, spec.hbar)
-    x, w = gauss_legendre(p_count)
-    f = _boost_table(spec, p_cutoff * x / spec.hbar, basis)  # f[i, k] = f_k(p_i)
-    diag = (p_cutoff * w / spec.hbar) @ (f * f)
-    return UnityReport(
-        p_cutoff=float(p_cutoff),
-        p_nodes=p_count,
-        diag_defect=float(np.max(np.abs(diag - 1.0))),
-        diag_entries=diag,
-    )
+    p_cutoffs = [float(cutoff) for cutoff in p_cutoffs]
+    if not p_cutoffs or min(p_cutoffs) <= 0.0:
+        raise ValueError(f"p_cutoffs must be nonempty and > 0, got {p_cutoffs}")
+    reports = []
+    for lo in range(0, len(p_cutoffs), _SWEEP_CUTOFFS):
+        cutoffs = p_cutoffs[lo: lo + _SWEEP_CUTOFFS]
+        counts = [legendre_node_count(cutoff, spec.hbar) for cutoff in cutoffs]
+        shifts, weights = [], []
+        for cutoff, n, (x, w) in zip(cutoffs, counts, gauss_legendre(counts)):
+            shifts.append(cutoff * x[n // 2:] / spec.hbar)
+            weights.append(cutoff * w[n // 2:] / spec.hbar)
+            weights[-1][0] *= 0.5 ** (n % 2)  # x = 0 of an odd rule serves both halves
+        owner = np.repeat(np.arange(len(cutoffs)), [w.size for w in weights])
+        weights = np.where(owner == np.arange(len(cutoffs))[:, None], np.concatenate(weights), 0.0)
+        blocks = _boost_blocks(spec, np.concatenate(shifts), basis)
+        d = np.concatenate([weights @ (f * f) for f in blocks], axis=1)
+        reports += [
+            UnityReport(cutoff, n, float(np.max(np.abs(diag - 1.0))), diag)
+            for cutoff, n, diag in zip(cutoffs, counts, d + d[:, ::-1])
+        ]
+    return reports

@@ -3,7 +3,8 @@
 Everything else in the package sits on three primitives: the overflow-safe
 sequence e^{-z} I_n(z), n = 0..m, the uniform trapezoidal rule on
 [-pi, pi), spectrally accurate for smooth periodic integrands, and the
-Gauss-Legendre rule on [-1, 1] for the momentum integrals.
+Gauss-Legendre rules on [-1, 1] for the momentum integrals, as many node
+counts as a caller needs from one Legendre recurrence.
 """
 
 from __future__ import annotations
@@ -102,36 +103,67 @@ def integrate_periodic(values: np.ndarray, grid: QuadratureGrid):
     return grid.weight * values.sum()
 
 
-def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_{n-1}(x) by the three-term recurrence."""
-    prev, last = np.ones_like(x), x
-    for j in range(2, n + 1):
-        prev, last = last, ((2 * j - 1) * (x * last) - (j - 1) * prev) / j
-    return last, prev
+def _legendre_pairs(xs: list, ns: list) -> list:
+    """[(P_n(x), P_{n-1}(x))] for each x in ``xs`` with its n in ``ns``, n
+    descending: one three-term recurrence up to ns[0] over the nodes whose n
+    is still ahead, in place with float coefficients."""
+    x = np.concatenate(xs)
+    prev, last, work = np.ones_like(x), x.copy(), np.empty_like(x)
+    ends = np.cumsum([part.size for part in xs])
+    pairs, start = [], 2
+    for n, lo, hi in reversed(list(zip(ns, [0, *ends[:-1]], ends))):  # ascending n
+        nodes, prev, last, work = x[:hi], prev[:hi], last[:hi], work[:hi]
+        for j in map(float, range(start, n + 1)):
+            np.multiply(nodes, last, out=work)
+            work *= 2.0 * j - 1.0
+            prev *= j - 1.0
+            np.subtract(work, prev, out=prev)
+            prev /= j
+            prev, last = last, prev
+        start = n + 1
+        pairs.append((last[lo:], prev[lo:]))  # no later stage reaches past lo
+    return pairs[::-1]
 
 
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+def gauss_legendre(counts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], one (x, w) per n in ``counts``.
 
-    Newton's method on the recurrence from Tricomi's guess, for all x >= 0 at
-    once, costs O(n^2).  It stops when Newton's error dx^2 x / (1 - x^2) is
-    below eps x / 4, else raises ConvergenceError; one more pass gives the
-    weights 2 / ((1 - x^2) P_n'(x)^2).  P_n(0) = 0 exactly for odd n: x = 0 stays.
+    Newton's method on the recurrence from Tricomi's guess, for all x >= 0 of
+    every rule at once, costs O(max(n) sum(n)).  A rule stops when Newton's
+    error dx^2 x / (1 - x^2) is below eps x / 4 at all its nodes, else raises
+    ConvergenceError; one more pass gives the weights
+    2 / ((1 - x^2) P_n'(x)^2).  Each rule is bit for bit the rule of its n
+    alone, and a repeated n shares its arrays.  P_n(0) = 0 exactly for odd
+    n: x = 0 stays.
     """
-    if n < 1:
-        raise ValueError(f"Gauss-Legendre rule needs n >= 1, got {n}")
-    theta = math.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
-    x = (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)) * np.cos(theta)
-    x[n // 2:] = 0.0  # the middle node of odd n
+    ns = sorted(set(counts), reverse=True)
+    if not ns or ns[-1] < 1:
+        raise ValueError(f"Gauss-Legendre rules need counts n >= 1, got {list(counts)}")
+    nodes = {}
+    for n in ns:
+        theta = math.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+        x = (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)) * np.cos(theta)
+        x[n // 2:] = 0.0  # the middle node of odd n
+        nodes[n] = x
+    active = ns
     for _ in range(_NEWTON_STEPS):
-        p, q = _legendre_pair(n, x)
-        # P_n / P_n' with P_n' = n (x P_n - P_{n-1}) / (x^2 - 1), and 1 - x^2 = (1 - x)(1 + x)
-        dx = (x - 1.0) * (x + 1.0) * p / (n * (x * p - q))
-        x -= dx
-        if np.all(dx * dx <= 0.25 * np.finfo(float).eps * (1.0 - x) * (1.0 + x)):
+        unconverged = []
+        for n, (p, q) in zip(active, _legendre_pairs([nodes[n] for n in active], active)):
+            x = nodes[n]
+            # P_n / P_n' with P_n' = n (x P_n - P_{n-1}) / (x^2 - 1), and 1 - x^2 = (1 - x)(1 + x)
+            dx = (x - 1.0) * (x + 1.0) * p / (n * (x * p - q))
+            x -= dx
+            if not np.all(dx * dx <= 0.25 * np.finfo(float).eps * (1.0 - x) * (1.0 + x)):
+                unconverged.append(n)
+        active = unconverged
+        if not active:
             break
     else:
-        raise ConvergenceError(f"{n} Gauss-Legendre nodes unconverged after {_NEWTON_STEPS} steps")
-    p, q = _legendre_pair(n, x)
-    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (x * p - q)) ** 2
-    return np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
+        raise ConvergenceError(f"{active} Gauss-Legendre nodes unconverged after {_NEWTON_STEPS} steps")
+    rules = {}
+    for n, (p, q) in zip(ns, _legendre_pairs([nodes[n] for n in ns], ns)):
+        x = nodes[n]
+        w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (x * p - q)) ** 2
+        rules[n] = np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
+    return [rules[n] for n in counts]

@@ -3,7 +3,9 @@
 None of these has a caller in ``src/``: position-space synthesis and
 analysis, the action along a trajectory with its surface term, the force
 V'(q) of a trigonometric potential and the boundary-condition defect of a
-function of the angle.  Each is a literal transcription of its formula.
+function of the angle, the exact rounding residuals of the CSV
+formatter's powers of ten, the Gauss-Legendre rule of one count by
+its own recurrence, and the boost of one momentum over the whole lattice.  Each is a literal transcription of its formula.
 """
 
 import math
@@ -12,8 +14,10 @@ import numpy as np
 
 from circleq.dynamics import PhasePoint, Trajectory
 from circleq.enhanced import EnhancedHamiltonian, TrigPotential
+from circleq.fiducial import FiducialSpec, default_basis, momentum_coefficients
 from circleq.hilbert import MomentumState, ResolutionError, TwistedBasis
 from circleq.specfun import QuadratureGrid
+from numpy.lib.stride_tricks import sliding_window_view
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -102,3 +106,60 @@ def action_along(
         hbar, alpha = model.spec.hbar, model.spec.alpha
         action += hbar * alpha * (trajectory.q_unwrapped[-1] - trajectory.q_unwrapped[0])
     return action
+
+
+def power_of_ten_residuals(k_lo: int, k_hi: int) -> np.ndarray:
+    """l = 10^(16-k) - fl(10^(16-k)) correctly rounded, for k = k_lo..k_hi,
+    NaN below k = -292 where 10^(16-k) overflows: one exact rational
+    (a d - n b) / (b d) per k, with a / b = 10^(16-k) and n / d = fl(a / b)."""
+    out = []
+    for k in range(k_lo, k_hi + 1):
+        if k < -292:
+            out.append(math.nan)
+            continue
+        a, b = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        n, d = (a / b).as_integer_ratio()
+        out.append((a * d - n * b) / (b * d))
+    return np.array(out)
+
+
+def gauss_legendre_alone(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule by Newton's method on its own
+    three-term recurrence, one temporary per step, from Tricomi's guess."""
+
+    def legendre_pair(x):
+        prev, last = np.ones_like(x), x
+        for j in range(2, n + 1):
+            prev, last = last, ((2 * j - 1) * (x * last) - (j - 1) * prev) / j
+        return last, prev
+
+    theta = math.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    x = (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)) * np.cos(theta)
+    x[n // 2:] = 0.0
+    for _ in range(10):
+        p, q = legendre_pair(x)
+        dx = (x - 1.0) * (x + 1.0) * p / (n * (x * p - q))
+        x -= dx
+        if np.all(dx * dx <= 0.25 * np.finfo(float).eps * (1.0 - x) * (1.0 + x)):
+            break
+    p, q = legendre_pair(x)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (x * p - q)) ** 2
+    return np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
+
+
+def whole_lattice_boost(spec: FiducialSpec, shift: float, basis: TwistedBasis) -> np.ndarray:
+    """f_k = sum_n c_n sinc(n - k + shift) on every slot k at once: one run of
+    D + S - 1 kernel values against the (D + S - 1, S) Hankel view of the
+    normal coefficients, signs folded as in the production boost."""
+    c = momentum_coefficients(spec, default_basis(spec)).coeffs.real
+    n_src = default_basis(spec).n_values()
+    keep = c >= np.finfo(float).tiny
+    c, n_src, slots = c[keep], n_src[keep], basis.n_values()
+    lags = np.arange(n_src[0] - slots[-1], n_src[-1] - slots[0] + 1)
+    hankel = sliding_window_view(np.pad(c * (-1.0) ** n_src, slots.size - 1), slots.size)
+    m = np.rint(shift)
+    if shift == m:
+        kernel, row = (lags == -m).astype(float), (-1.0) ** m
+    else:
+        kernel, row = 1.0 / (shift + lags), (-1.0) ** m * np.sin(math.pi * (shift - m)) / math.pi
+    return (kernel[None, :] @ hankel)[0] * row * (-1.0) ** slots

@@ -72,8 +72,8 @@ def test_criterion_03_resolution_of_unity():
     scale = math.sqrt(spec.hbar * max(spec.r, spec.hbar))
     interior = np.abs(basis.n_values()) <= max(spec.localization, 1.0)
     defects, offdiags, gaps = [], [], []
-    for factor in (5.0, 10.0, 20.0, 40.0):
-        rep = verify_unity(spec, basis, p_cutoff=factor * scale)
+    factors = (5.0, 10.0, 20.0, 40.0)
+    for factor, rep in zip(factors, verify_unity(spec, basis, [f * scale for f in factors])):
         # the literal double sum over momentum and angle nodes
         diag, offdiag = literal_unity_reference(spec, basis, factor * scale, full_2d=True)
         defects.append(float(np.max(np.abs(rep.diag_entries[interior] - 1.0))))

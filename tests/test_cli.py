@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import circleq.cli as cli
 from circleq.cli import OUTDIR_ENV, RunConfig, main, parse_config_text
+from oracles import power_of_ten_residuals
 
 SCHEMAS = {
     "fiducial_profile.csv": "# schema: circleq/fiducial-profile v1",
@@ -375,6 +376,15 @@ def test_realistic_values_take_the_per_value_route_only_at_zero(monkeypatch):
     monkeypatch.setattr(cli, "_MARGIN", 0.5)
     assert written_floats(x) == ["%.17g" % v for v in x.tolist()]
     assert len(per_value_route) == x.size
+
+
+def test_power_of_ten_residuals_equal_the_exact_quotient():
+    # the table divides by b alone and scales by the power of two d; the
+    # subnormal residuals (k near 309) keep the exact quotient
+    low = cli._tables()[2]
+    exact = power_of_ten_residuals(cli._K_LO, cli._K_HI)
+    assert np.array_equal(low, exact, equal_nan=True)
+    assert np.count_nonzero(np.abs(exact) < np.finfo(float).tiny) > 0
 
 
 def test_write_csv_writes_non_finite_values_as_percent_does():

@@ -7,13 +7,16 @@ import pytest
 from circleq.specfun import QuadratureGrid, gauss_legendre
 from circleq.hilbert import ResolutionError, TwistedBasis
 from circleq.fiducial import FiducialSpec, default_basis, evaluate, momentum_coefficients
+from circleq import coherent
 from circleq.coherent import (
     CoherentLabel,
-    _boost_table,
+    _boost_blocks,
     coherent_state,
     legendre_node_count,
     verify_unity,
 )
+
+from oracles import whole_lattice_boost
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -50,6 +53,11 @@ def dense_boost(spec, basis, shifts):
         + np.asarray(shifts)[:, None, None]
     )
     return kernel @ c
+
+
+def boost_table(spec, shifts, basis):
+    """The whole (P, S) table from the production column blocks."""
+    return np.concatenate(list(_boost_blocks(spec, np.asarray(shifts, dtype=float), basis)), axis=1)
 
 
 def literal_unity_reference(spec, basis, p_cutoff, p_nodes=None, full_2d=False, q_nodes=None):
@@ -173,8 +181,9 @@ def test_overlap_decays_with_separation():
 def test_unity_preconditions():
     spec = FiducialSpec(r=1.0)
     basis = TwistedBasis(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        verify_unity(spec, basis, p_cutoff=0.0)
+    for cutoffs in ([0.0], [5.0, -1.0], []):
+        with pytest.raises(ValueError):
+            verify_unity(spec, basis, cutoffs)
 
 
 def test_unity_ladder_monotone_and_interior_defect():
@@ -183,8 +192,7 @@ def test_unity_ladder_monotone_and_interior_defect():
     scale = math.sqrt(spec.hbar * max(spec.r, spec.hbar))
     interior = np.abs(basis.n_values()) <= max(spec.localization, 1.0)
     defects = []
-    for factor in (5.0, 10.0, 20.0, 40.0):
-        report = verify_unity(spec, basis, p_cutoff=factor * scale)
+    for report in verify_unity(spec, basis, [factor * scale for factor in (5.0, 10.0, 20.0, 40.0)]):
         assert report.diag_defect >= 0.0
         defects.append(float(np.max(np.abs(report.diag_entries[interior] - 1.0))))
     assert all(a > b for a, b in zip(defects, defects[1:]))
@@ -198,7 +206,7 @@ def test_unity_uniform_state_sinc_mass_oracle():
     spec = FiducialSpec(r=0.0, alpha=0.0)
     basis = TwistedBasis(0.0, 1.0, 4)
     cutoff = 12.0
-    report = verify_unity(spec, basis, p_cutoff=cutoff)
+    [report] = verify_unity(spec, basis, [cutoff])
     for n in (0, 2):
         entry = float(report.diag_entries[basis.n_values() == n][0])
         mass, _ = quad(lambda k: np.sinc(k - n) ** 2, -cutoff, cutoff, limit=400)
@@ -209,7 +217,7 @@ def test_unity_automatic_node_count_is_resolved():
     # doubling the momentum rule must not move the answer
     spec = FiducialSpec(r=2.0, alpha=0.1)
     basis = TwistedBasis(0.1, 1.0, 16)
-    report = verify_unity(spec, basis, p_cutoff=30.0)
+    [report] = verify_unity(spec, basis, [30.0])
     fine, _ = literal_unity_reference(spec, basis, p_cutoff=30.0, p_nodes=2 * report.p_nodes)
     assert np.max(np.abs(report.diag_entries - fine)) < 1e-10
 
@@ -222,7 +230,7 @@ def test_unity_matches_literal_reference(r, alpha, full_2d):
     # or the literal double sum, whose off-diagonal part must vanish
     spec = FiducialSpec(r=r, alpha=alpha)
     basis = TwistedBasis(alpha, 1.0, 12)
-    report = verify_unity(spec, basis, p_cutoff=20.0)
+    [report] = verify_unity(spec, basis, [20.0])
     diag, offdiag = literal_unity_reference(spec, basis, p_cutoff=20.0, full_2d=full_2d)
     assert report.p_nodes == legendre_node_count(20.0, spec.hbar)
     assert np.max(np.abs(report.diag_entries - diag)) < 1e-13
@@ -230,24 +238,56 @@ def test_unity_matches_literal_reference(r, alpha, full_2d):
     assert offdiag <= 1e-10
 
 
+def test_unity_sweep_across_column_blocks(monkeypatch):
+    # 601 slots take two column blocks; an even (102) and an odd (155) rule
+    # share the sweep, and sweeps of two cutoffs split it in two
+    spec = FiducialSpec(r=2.0, alpha=0.25)
+    basis = TwistedBasis(0.25, 1.0, 300)
+    cutoffs = [20.0, 35.0, 20.0]
+    reports = verify_unity(spec, basis, cutoffs)
+    assert [report.p_nodes for report in reports] == [102, 155, 102]
+    for cutoff, report in zip(cutoffs, reports):
+        diag, _ = literal_unity_reference(spec, basis, cutoff)
+        assert np.max(np.abs(report.diag_entries - diag)) < 1e-13
+    monkeypatch.setattr(coherent, "_SWEEP_CUTOFFS", 2)
+    for split, whole in zip(verify_unity(spec, basis, cutoffs), reports):
+        assert np.max(np.abs(split.diag_entries - whole.diag_entries)) <= 1e-15
+
+
 def test_boost_table_matches_dense_sinc_kernel():
-    spec = FiducialSpec(r=6.0, alpha=0.3, hbar=0.5)
+    # at r/hbar = 50 the 817 slots take two column blocks, so rows cross a seam
+    for r, hbar in [(6.0, 0.5), (2.5, 0.05)]:
+        spec = FiducialSpec(r=r, alpha=0.3, hbar=hbar)
+        basis = default_basis(spec)
+        edge = basis.cutoff_n
+        c = momentum_coefficients(spec, basis).coeffs.real
+        c[c < np.finfo(float).tiny] = 0.0  # the boost keeps only normal coefficients
+        whole = [0.0, 3.0, -3.0, edge, -edge]
+        near = [m + d for m in (0.0, 3.0, -edge) for d in (1e-12, -1e-12)]
+        half = [0.5, -0.5, 3.5, -edge - 0.5]
+        nodes = 12.0 * gauss_legendre([65])[0][0]  # odd P: x = 0 among them
+        shifts = np.array([*whole, *near, *half, *nodes])
+        table = boost_table(spec, shifts, basis)
+        dense = np.vstack([dense_boost(spec, basis, [shift]) for shift in shifts])  # a row at a time
+        assert np.max(np.abs(table - dense)) < 1e-14
+        # the mirror the unity sweep relies on: f_k(-p) = f_{-k}(p)
+        assert np.max(np.abs(boost_table(spec, -shifts, basis) - table[:, ::-1])) <= 1e-15
+        # an integer shift m moves c by m slots exactly: f_k = c_{k - m}
+        for row, m in zip(table, whole):
+            m = int(m)
+            expected = np.zeros_like(c)
+            expected[max(m, 0): c.size + min(m, 0)] = c[max(-m, 0): c.size - max(m, 0)]
+            assert np.array_equal(row, expected)
+
+
+def test_single_row_boost_is_the_whole_lattice_product_bit_for_bit():
+    # one row sums in lag order over the uncopied view, so splitting the 817
+    # slots into column blocks moves no bit of a coherent state
+    spec = FiducialSpec(r=2.5, alpha=0.3, hbar=0.05)
     basis = default_basis(spec)
-    edge = basis.cutoff_n
-    c = momentum_coefficients(spec, basis).coeffs.real
-    whole = [0.0, 3.0, -3.0, edge, -edge]
-    near = [m + d for m in (0.0, 3.0, -edge) for d in (1e-12, -1e-12)]
-    half = [0.5, -0.5, 3.5, -edge - 0.5]
-    nodes = 12.0 * gauss_legendre(65)[0]  # odd P: x = 0 among them
-    shifts = np.array([*whole, *near, *half, *nodes])
-    table = _boost_table(spec, shifts, basis)
-    assert np.max(np.abs(table - dense_boost(spec, basis, shifts))) < 1e-14
-    # an integer shift m moves c by m slots exactly: f_k = c_{k - m}
-    for row, m in zip(table, whole):
-        m = int(m)
-        expected = np.zeros_like(c)
-        expected[max(m, 0): c.size + min(m, 0)] = c[max(-m, 0): c.size - max(m, 0)]
-        assert np.array_equal(row, expected)
+    for shift in (0.37 / spec.hbar, -12.25, 7.0, -basis.cutoff_n - 0.5, 1e-12):
+        row = np.concatenate([f[0] for f in _boost_blocks(spec, np.array([shift]), basis)])
+        assert np.array_equal(row, whole_lattice_boost(spec, shift, basis))
 
 
 def test_coherent_state_matches_dense_sinc_kernel():
@@ -267,7 +307,7 @@ def test_unity_memory_bounded():
     basis = TwistedBasis(0.25, 1.0, 89)
     tracemalloc.start()
     try:
-        report = verify_unity(spec, basis, p_cutoff=40.0 * math.sqrt(10.0))
+        [report] = verify_unity(spec, basis, [40.0 * math.sqrt(10.0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

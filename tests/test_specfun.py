@@ -15,6 +15,8 @@ from circleq.specfun import (
     integrate_periodic,
 )
 
+from oracles import gauss_legendre_alone
+
 # sum_k (1/4)^k / (k!)^2 with 30+ terms, frozen as a regression constant
 I0_AT_1 = 1.2660658777520082
 # same series at z = 2
@@ -157,7 +159,7 @@ def test_trig_polynomials_integrate_exactly(degree, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 172, 475])
 def test_gauss_legendre_matches_leggauss(n):
-    x, w = gauss_legendre(n)
+    [(x, w)] = gauss_legendre([n])
     ref_x, ref_w = np.polynomial.legendre.leggauss(n)
     assert np.all(np.abs(x - ref_x) <= 2 * np.spacing(np.abs(ref_x)))
     # against a 40-digit rule, leggauss' own weights are off by up to 1.0e-14
@@ -183,7 +185,7 @@ def _legendre_rule_mpmath(n, guesses):
 
 @pytest.mark.parametrize("n", [64, 65])
 def test_gauss_legendre_matches_mpmath(n):
-    x, w = gauss_legendre(n)
+    [(x, w)] = gauss_legendre([n])
     upper = slice(n // 2, None)
     exact_x, exact_w = _legendre_rule_mpmath(n, x[upper])
     assert np.all(np.abs(x[upper] - exact_x) <= np.spacing(exact_x))
@@ -193,7 +195,7 @@ def test_gauss_legendre_matches_mpmath(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 172, 475])
 def test_gauss_legendre_integrates_even_monomials(n):
     # exact for degree < 2n; leggauss misses by up to 7.9e-12 relative at 475
-    x, w = gauss_legendre(n)
+    [(x, w)] = gauss_legendre([n])
     for j in range(n):
         assert w @ x ** (2 * j) == pytest.approx(2 / (2 * j + 1), rel=1e-12, abs=0)
 
@@ -201,27 +203,45 @@ def test_gauss_legendre_integrates_even_monomials(n):
 @pytest.mark.parametrize("n", [475, 8192])
 def test_gauss_legendre_integrates_cosines(n):
     # leggauss misses these by up to 1.5e-14 at n = 475 and 1.7e-13 at 1000
-    x, w = gauss_legendre(n)
+    [(x, w)] = gauss_legendre([n])
     for a in (1.0, 10.0, 100.0, n / 4, n / 2):
         assert abs(w @ np.cos(a * x) - 2 * math.sin(a) / a) <= 1e-14
 
 
 def test_gauss_legendre_is_exactly_symmetric():
-    for n in [*range(1, 70), 171, 172, 474, 475]:
-        x, w = gauss_legendre(n)
+    counts = [*range(1, 70), 171, 172, 474, 475]
+    for n, (x, w) in zip(counts, gauss_legendre(counts)):
         assert x.size == w.size == n
         assert np.all(np.diff(x) > 0) and np.all(w > 0)
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
         if n % 2:
             assert x[n // 2] == 0.0
-    with pytest.raises(ValueError):
-        gauss_legendre(0)
+    for counts in ([0], [5, 0], []):
+        with pytest.raises(ValueError):
+            gauss_legendre(counts)
+
+
+@pytest.mark.parametrize("counts", [
+    [88, 143, 254, 475],  # the unity ladder at r/hbar = 10
+    [475, 1, 88, 254, 143, 88],  # unsorted, count 1, a repeated count
+    [64, 65, 2, 3, 8192],  # even and odd, and a recurrence far past the others
+])
+def test_batched_rules_equal_the_rule_of_each_count_alone(counts):
+    # bit for bit, also against one recurrence per count with int coefficients
+    batched = gauss_legendre(counts)
+    assert len(batched) == len(counts)
+    for n, (x, w) in zip(counts, batched):
+        [(alone_x, alone_w)] = gauss_legendre([n])
+        oracle_x, oracle_w = gauss_legendre_alone(n)
+        assert x.size == n
+        assert np.array_equal(x, alone_x) and np.array_equal(w, alone_w)
+        assert np.array_equal(x, oracle_x) and np.array_equal(w, oracle_w)
 
 
 def test_gauss_legendre_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(specfun, "_NEWTON_STEPS", 1)
-    with pytest.raises(specfun.ConvergenceError):
-        gauss_legendre(64)
+    with pytest.raises(specfun.ConvergenceError, match="Gauss-Legendre"):
+        gauss_legendre([64, 3])
     out = tmp_path / "out"
     assert main(["unity", "--set", f"output.dir = {out}"]) == 2
     err = capsys.readouterr().err
