@@ -339,12 +339,7 @@ def _tables() -> tuple:
         a, b = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
         h = a / b  # int / int rounds correctly
         n, d = h.as_integer_ratio()
-        # d is a power of two: divide by b alone and scale exactly, unless
-        # the result is subnormal, where the scaling would round again
-        low = math.ldexp((a * d - n * b) / b, 1 - d.bit_length())
-        if abs(low) < sys.float_info.min:
-            low = (a * d - n * b) / (b * d)
-        scale.append((*_split(h), low))
+        scale.append((*_split(h), (a * d - n * b) / (b * d)))
     scale = np.array(scale).T.copy()
     # per 17 r + c (c of the 16 digits after the lead kept, the point after r
     # of them, r = 17 for none at -4 <= k < 0): the s digits before the

@@ -60,9 +60,9 @@ from .specfun import gauss_legendre
 EDGE_WEIGHT_LIMIT = 1e-8
 # slots per column block of the boost: a block meets D + 511 lags
 _BLOCK = 512
-# cutoffs per unity sweep, the default ladder's four: memory stays bounded
-# however many cutoffs a command lists
-_SWEEP_CUTOFFS = 4
+# half-rule nodes per unity sweep: half the largest rule a config admits
+# (MAX_LATTICE_DIM nodes), so a sweep holds no more than that rule alone
+_SWEEP_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,10 @@ def verify_unity(spec: FiducialSpec, basis: TwistedBasis, p_cutoffs) -> list[Uni
     diag[k] = sum_i (w_i / hbar) f_k(p_i)^2, with f the boosted coefficients.
     c_n is even and the slots run over -N..N, so f_k(-p) = f_{-k}(p): only
     the nodes x >= 0 are boosted, an odd rule's node x = 0 at half weight,
-    and diag = d + d reversed.  The half-rules of up to ``_SWEEP_CUTOFFS``
-    cutoffs (all four at the defaults) share one sweep, and the boost goes
-    by column blocks: memory is O(P (D + b)) for P nodes in a sweep, a
+    and diag = d + d reversed.  Consecutive cutoffs share one sweep while
+    their half-rules hold at most ``_SWEEP_NODES`` nodes (the default
+    ladder does up to r/hbar = 900), and the boost goes by column blocks:
+    memory is O(P (D + b)) for the P nodes of a sweep, a
     fiducial support of D slots and blocks of b = min(_BLOCK, S) of the S
     lattice slots.  The entries increase monotonically toward 1 with the
     cutoff.
@@ -188,10 +189,17 @@ def verify_unity(spec: FiducialSpec, basis: TwistedBasis, p_cutoffs) -> list[Uni
     p_cutoffs = [float(cutoff) for cutoff in p_cutoffs]
     if not p_cutoffs or min(p_cutoffs) <= 0.0:
         raise ValueError(f"p_cutoffs must be nonempty and > 0, got {p_cutoffs}")
+    sweeps, room = [], 0
+    for cutoff in p_cutoffs:
+        n = legendre_node_count(cutoff, spec.hbar)
+        if (n + 1) // 2 > room:
+            sweeps.append([])
+            room = _SWEEP_NODES
+        sweeps[-1].append((cutoff, n))
+        room -= (n + 1) // 2
     reports = []
-    for lo in range(0, len(p_cutoffs), _SWEEP_CUTOFFS):
-        cutoffs = p_cutoffs[lo: lo + _SWEEP_CUTOFFS]
-        counts = [legendre_node_count(cutoff, spec.hbar) for cutoff in cutoffs]
+    for sweep in sweeps:
+        cutoffs, counts = zip(*sweep)
         shifts, weights = [], []
         for cutoff, n, (x, w) in zip(cutoffs, counts, gauss_legendre(counts)):
             shifts.append(cutoff * x[n // 2:] / spec.hbar)

@@ -137,9 +137,10 @@ def gauss_legendre(counts) -> list[tuple[np.ndarray, np.ndarray]]:
     alone, and a repeated n shares its arrays.  P_n(0) = 0 exactly for odd
     n: x = 0 stays.
     """
+    counts = list(counts)
     ns = sorted(set(counts), reverse=True)
     if not ns or ns[-1] < 1:
-        raise ValueError(f"Gauss-Legendre rules need counts n >= 1, got {list(counts)}")
+        raise ValueError(f"Gauss-Legendre rules need counts n >= 1, got {counts}")
     nodes = {}
     for n in ns:
         theta = math.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
@@ -160,7 +161,8 @@ def gauss_legendre(counts) -> list[tuple[np.ndarray, np.ndarray]]:
         if not active:
             break
     else:
-        raise ConvergenceError(f"{active} Gauss-Legendre nodes unconverged after {_NEWTON_STEPS} steps")
+        raise ConvergenceError(f"Gauss-Legendre rules of {', '.join(map(str, active))} nodes "
+                               f"unconverged after {_NEWTON_STEPS} steps")
     rules = {}
     for n, (p, q) in zip(ns, _legendre_pairs([nodes[n] for n in ns], ns)):
         x = nodes[n]

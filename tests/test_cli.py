@@ -379,8 +379,7 @@ def test_realistic_values_take_the_per_value_route_only_at_zero(monkeypatch):
 
 
 def test_power_of_ten_residuals_equal_the_exact_quotient():
-    # the table divides by b alone and scales by the power of two d; the
-    # subnormal residuals (k near 309) keep the exact quotient
+    # subnormal residuals (k near 309) among them
     low = cli._tables()[2]
     exact = power_of_ten_residuals(cli._K_LO, cli._K_HI)
     assert np.array_equal(low, exact, equal_nan=True)

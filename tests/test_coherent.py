@@ -240,7 +240,7 @@ def test_unity_matches_literal_reference(r, alpha, full_2d):
 
 def test_unity_sweep_across_column_blocks(monkeypatch):
     # 601 slots take two column blocks; an even (102) and an odd (155) rule
-    # share the sweep, and sweeps of two cutoffs split it in two
+    # share the sweep, and a budget of 129 half-rule nodes splits it in two
     spec = FiducialSpec(r=2.0, alpha=0.25)
     basis = TwistedBasis(0.25, 1.0, 300)
     cutoffs = [20.0, 35.0, 20.0]
@@ -249,9 +249,12 @@ def test_unity_sweep_across_column_blocks(monkeypatch):
     for cutoff, report in zip(cutoffs, reports):
         diag, _ = literal_unity_reference(spec, basis, cutoff)
         assert np.max(np.abs(report.diag_entries - diag)) < 1e-13
-    monkeypatch.setattr(coherent, "_SWEEP_CUTOFFS", 2)
-    for split, whole in zip(verify_unity(spec, basis, cutoffs), reports):
+    monkeypatch.setattr(coherent, "_SWEEP_NODES", 51 + 78)
+    sweeps = []
+    monkeypatch.setattr(coherent, "gauss_legendre", lambda counts: sweeps.append(counts) or gauss_legendre(counts))
+    for split, whole in zip(verify_unity(spec, basis, cutoffs), reports, strict=True):
         assert np.max(np.abs(split.diag_entries - whole.diag_entries)) <= 1e-15
+    assert sweeps == [(102, 155), (102,)]
 
 
 def test_boost_table_matches_dense_sinc_kernel():

@@ -236,11 +236,14 @@ def test_batched_rules_equal_the_rule_of_each_count_alone(counts):
         assert x.size == n
         assert np.array_equal(x, alone_x) and np.array_equal(w, alone_w)
         assert np.array_equal(x, oracle_x) and np.array_equal(w, oracle_w)
+    # any iterable of counts, read once
+    for (x, w), (gx, gw) in zip(batched, gauss_legendre(n for n in counts), strict=True):
+        assert np.array_equal(x, gx) and np.array_equal(w, gw)
 
 
 def test_gauss_legendre_nonconvergence_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(specfun, "_NEWTON_STEPS", 1)
-    with pytest.raises(specfun.ConvergenceError, match="Gauss-Legendre"):
+    with pytest.raises(specfun.ConvergenceError, match="Gauss-Legendre rules of 64, 3 nodes"):
         gauss_legendre([64, 3])
     out = tmp_path / "out"
     assert main(["unity", "--set", f"output.dir = {out}"]) == 2
