@@ -208,7 +208,7 @@ def verify_unity(spec: FiducialSpec, basis: TwistedBasis, p_cutoffs) -> list[Uni
         owner = np.repeat(np.arange(len(cutoffs)), [w.size for w in weights])
         weights = np.where(owner == np.arange(len(cutoffs))[:, None], np.concatenate(weights), 0.0)
         blocks = _boost_blocks(spec, np.concatenate(shifts), basis)
-        d = np.concatenate([weights @ (f * f) for f in blocks], axis=1)
+        d = np.concatenate([weights @ np.square(f, out=f) for f in blocks], axis=1)
         reports += [
             UnityReport(cutoff, n, float(np.max(np.abs(diag - 1.0))), diag)
             for cutoff, n, diag in zip(cutoffs, counts, d + d[:, ::-1])
