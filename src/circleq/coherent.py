@@ -87,12 +87,12 @@ def _boost_blocks(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis):
     with r = s - m exact, so |pi r| <= pi / 2.  A block of b slots meets only
     D + b - 1 lags, against the (D + b - 1, b) Hankel matrix
     H[l, j] = c[l + j - (b - 1)] of the zero-padded coefficients, the same for
-    every block.  Many rows copy it once into a layout BLAS takes; a single
-    row reads the strided view with no copy, summing in lag order, the same
-    sum bit for bit as over all D + S - 1 lags at once.  The support keeps
-    only the central run of coefficients |c_n| >= the smallest normal
-    double: the ones past it are zero or subnormal, add nothing a double can
-    hold to any entry, and make the product crawl.  Memory is O(P (D + b)).
+    every block, read as a strided view with no copy; a single row sums in
+    lag order, the same sum bit for bit as over all D + S - 1 lags at once.
+    The support keeps only the central run of coefficients |c_n| >= the
+    smallest normal double: the ones past it are zero or subnormal, add
+    nothing a double can hold to any entry, and make the product crawl.
+    Memory is O(P (D + b)).
     """
     support = default_basis(spec)
     c = momentum_coefficients(spec, support).coeffs.real
@@ -102,8 +102,6 @@ def _boost_blocks(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis):
     c, n_src, slots = c[run], support.n_values()[run], basis.n_values()
     b = min(_BLOCK, slots.size)
     hankel = sliding_window_view(np.pad(c * (-1.0) ** n_src, b - 1), b)
-    if shifts.size > 1:
-        hankel = hankel.copy()
     whole = np.rint(shifts)
     at_whole = shifts == whole
     rows = (-1.0) ** whole * np.where(at_whole, 1.0, np.sin(math.pi * (shifts - whole)) / math.pi)
