@@ -174,10 +174,10 @@ def verify_unity(spec: FiducialSpec, basis: TwistedBasis, p_cutoffs) -> list[Uni
     c_n is even and the slots run over -N..N, so f_k(-p) = f_{-k}(p): only
     the nodes x >= 0 are boosted, an odd rule's node x = 0 at half weight,
     and diag = d + d reversed.  Consecutive cutoffs share one sweep while
-    their half-rules hold at most ``_SWEEP_NODES`` nodes (the default
-    ladder does up to r/hbar = 900), and the boost goes by column blocks:
-    memory is O(P (D + b)) for the P nodes of a sweep, a
-    fiducial support of D slots and blocks of b = min(_BLOCK, S) of the S
+    their half-rules hold at most ``_SWEEP_NODES`` nodes (one sweep holds
+    the default ladder up to r/hbar = 900), and the boost goes by column
+    blocks: memory is O(P (D + b)) for the P nodes of a sweep, a fiducial
+    support of D slots and blocks of b = min(_BLOCK, S) of the S
     lattice slots.  The entries increase monotonically toward 1 with the
     cutoff.
 
