@@ -9,7 +9,6 @@ from .hilbert import (
     MomentumState,
     ResolutionError,
     TwistedBasis,
-    check_boundary_phase,
     default_cutoff,
     wrap_angle,
 )
@@ -33,7 +32,6 @@ from .enhanced import (
 from .dynamics import (
     PhasePoint,
     Trajectory,
-    alpha_invariance_check,
     evolve,
 )
 from .qevolve import (

@@ -45,7 +45,7 @@ from .coherent import (
     legendre_node_count,
     verify_unity,
 )
-from .dynamics import MAX_STABLE_STEP, PhasePoint, alpha_invariance_check, evolve, max_stable_step
+from .dynamics import MAX_STABLE_STEP, PhasePoint, evolve, max_stable_step
 from .enhanced import (
     EnhancedHamiltonian,
     TrigPotential,
@@ -56,14 +56,13 @@ from .enhanced import (
 from .fiducial import (
     EnvelopeCheck,
     FiducialSpec,
-    default_basis,
     evaluate,
     gaussian_bound_check,
     moments,
     momentum_coefficients,
     normalization,
 )
-from .hilbert import ResolutionError, TwistedBasis, check_boundary_phase, default_cutoff
+from .hilbert import ResolutionError, TwistedBasis, default_cutoff
 from .qevolve import (
     MAX_LATTICE_DIM,
     build_hamiltonian,
@@ -71,7 +70,7 @@ from .qevolve import (
     comparison_basis,
     evolve_quantum,
 )
-from .specfun import ConvergenceError, QuadratureGrid, bessel_i_scaled_sequence, integrate_periodic
+from .specfun import ConvergenceError
 
 OUTDIR_ENV = "CIRCLEQ_OUTDIR"
 SCHEMA_VERSION = "v1"
@@ -527,7 +526,7 @@ def cmd_fiducial(cfg: RunConfig):
     z, log_peak = spec.localization, 2.0 * math.log(normalization(spec))  # log N^2
     log_gauss = log_peak - z * theta * theta
     mom = moments(spec, max_harmonic=cfg["run.max_harmonic"])
-    no_envelope = EnvelopeCheck(True, None, 0.0, 0.0)  # r = 0 has no Gaussian envelope
+    no_envelope = EnvelopeCheck(True, 0.0, 0.0)  # r = 0 has no Gaussian envelope
     envelope = gaussian_bound_check(spec) if spec.r > 0 else no_envelope
     coeffs = momentum_coefficients(spec, basis)
     tables = [
@@ -694,38 +693,40 @@ fig.savefig("compare.png", dpi=150)
 
 
 def _selftest_checks():
-    """Fast battery of the package's numerical contracts."""
-    grid = QuadratureGrid.make(256)
+    """The package's numerical contracts, each read off the tables a shipped
+    command returns for a tiny config; nothing is written."""
 
-    def check_quadrature():
-        value = integrate_periodic(np.exp(2.0 * np.cos(grid.nodes)), grid)
-        i0 = math.exp(2.0) * bessel_i_scaled_sequence(0, 2.0)[0]  # I_0(2)
-        return abs(value - 2.0 * math.pi * i0) < 1e-10
+    def tables(command, *settings):
+        out, _ = _COMMANDS[command](RunConfig.load(command, overrides=settings))
+        return {file: table for file, _, table in out}
+
+    twisted = ("model.r = 2", "model.alpha = 0.3", "model.hbar = 0.5")
+
+    def check_normalization():
+        profile = tables("fiducial", *twisted)["fiducial_profile.csv"]
+        # the trapezoid rule is spectrally exact for the periodic density
+        total = np.exp(profile["log_density"]).mean() * 2.0 * math.pi
+        return abs(total - 1.0) < 1e-10
 
     def check_centering():
-        for r in (0.5, 2.0, 10.0):
-            for alpha in (0.0, 0.3, 0.9):
-                mom = moments(FiducialSpec(r=r, alpha=alpha))
-                if abs(mom.mean_q) > 1e-9 or abs(mom.mean_p - alpha) > 1e-9:
-                    return False
-        return True
-
-    def check_boundary():
-        spec = FiducialSpec(r=2.0, alpha=0.4)
-        state = momentum_coefficients(spec, default_basis(spec))
-        return check_boundary_phase(state) < 1e-12
+        out = tables("fiducial", *twisted)
+        mom, rho_1 = out["fiducial_moments.csv"], out["fiducial_attenuation.csv"]["cos_moment"][1]
+        var_p = 0.5 * mom["hbar"] * mom["r"] * rho_1
+        return (abs(mom["mean_q"]) < 1e-9 and abs(mom["mean_p"] - mom["hbar"] * mom["alpha"]) < 1e-9
+                and abs(mom["var_p"] - var_p) < 1e-10 * var_p)
 
     def check_unity_diag():
-        basis = TwistedBasis(0.25, 1.0, 8)
-        [report] = verify_unity(FiducialSpec(r=1.0, alpha=0.25), basis, [40.0])
-        interior = np.abs(basis.n_values()) <= 1
-        return float(np.max(np.abs(report.diag_entries[interior] - 1.0))) < 1e-3
+        defects = tables("unity", "model.r = 1", "model.alpha = 0.25", "run.cutoff = 8",
+                         "run.p_cutoff_factors = 40")["unity_defects.csv"]
+        return defects["interior_diag_defect"][0] < 1e-3
 
-    def check_alpha_invariance():
-        spec = FiducialSpec(r=2.0)
-        model = EnhancedHamiltonian.build(TrigPotential.pendulum(), spec)
-        dev = alpha_invariance_check(model, PhasePoint.start(0.4, 0.9), (0.0, 0.5), 0.01, 200)
-        return dev < 1e-10
+    def check_coherent_energy():
+        # H_cs(p, q) = <p, q| H |p, q>: the enhanced energy at t = 0 is the
+        # quantum one, sine terms and twist included
+        out = tables("compare", *twisted, "model.potential.a = 1, 0.3", "model.potential.b = 0.2",
+                     "run.p0 = 1", "run.q0 = 0.7", "run.steps = 4")
+        h_cs = out["compare_enhanced.csv"]["energy"][0]
+        return abs(out["compare_quantum.csv"]["energy"][0] - h_cs) <= 1e-10 * max(1.0, abs(h_cs))
 
     def check_spectrum():
         basis = TwistedBasis(0.3, 1.0, 16)
@@ -734,11 +735,10 @@ def _selftest_checks():
         return float(np.max(np.abs(np.linalg.eigvalsh(ham.matrix) - exact))) < 1e-10
 
     return [
-        ("periodic-quadrature", check_quadrature),
+        ("fiducial-normalization", check_normalization),
         ("fiducial-centering", check_centering),
-        ("boundary-membership", check_boundary),
         ("unity-diagonal", check_unity_diag),
-        ("alpha-invariance", check_alpha_invariance),
+        ("coherent-energy", check_coherent_energy),
         ("free-spectrum", check_spectrum),
     ]
 

@@ -12,7 +12,7 @@ the winding number into a physical boundary value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,36 +123,3 @@ def evolve(
         energies=(ps + shift) ** 2 + offset + potential.value(qs),
     )
 
-
-def alpha_invariance_check(
-    model: EnhancedHamiltonian,
-    start: PhasePoint,
-    alphas,
-    dt: float,
-    steps: int,
-    compensated: bool = True,
-) -> float:
-    """Maximum pairwise deviation of the enhanced flow across twists.
-
-    Each run keeps r, hbar and the potential and replaces the twist; with
-    ``compensated`` the initial momentum is shifted to p0 - hbar alpha so
-    every run represents the same physical state, and the flows compared
-    in the variable p(t) + hbar alpha are algebraically identical.
-    Without compensation the runs start at distinct physical momenta and
-    drift apart (negative control).
-    """
-    hbar = model.spec.hbar
-    tracks = []
-    for alpha in alphas:
-        spec_a = replace(model.spec, alpha=alpha)
-        model_a = EnhancedHamiltonian.build(model.potential, spec_a)
-        p0 = start.p - hbar * float(spec_a.alpha) if compensated else start.p
-        traj = evolve("enhanced", model_a, PhasePoint.start(start.q, p0), dt, steps)
-        tracks.append((traj.q_unwrapped, traj.p + hbar * spec_a.alpha))
-    worst = 0.0
-    for i in range(len(tracks)):
-        for j in range(i + 1, len(tracks)):
-            dq = np.max(np.abs(tracks[i][0] - tracks[j][0]))
-            dp = np.max(np.abs(tracks[i][1] - tracks[j][1]))
-            worst = max(worst, float(dq), float(dp))
-    return worst

@@ -68,10 +68,6 @@ class TrigPotential:
     def free(cls) -> "TrigPotential":
         return cls()
 
-    @classmethod
-    def pendulum(cls, a1: float = 1.0) -> "TrigPotential":
-        return cls(a=(a1,))
-
 
 @dataclass(eq=False)
 class EnhancedHamiltonian:

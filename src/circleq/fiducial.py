@@ -141,7 +141,6 @@ class EnvelopeCheck:
     """Outcome of the two-sided Gaussian envelope test."""
 
     passed: bool
-    failed_at: float | None
     upper_margin: float  # min over samples of log(K N^2 e^{-z theta^2}) - log|eta|^2
     lower_margin: float  # min over samples of log|eta|^2 - log(N^2 e^{-z theta^2})
 
@@ -165,9 +164,4 @@ def gaussian_bound_check(spec: FiducialSpec) -> EnvelopeCheck:
     upper = float(np.min(z * (math.pi**2 - 4.0) - gap))
     lower = float(np.min(gap))
     tol = 1e-12 * max(1.0, z)
-    passed = upper >= -tol and lower >= -tol
-    failed_at = None
-    if not passed:
-        worst = np.argmin(np.minimum(z * (math.pi**2 - 4.0) - gap, gap))
-        failed_at = float(theta[worst])
-    return EnvelopeCheck(passed, failed_at, upper, lower)
+    return EnvelopeCheck(upper >= -tol and lower >= -tol, upper, lower)

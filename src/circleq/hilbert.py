@@ -17,8 +17,6 @@ import numpy as np
 
 from .specfun import TWO_PI
 
-_SQRT_2PI = math.sqrt(TWO_PI)
-
 
 class ResolutionError(ValueError):
     """A basis truncation is too coarse for the requested result."""
@@ -92,14 +90,3 @@ class MomentumState:
     def normalized(self) -> "MomentumState":
         return MomentumState(self.basis, self.coeffs / math.sqrt(self.norm_sq()))
 
-
-def check_boundary_phase(state: MomentumState) -> float:
-    """Defect |psi(pi) - e^{2 pi i alpha} psi(-pi)| of the twisted boundary
-    condition, with the state's Fourier series evaluated exactly at the
-    endpoints and alpha taken from its basis; 0 means the state lies in
-    the twisted domain."""
-    alpha = state.basis.alpha
-    k = state.basis.n_values() + alpha
-    at_plus = np.sum(state.coeffs * np.exp(1j * math.pi * k)) / _SQRT_2PI
-    at_minus = np.sum(state.coeffs * np.exp(-1j * math.pi * k)) / _SQRT_2PI
-    return float(abs(at_plus - np.exp(2j * math.pi * alpha) * at_minus))

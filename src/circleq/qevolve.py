@@ -66,7 +66,8 @@ class HamiltonianMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The whole dense matrix: O(dim^2) memory, for oracles and checks only."""
+        """The whole dense matrix: O(dim^2) memory, for oracles and checks
+        only (``selftest``'s free spectrum and perfbench's operation counts)."""
         return self.block(slice(None), slice(None))
 
     def block(self, rows: slice, cols: slice) -> np.ndarray:
@@ -83,17 +84,6 @@ class HamiltonianMatrix:
         return out
 
 
-def potential_band_value(potential: TrigPotential, k: int) -> complex:
-    """Fourier coefficient (1/2 pi) integral V(theta) e^{-i k theta} d theta."""
-    if k == 0:
-        return complex(potential.a0)
-    n = abs(k)
-    if n > potential.degree:
-        return 0.0j
-    v = 0.5 * (potential.a[n - 1] - 1j * potential.b[n - 1])
-    return v if k > 0 else np.conj(v)
-
-
 def build_hamiltonian(potential: TrigPotential, basis: TwistedBasis) -> HamiltonianMatrix:
     """The banded Hermitian P^2 + V in the twisted basis: float64 when the
     potential has no sine terms (it is then real symmetric), else complex."""
@@ -102,7 +92,7 @@ def build_hamiltonian(potential: TrigPotential, basis: TwistedBasis) -> Hamilton
         raise ValueError(f"cutoff {basis.cutoff_n} must exceed the potential degree {m}")
     momenta = basis.momenta()
     diagonal = momenta * momenta + potential.a0
-    bands = np.array([potential_band_value(potential, k) for k in range(1, m + 1)])
+    bands = 0.5 * (np.array(potential.a) - 1j * np.array(potential.b))
     if any(potential.b):
         return HamiltonianMatrix(basis, potential, diagonal.astype(complex), bands)
     return HamiltonianMatrix(basis, potential, diagonal, bands.real)

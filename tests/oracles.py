@@ -2,17 +2,21 @@
 
 None of these has a caller in ``src/``: position-space synthesis and
 analysis, the action along a trajectory with its surface term, the force
-V'(q) of a trigonometric potential and the boundary-condition defect of a
-function of the angle, the exact rounding residuals of the CSV
-formatter's powers of ten, the Gauss-Legendre rule of one count by
-its own recurrence, and the boost of one momentum over the whole lattice.  Each is a literal transcription of its formula.
+V'(q) of a trigonometric potential, the boundary-condition defect of a
+function of the angle (``boundary_defect``) and of a lattice state
+(``check_boundary_phase``), the spread of the enhanced flow across twists
+(``alpha_invariance_check``), the exact rounding residuals of the CSV
+formatter's powers of ten, the Gauss-Legendre rule of one count by its own
+recurrence, and the boost of one momentum over the whole lattice.  Each is
+a literal transcription of its formula.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from circleq.dynamics import PhasePoint, Trajectory
+from circleq.dynamics import PhasePoint, Trajectory, evolve
 from circleq.enhanced import EnhancedHamiltonian, TrigPotential
 from circleq.fiducial import FiducialSpec, default_basis, momentum_coefficients
 from circleq.hilbert import MomentumState, ResolutionError, TwistedBasis
@@ -58,6 +62,19 @@ def analyze(psi: PositionWavefunction, basis: TwistedBasis) -> MomentumState:
 def boundary_defect(psi, alpha: float) -> float:
     """|psi(pi) - e^{2 pi i alpha} psi(-pi)| for a callable psi of the angle."""
     return float(abs(psi(math.pi) - np.exp(2j * math.pi * alpha) * psi(-math.pi)))
+
+
+def check_boundary_phase(state: MomentumState) -> float:
+    """Defect |psi(pi) - e^{2 pi i alpha} psi(-pi)| of the twisted boundary
+    condition, with the state's Fourier series evaluated exactly at the
+    endpoints and alpha taken from its basis; 0 means the state lies in
+    the twisted domain.  Each e^{i (n + alpha) theta} meets the condition
+    exactly, so on a lattice state this measures roundoff."""
+    alpha = state.basis.alpha
+    k = state.basis.n_values() + alpha
+    at_plus = np.sum(state.coeffs * np.exp(1j * math.pi * k)) / SQRT_2PI
+    at_minus = np.sum(state.coeffs * np.exp(-1j * math.pi * k)) / SQRT_2PI
+    return float(abs(at_plus - np.exp(2j * math.pi * alpha) * at_minus))
 
 
 def potential_derivative(potential: TrigPotential, q):
@@ -107,6 +124,40 @@ def action_along(
         action += hbar * alpha * (trajectory.q_unwrapped[-1] - trajectory.q_unwrapped[0])
     return action
 
+
+
+def alpha_invariance_check(
+    model: EnhancedHamiltonian,
+    start: PhasePoint,
+    alphas,
+    dt: float,
+    steps: int,
+    compensated: bool = True,
+) -> float:
+    """Maximum pairwise deviation of the enhanced flow across twists.
+
+    Each run keeps r, hbar and the potential and replaces the twist; with
+    ``compensated`` the initial momentum is shifted to p0 - hbar alpha so
+    every run represents the same physical state, and the flows compared
+    in the variable p(t) + hbar alpha are algebraically identical.
+    Without compensation the runs start at distinct physical momenta and
+    drift apart (negative control).
+    """
+    hbar = model.spec.hbar
+    tracks = []
+    for alpha in alphas:
+        spec_a = replace(model.spec, alpha=alpha)
+        model_a = EnhancedHamiltonian.build(model.potential, spec_a)
+        p0 = start.p - hbar * float(spec_a.alpha) if compensated else start.p
+        traj = evolve("enhanced", model_a, PhasePoint.start(start.q, p0), dt, steps)
+        tracks.append((traj.q_unwrapped, traj.p + hbar * spec_a.alpha))
+    worst = 0.0
+    for i in range(len(tracks)):
+        for j in range(i + 1, len(tracks)):
+            dq = np.max(np.abs(tracks[i][0] - tracks[j][0]))
+            dp = np.max(np.abs(tracks[i][1] - tracks[j][1]))
+            worst = max(worst, float(dq), float(dp))
+    return worst
 
 def power_of_ten_residuals(k_lo: int, k_hi: int) -> np.ndarray:
     """l = 10^(16-k) - fl(10^(16-k)) correctly rounded, for k = k_lo..k_hi,

@@ -21,10 +21,10 @@ from circleq.enhanced import (
     classical_hamiltonian,
     enhanced_hamiltonian,
 )
-from circleq.dynamics import PhasePoint, alpha_invariance_check, evolve
+from circleq.dynamics import PhasePoint, evolve
 from circleq.qevolve import build_hamiltonian, compare_restricted
 
-from oracles import action_along, phase_point, winding_number
+from oracles import action_along, alpha_invariance_check, phase_point, winding_number
 from test_coherent import literal_unity_reference
 from test_enhanced import displaced_expectation
 
@@ -151,7 +151,7 @@ def test_criterion_05_classical_limit():
 
 
 def test_criterion_06_alpha_invariance():
-    model = EnhancedHamiltonian.build(TrigPotential.pendulum(), FiducialSpec(r=2.0))
+    model = EnhancedHamiltonian.build(TrigPotential(a=(1.0,)), FiducialSpec(r=2.0))
     start = PhasePoint.start(0.5, 0.7)
     alphas = (0.0, 0.25, 0.5, 0.75)
     compensated = alpha_invariance_check(model, start, alphas, 0.01, 1000)
@@ -173,7 +173,7 @@ def test_criterion_07_surface_term():
 
 
 def test_criterion_08_symplectic_integrity():
-    model = EnhancedHamiltonian.build(TrigPotential.pendulum(), FiducialSpec(r=2.0))
+    model = EnhancedHamiltonian.build(TrigPotential(a=(1.0,)), FiducialSpec(r=2.0))
     start = PhasePoint.start(math.pi - 0.8, 0.0)
     horizon = 4.0
     reference = evolve("classical", model, start, 0.01 / 16, int(horizon / (0.01 / 16)))
@@ -213,7 +213,7 @@ def test_criterion_09_quantum_classical_correspondence():
 
     hbar = 0.05
     sharp = EnhancedHamiltonian.build(
-        TrigPotential.pendulum(), FiducialSpec(r=50 * hbar, alpha=0.25, hbar=hbar)
+        TrigPotential(a=(1.0,)), FiducialSpec(r=50 * hbar, alpha=0.25, hbar=hbar)
     )
     # one small-oscillation period about q = pi is ~4.5 time units
     pendulum = compare_restricted(

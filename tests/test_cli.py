@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import io
 import math
@@ -216,7 +217,7 @@ def test_fiducial_moments_row_reports_the_envelope_check(tmp_path, monkeypatch, 
     # a failed EnvelopeCheck is falsy, so only r = 0 may stand for "no check"
     from circleq.fiducial import EnvelopeCheck
 
-    monkeypatch.setattr(cli, "gaussian_bound_check", lambda spec: EnvelopeCheck(False, 0.5, -1.5, 2.5))
+    monkeypatch.setattr(cli, "gaussian_bound_check", lambda spec: EnvelopeCheck(False, -1.5, 2.5))
     code, outdir = run(tmp_path, "fiducial", f"model.r = {r}")
     assert code == 0
     row = stable_lines(outdir / "fiducial_moments.csv")[2].split(",")[-3:]
@@ -779,10 +780,58 @@ def test_environment_variable_overrides_outdir(tmp_path, monkeypatch):
 def test_selftest_passes(tmp_path, capsys):
     assert main(["selftest"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        f"ok   {name}" for name in ("periodic-quadrature", "fiducial-centering",
-                                  "boundary-membership", "unity-diagonal",
-                                  "alpha-invariance", "free-spectrum")
+        f"ok   {name}" for name in ("fiducial-normalization", "fiducial-centering",
+                                  "unity-diagonal", "coherent-energy", "free-spectrum")
     ]
+
+
+def test_selftest_writes_nothing(tmp_path, monkeypatch):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    monkeypatch.setenv(OUTDIR_ENV, str(outdir))
+    monkeypatch.chdir(tmp_path)
+    assert main(["selftest"]) == 0
+    assert list(tmp_path.iterdir()) == [outdir] and not any(outdir.iterdir())
+
+
+def _wrap(monkeypatch, module, name, change):
+    """Replace ``circleq.<module>.<name>`` by a function that changes what it returns."""
+    owner = importlib.import_module(f"circleq.{module}")
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: change(original(*args, **kwargs)))
+
+
+def _shifted(field, delta):
+    return lambda value: dataclasses.replace(value, **{field: getattr(value, field) + delta})
+
+
+def _corrupt_unity(reports):
+    return [dataclasses.replace(report, diag_entries=1.01 * report.diag_entries) for report in reports]
+
+
+# each selftest check, and a corruption of the production value it reads
+SELFTEST_CORRUPTIONS = {
+    "fiducial-normalization": [("cli", "normalization", lambda norm: 1.001 * norm)],
+    "fiducial-centering": [("cli", "moments", _shifted(field, delta))
+                           for field, delta in (("mean_q", 1e-6), ("mean_p", 1e-6), ("var_p", 1e-8))],
+    "unity-diagonal": [("cli", "verify_unity", _corrupt_unity)],
+    # the attenuations set the kinetic offset and the enhanced potential
+    "coherent-energy": [("enhanced", "attenuations", lambda rho: (1.0 + 1e-8) * rho)],
+    "free-spectrum": [("cli", "build_hamiltonian", _shifted("diagonal", 1e-6))],
+}
+
+
+@pytest.mark.parametrize("name, corruption", [
+    pytest.param(name, corruption, id=f"{name}-{index}")
+    for name, cases in SELFTEST_CORRUPTIONS.items() for index, corruption in enumerate(cases)
+])
+def test_selftest_check_fails_on_a_corrupted_value(monkeypatch, capsys, name, corruption):
+    # a check that cannot fail checks nothing; each fails alone
+    _wrap(monkeypatch, *corruption)
+    assert main(["selftest"]) == 2
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if not line.startswith("ok")] == [f"FAIL {name}"]
+    assert name in captured.err
 
 
 def test_plot_scripts_compile(tmp_path):

@@ -10,13 +10,19 @@ from circleq.enhanced import (
     classical_hamiltonian,
     enhanced_hamiltonian,
 )
-from circleq.dynamics import PhasePoint, alpha_invariance_check, evolve
+from circleq.dynamics import PhasePoint, evolve
 
-from oracles import action_along, phase_point, potential_derivative, winding_number
+from oracles import (
+    action_along,
+    alpha_invariance_check,
+    phase_point,
+    potential_derivative,
+    winding_number,
+)
 
 
 def pendulum_model(r=2.0, alpha=0.0, hbar=1.0):
-    return EnhancedHamiltonian.build(TrigPotential.pendulum(), FiducialSpec(r=r, alpha=alpha, hbar=hbar))
+    return EnhancedHamiltonian.build(TrigPotential(a=(1.0,)), FiducialSpec(r=r, alpha=alpha, hbar=hbar))
 
 
 def free_model(alpha=0.0, hbar=1.0):
@@ -130,7 +136,7 @@ def scalar_leapfrog_reference(h_kind, model, start, dt, steps):
     "potential",
     [
         TrigPotential.free(),
-        TrigPotential.pendulum(),
+        TrigPotential(a=(1.0,)),
         TrigPotential(a=(1.0, 0.3), b=(0.2,)),
         TrigPotential(a0=0.4, a=(0.8, -0.3, 0.15), b=(0.1, 0.0, -0.2)),
     ],

@@ -66,7 +66,7 @@ def test_kinetic_offset_matches_lattice_variance(r, hbar):
     # variance of moments() and against 40-digit Bessel ratios
     for alpha in (0.0, 0.3, 0.9):
         spec = FiducialSpec(r=r, alpha=alpha, hbar=hbar)
-        model = EnhancedHamiltonian.build(TrigPotential.pendulum(), spec)
+        model = EnhancedHamiltonian.build(TrigPotential(a=(1.0,)), spec)
         mom = moments(spec)
         assert model.kinetic_offset == pytest.approx(mom.var_p, rel=1e-13)
         with mpmath.workdps(40):
@@ -124,7 +124,7 @@ def test_oracle_equivalence_random_tuples():
 
 def test_classical_hamiltonian_values():
     assert classical_hamiltonian(TrigPotential.free(), 1.0, 0.0) == 1.0
-    assert classical_hamiltonian(TrigPotential.pendulum(), 0.0, 0.0) == pytest.approx(1.0)
+    assert classical_hamiltonian(TrigPotential(a=(1.0,)), 0.0, 0.0) == pytest.approx(1.0)
 
 
 def test_enhanced_minus_classical_bounded_by_attenuation():
@@ -209,7 +209,7 @@ def test_surface_term_values():
 def test_rho_near_classical_limit():
     # pendulum with r/hbar = 100: rho_1 within 1e-3 of 1 - hbar/(4r)
     spec = FiducialSpec(r=100.0, alpha=0.0, hbar=1.0)
-    model = EnhancedHamiltonian.build(TrigPotential.pendulum(), spec)
+    model = EnhancedHamiltonian.build(TrigPotential(a=(1.0,)), spec)
     assert abs(model.attenuation[0] - (1.0 - 1.0 / 400.0)) < 1e-3
     value = enhanced_hamiltonian(model, 0.0, 0.0)
     assert value == pytest.approx(model.attenuation[0] + model.kinetic_offset, abs=1e-12)

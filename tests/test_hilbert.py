@@ -10,13 +10,12 @@ from circleq.hilbert import (
     MomentumState,
     ResolutionError,
     TwistedBasis,
-    check_boundary_phase,
     default_cutoff,
     wrap_angle,
 )
 from circleq.fiducial import FiducialSpec, momentum_coefficients, default_basis
 
-from oracles import PositionWavefunction, analyze, boundary_defect, synthesize
+from oracles import PositionWavefunction, analyze, boundary_defect, check_boundary_phase, synthesize
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 

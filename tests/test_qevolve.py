@@ -22,7 +22,6 @@ from circleq.qevolve import (
     compare_restricted,
     comparison_basis,
     evolve_quantum,
-    potential_band_value,
 )
 
 
@@ -32,16 +31,27 @@ def basis_state(basis, n):
     return MomentumState(basis, coeffs)
 
 
+def quadrature_band(potential, k):
+    """Fourier coefficient (1/2 pi) integral V(theta) e^{-i k theta} d theta
+    by the trapezoid rule on 512 nodes."""
+    grid = QuadratureGrid.make(512)
+    return integrate_periodic(potential.value(grid.nodes) * np.exp(-1j * k * grid.nodes), grid) / TWO_PI
+
+
+def checked_bands(ham):
+    """``ham.bands``, each within 1e-10 of its quadrature Fourier coefficient."""
+    for k, band in enumerate(ham.bands, start=1):
+        assert abs(band - quadrature_band(ham.potential, k)) < 1e-10
+    return ham.bands
+
+
 def dense_hamiltonian(potential, basis):
     """Oracle matrix of P^2 + V: the whole dim x dim array filled band by
     band, float64 when the potential has no sine terms."""
     dim, real = basis.dimension, not any(potential.b)
     momenta = basis.momenta()
     matrix = np.diag((momenta * momenta + potential.a0).astype(float if real else complex))
-    for k in range(1, potential.degree + 1):
-        band = potential_band_value(potential, k)
-        if real:
-            band = band.real
+    for k, band in enumerate(checked_bands(build_hamiltonian(potential, basis)), start=1):
         idx = np.arange(dim - k)
         matrix[idx + k, idx] += band
         matrix[idx, idx + k] += np.conj(band)
@@ -104,7 +114,7 @@ ORACLE_CASES = {
     "real": lambda: coherent_case(TrigPotential(a=(0.8, 0.2)), 300),
     "complex": lambda: coherent_case(SINE_TERMS, 300),
     "all_modes": spread_case,
-    "ragged_chunks": lambda: coherent_case(TrigPotential.pendulum(), 2 * TIME_CHUNK + 37),
+    "ragged_chunks": lambda: coherent_case(TrigPotential(a=(1.0,)), 2 * TIME_CHUNK + 37),
     # r/hbar = 10 over 50 time units: the first block's edge leak, times
     # T/hbar = 500, breaks the bound, so the block must grow
     "long_horizon": lambda: coherent_case(SINE_TERMS, 5000, r=1.0, p=0.3, q=1.0),
@@ -154,7 +164,7 @@ def chunked_reference_trace(ham, initial, dt, steps):
     amps = modes.conj().T @ psi[block]
     kept = window(np.abs(amps) ** 2)
     energies, modes, amps = energies[kept], modes[:, kept], amps[kept]
-    bands = [potential_band_value(ham.potential, k) for k in range(1, ham.potential.degree + 1)]
+    bands = checked_bands(ham)
     times = dt * np.arange(steps + 1)
     out = {key: np.empty(steps + 1) for key in ("cos_q", "sin_q", "mean_p", "norm", "energy")}
     for start in range(0, steps + 1, TIME_CHUNK):
@@ -178,7 +188,7 @@ CHUNK_ORACLE_CASES = {
     "complex": lambda: coherent_case(SINE_TERMS, 300),
     "bandwidth3": lambda: coherent_case(TrigPotential(a0=0.3, a=(0.8, -0.2, 0.1), b=(0.0, 0.1, -0.05)), 300),
     "free": lambda: coherent_case(TrigPotential.free(), 300),
-    "ragged_chunks": lambda: coherent_case(TrigPotential.pendulum(), 2 * TIME_CHUNK + 37),
+    "ragged_chunks": lambda: coherent_case(TrigPotential(a=(1.0,)), 2 * TIME_CHUNK + 37),
     "backward": lambda: coherent_case(SINE_TERMS, 300)[:2] + (-0.01, 300),
 }
 
@@ -271,7 +281,7 @@ def test_propagation_memory_does_not_grow_with_steps():
     # one complex (dim, steps + 1) array alone would take about 64 MB here
     spec = FiducialSpec(r=10.0, alpha=0.3)
     basis = TwistedBasis(0.3, 1.0, 100)
-    ham = build_hamiltonian(TrigPotential.pendulum(), basis)
+    ham = build_hamiltonian(TrigPotential(a=(1.0,)), basis)
     state = coherent_state(CoherentLabel(p=0.5, q=1.0), spec, basis).normalized()
     tracemalloc.start()
     try:
@@ -288,7 +298,7 @@ def test_quantum_path_memory_stays_banded():
     # float64 matrix alone would take 87 MiB; the bands and the solved
     # blocks of at most a few hundred slots take a few MiB
     spec = FiducialSpec(r=2.5, alpha=0.0, hbar=0.0125)
-    model = EnhancedHamiltonian.build(TrigPotential.pendulum(), spec)
+    model = EnhancedHamiltonian.build(TrigPotential(a=(1.0,)), spec)
     label = CoherentLabel(p=1.0, q=0.0)
     basis = comparison_basis(model, label)
     state = coherent_state(label, spec, basis).normalized()
@@ -357,16 +367,12 @@ def test_sine_band_matrix_hermitian():
 def test_band_values_match_quadrature():
     # quadrature Fourier coefficients of V reproduce every band
     potential = TrigPotential(a0=-0.4, a=(0.9, 0.1, -0.7), b=(0.2, -0.5, 0.3))
-    grid = QuadratureGrid.make(512)
-    samples = potential.value(grid.nodes)
-    from circleq.qevolve import potential_band_value
-
     basis = TwistedBasis(0.2, 1.0, 8)
     ham = build_hamiltonian(potential, basis)
     kinetic = np.diag(basis.momenta() ** 2)
+    checked_bands(ham)
     for k in range(-4, 5):
-        quad = integrate_periodic(samples * np.exp(-1j * k * grid.nodes), grid) / TWO_PI
-        assert abs(quad - potential_band_value(potential, k)) < 1e-10
+        quad = quadrature_band(potential, k)
         # <m|V|n> = V_{m-n} on the band m - n = k
         assert np.max(np.abs(np.diag(ham.matrix - kinetic, -k) - quad)) < 1e-10
     assert np.max(np.abs(ham.matrix - ham.matrix.conj().T)) == 0.0
@@ -511,7 +517,7 @@ def test_compare_pendulum_localized_vs_spread():
     hbar = 0.05
     label = CoherentLabel(p=0.0, q=math.pi - 0.4)
     sharp = EnhancedHamiltonian.build(
-        TrigPotential.pendulum(), FiducialSpec(r=50 * hbar, alpha=0.25, hbar=hbar)
+        TrigPotential(a=(1.0,)), FiducialSpec(r=50 * hbar, alpha=0.25, hbar=hbar)
     )
     report = compare_restricted(sharp, label, total_time=4.6, dt=0.002)
     # one full small-oscillation period is ~4.5 time units; regression
@@ -520,7 +526,7 @@ def test_compare_pendulum_localized_vs_spread():
     assert report.ehrenfest_window == pytest.approx(report.times[-1])
 
     spread = EnhancedHamiltonian.build(
-        TrigPotential.pendulum(), FiducialSpec(r=2 * hbar, alpha=0.25, hbar=hbar)
+        TrigPotential(a=(1.0,)), FiducialSpec(r=2 * hbar, alpha=0.25, hbar=hbar)
     )
     control = compare_restricted(spread, label, total_time=4.6, dt=0.002)
     assert float(np.max(control.phase_deviation)) > 2.0 * float(np.max(report.phase_deviation))
@@ -528,7 +534,7 @@ def test_compare_pendulum_localized_vs_spread():
 
 def test_comparison_basis_covers_boost():
     spec = FiducialSpec(r=2.0, alpha=0.0, hbar=0.5)
-    model = EnhancedHamiltonian.build(TrigPotential.pendulum(), spec)
+    model = EnhancedHamiltonian.build(TrigPotential(a=(1.0,)), spec)
     wide = comparison_basis(model, CoherentLabel(p=6.0, q=0.0))
     narrow = comparison_basis(model, CoherentLabel(p=0.0, q=0.0))
     assert wide.cutoff_n - narrow.cutoff_n == 12
