@@ -177,8 +177,7 @@ def evolve_quantum(
     (a Duhamel estimate per kept mode); while that exceeds
     sqrt(WINDOW_TAIL) the block is solved again with the margin doubled on
     each side whose own leak keeps the bound over (on both when neither
-    does alone), or on the whole lattice once a growth cuts the leak term by
-    less than half.  On the whole lattice the bound is the window's alone,
+    does alone).  On the whole lattice the bound is the window's alone,
     so the loop ends.  The bound covers truncation only: roundoff, as for any
     eigendecomposition, grows like eps ||H|| T / hbar.  A failed
     decomposition raises numpy's LinAlgError untouched.
@@ -195,7 +194,6 @@ def evolve_quantum(
     first, last = int(held[0]), int(held[-1]) + 1
     margins = [max(1, (last - first) // MARGIN_DIVISOR)] * 2
     horizon, limit = abs(dt) * steps / hbar, math.sqrt(WINDOW_TAIL)
-    previous_leak = math.inf
     while True:
         block = slice(max(first - margins[0], 0), min(last + margins[1], dim))
         energies, modes = np.linalg.eigh(ham.block(block, block))
@@ -210,14 +208,11 @@ def evolve_quantum(
         if bound <= limit or block.stop - block.start == dim:
             break
         # a side grows when its leak alone keeps the bound over the limit, both
-        # when neither does; a growth that cut the leak by less than half (not
-        # one that raised it) met delocalized modes: the whole lattice is next
+        # when neither does
         over = [math.sqrt(w) + math.sqrt(discarded) + horizon * float(sizes @ side) > limit
                 for w, side in zip(outside, leaks)]
-        futile = previous_leak / 2 < leak <= previous_leak
-        margins = [dim if futile else 2 * margin if grow or not any(over) else margin
+        margins = [2 * margin if grow or not any(over) else margin
                    for margin, grow in zip(margins, over)]
-        previous_leak = leak
 
     momenta = ham.basis.momenta()[block]
     diagonal, bands = ham.diagonal[block].real, ham.bands

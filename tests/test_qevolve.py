@@ -215,14 +215,21 @@ def test_long_horizon_grows_the_block():
     assert max(short.truncation_bound, long.truncation_bound) <= 1e-12
 
 
-def test_block_grows_only_on_the_leaking_side(tmp_path, monkeypatch):
-    # compare at r/hbar = 200 from p0 = 1: the first block of 312 slots leaks
-    # about 2e-5 through its lower edge and 2e-20 through its upper one, so
-    # only the lower margin doubles (growing both solved 312, 416 and 624)
+class SpyStop(Exception):
+    """Raised by an eigh spy before a solve the test does not expect."""
+
+
+def spied_compare(monkeypatch, tmp_path, settings, solves=math.inf, largest=math.inf):
+    """Run ``compare`` with ``settings`` under an eigh spy that records each
+    block size and raises SpyStop before a solve past the ``solves``-th or
+    over ``largest`` slots.  Returns (exit code, or None when the spy
+    stopped the run; the sizes solved; the quantum traces)."""
     solved, traces = [], []
     eigh, evolve = np.linalg.eigh, qevolve.evolve_quantum
 
     def spy_eigh(matrix):
+        if len(solved) == solves or matrix.shape[0] > largest:
+            raise SpyStop
         solved.append(matrix.shape[0])
         return eigh(matrix)
 
@@ -232,38 +239,57 @@ def test_block_grows_only_on_the_leaking_side(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
     monkeypatch.setattr(qevolve, "evolve_quantum", spy_evolve)
-    args = ["compare", "--set", "model.r = 2.5", "--set", "model.hbar = 0.0125",
-            "--set", "model.potential.a = 1.0", "--set", f"output.dir = {tmp_path}"]
-    assert main(args) == 0
+    args = ["compare", "--set", f"output.dir = {tmp_path}"]
+    for item in settings:
+        args += ["--set", item]
+    try:
+        code = main(args)
+    except SpyStop:
+        code = None
+    return code, solved, traces
+
+
+R200 = ["model.r = 2.5", "model.hbar = 0.0125"]
+
+
+def test_block_grows_only_on_the_leaking_side(tmp_path, monkeypatch):
+    # compare at r/hbar = 200 from p0 = 1: the first block of 312 slots leaks
+    # about 2e-5 through its lower edge and 2e-20 through its upper one, so
+    # only the lower margin doubles (growing both solved 312, 416 and 624)
+    code, solved, traces = spied_compare(monkeypatch, tmp_path, [*R200, "model.potential.a = 1.0"])
+    assert code == 0
     assert solved[0] == 312 and len(solved) > 1 and max(solved) < 624
     assert traces[0].slots_kept == solved[-1]
     assert traces[0].truncation_bound <= 1e-12
 
 
-class WholeLattice(Exception):
-    """Raised by an eigh spy to stop a run at its whole-lattice solve."""
+def test_localized_state_stops_short_of_the_whole_lattice(tmp_path, monkeypatch):
+    # the momentum sweep of this state reaches past the first margin: the
+    # low-edge leak reads 10.2 and 9.76 at 312 and 364 slots, then 1.3e-16
+    # at 468.  A slow fall is no sign of delocalized modes, so the block
+    # keeps doubling instead of jumping to the 3461-slot lattice
+    settings = [*R200, "model.potential.a = 0.5, 0.5", "model.alpha = 0.5", "run.q0 = 2.0",
+                "run.p0 = 1.5", "run.dt = 0.002", "run.total_time = 4.6"]
+    code, solved, traces = spied_compare(monkeypatch, tmp_path, settings, largest=1500)
+    assert code == 0
+    assert solved == [312, 364, 468]
+    assert traces[0].truncation_bound <= 1e-12
 
 
-@pytest.mark.parametrize("hbar, blocks", [(0.05, [159, 211, 859]), (0.0125, [312, 416, 3379])])
-def test_futile_growth_goes_to_the_whole_lattice(tmp_path, monkeypatch, hbar, blocks):
-    # a 1e300 coupling delocalizes the modes, so growing the block barely
-    # moves the edge leak; the third solve is the whole lattice (859 and 3379
-    # slots) where doubling made 5 and 7 solves.  The spy stops there: the
-    # 3379-slot eigh alone takes seconds
-    solved, eigh = [], np.linalg.eigh
-
-    def spy_eigh(matrix):
-        solved.append(matrix.shape[0])
-        if len(solved) == len(blocks):
-            raise WholeLattice
-        return eigh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-    args = ["compare", "--set", "model.r = 2.5", "--set", f"model.hbar = {hbar}",
-            "--set", "model.potential.a = 1e300", "--set", f"output.dir = {tmp_path}"]
-    with pytest.raises(WholeLattice):
-        main(args)
+@pytest.mark.parametrize("hbar, blocks", [(0.05, [159, 211, 315, 523, 859]),
+                                          (0.0125, [312, 416, 624, 1040])])
+def test_delocalized_modes_grow_the_block_by_doubling(tmp_path, monkeypatch, hbar, blocks):
+    # a 1e300 coupling delocalizes the modes, so each growth barely moves the
+    # edge leak, and both margins double until the block is the whole
+    # lattice: 859 slots at hbar = 0.05.  At 0.0125 the spy stops before the
+    # 1872-slot solve, as the solves up to the 3379-slot lattice take seconds
+    settings = ["model.r = 2.5", f"model.hbar = {hbar}", "model.potential.a = 1e300"]
+    code, solved, traces = spied_compare(monkeypatch, tmp_path, settings, solves=len(blocks))
     assert solved == blocks
+    if hbar == 0.05:
+        assert code == 0 and traces[0].slots_kept == 859
+    else:
+        assert code is None
 
 
 def test_huge_couplings_keep_the_bound_finite():
