@@ -76,8 +76,9 @@ def evolve(
 ) -> Trajectory:
     """Leapfrog (kick-drift-kick) trajectory with energies at every sample.
 
-    For the free potential the drift q(t) = q(0) + 2 p t is exact.  dt may
-    be negative, which runs the (time reversible) scheme backward.
+    For the free potential the drift is exact: q(t) = q(0) + 2 p t on the
+    classical flow and q(0) + 2 (p + hbar alpha) t on the enhanced one.  dt
+    may be negative, which runs the (time reversible) scheme backward.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
@@ -92,28 +93,30 @@ def evolve(
     shift, potential, offset = _flow_pieces(h_kind, model)
     harmonics = enumerate(zip(potential.a, potential.b), start=1)
     terms = [(float(n), an, bn) for n, (an, bn) in harmonics]
-
-    # scalar math in the inner loop; harmonic counts are tiny and the
-    # step count is not
-    def force(q):
-        f = 0.0
-        for n, an, bn in terms:
-            f += n * (an * math.sin(n * q) - bn * math.cos(n * q))
-        return f
-
-    qs = np.empty(steps + 1)
-    ps = np.empty(steps + 1)
-    q, p = start.q_unwrapped, start.p
-    qs[0], ps[0] = q, p
-    half = 0.5 * dt
-    # the closing kick of one step and the opening kick of the next share q
-    f = force(q)
-    for i in range(1, steps + 1):
+    # scalar math with the force inlined: harmonic counts are tiny and the
+    # step count is not.  One cosine harmonic (the pendulum) takes
+    # f = 0.0 + a1 sin q, the generic sum's bits: n = 1.0 multiplies exactly,
+    # and the two differ only in the sign of a zero, which 0.0 + drops
+    pendulum = len(terms) == 1 and terms[0][2] == 0.0
+    a1, sin, cos = terms[0][1] if pendulum else 0.0, math.sin, math.cos
+    qs, ps = np.empty(steps + 1), np.empty(steps + 1)
+    q, p, p_half = start.q_unwrapped, start.p, 0.0
+    half, drift = 0.5 * dt, dt * 2.0
+    # iteration i kicks twice with the force at q_i, closing step i and
+    # opening step i + 1, whose drift goes unused after the last sample
+    for i in range(steps + 1):
+        if pendulum:
+            f = 0.0 + a1 * sin(q)
+        else:
+            f = 0.0
+            for n, an, bn in terms:
+                f += n * (an * sin(n * q) - bn * cos(n * q))
+        if i:
+            p = p_half + half * f
+        qs[i] = q
+        ps[i] = p
         p_half = p + half * f
-        q = q + dt * 2.0 * (p_half + shift)
-        f = force(q)
-        p = p_half + half * f
-        qs[i], ps[i] = q, p
+        q = q + drift * (p_half + shift)
 
     return Trajectory(
         times=dt * np.arange(steps + 1),

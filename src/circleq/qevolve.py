@@ -177,10 +177,10 @@ def evolve_quantum(
     (a Duhamel estimate per kept mode); while that exceeds
     sqrt(WINDOW_TAIL) the block is solved again with the margin doubled on
     each side whose own leak keeps the bound over (on both when neither
-    does alone).  On the whole lattice the bound is the window's alone,
-    so the loop ends.  The bound covers truncation only: roundoff, as for any
-    eigendecomposition, grows like eps ||H|| T / hbar.  A failed
-    decomposition raises numpy's LinAlgError untouched.
+    does alone); a side within the bandwidth of the lattice edge reaches it.
+    On the whole lattice the bound is the window's alone, so the loop ends.
+    The bound covers truncation only (roundoff grows like eps ||H|| T / hbar,
+    as for any eigendecomposition); a failed one raises LinAlgError untouched.
     """
     if initial.basis != ham.basis:
         raise ValueError("initial state and Hamiltonian use different bases")
@@ -213,6 +213,10 @@ def evolve_quantum(
                 for w, side in zip(outside, leaks)]
         margins = [2 * margin if grow or not any(over) else margin
                    for margin, grow in zip(margins, over)]
+        # a side stopping within the bandwidth of the lattice edge takes those
+        # slots too: the solve costs the same, and no whole-lattice copy follows
+        margins = [room if room - margin <= len(ham.bands) else margin
+                   for margin, room in zip(margins, (first, dim - last))]
 
     momenta = ham.basis.momenta()[block]
     diagonal, bands = ham.diagonal[block].real, ham.bands

@@ -45,12 +45,14 @@ def _miller_scaled(max_order: int, z: float) -> np.ndarray:
             f"beyond the limit {_MAX_START_ORDER}"
         )
     start = int(start)
-    b = np.zeros(start + 2)
+    # Python floats: a numpy item access per step costs more than the step
+    b = [0.0] * (start + 2)
     b[start] = 1.0
     for k in range(start, 0, -1):
-        b[k - 1] = b[k + 1] + (2.0 * k / z) * b[k]
-        if b[k - 1] > 1e250:
-            b[k - 1:] *= 1e-250
+        b[k - 1] = value = b[k + 1] + (2.0 * k / z) * b[k]
+        if value > 1e250:
+            b[k - 1:] = [x * 1e-250 for x in b[k - 1:]]
+    b = np.array(b)
     total = b[0] + 2.0 * b[1:].sum()
     return b[: max_order + 1] / total
 

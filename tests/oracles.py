@@ -7,8 +7,9 @@ function of the angle (``boundary_defect``) and of a lattice state
 (``check_boundary_phase``), the spread of the enhanced flow across twists
 (``alpha_invariance_check``), the exact rounding residuals of the CSV
 formatter's powers of ten, the Gauss-Legendre rule of one count by its own
-recurrence, and the boost of one momentum over the whole lattice.  Each is
-a literal transcription of its formula.
+recurrence, the boost of one momentum over the whole lattice, the leapfrog
+step loop with its force as a closure, and the Miller recurrence on a numpy
+array.  Each is a literal transcription of its formula.
 """
 
 import math
@@ -214,3 +215,56 @@ def whole_lattice_boost(spec: FiducialSpec, shift: float, basis: TwistedBasis) -
     else:
         kernel, row = 1.0 / (shift + lags), (-1.0) ** m * np.sin(math.pi * (shift - m)) / math.pi
     return (kernel[None, :] @ hankel)[0] * row * (-1.0) ** slots
+
+
+def leapfrog_loop(h_kind: str, model: EnhancedHamiltonian, start: PhasePoint, dt: float,
+                  steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q_unwrapped, p) of the kick-drift-kick flow: one ``force`` call per
+    step, shared by the closing kick of a step and the opening kick of the
+    next, the generic harmonic sum for every potential, and each sample
+    stored by numpy item assignment."""
+    if h_kind == "enhanced":
+        shift, potential = model.spec.hbar * model.spec.alpha, model.effective_potential()
+    else:
+        shift, potential = 0.0, model.potential
+    harmonics = enumerate(zip(potential.a, potential.b), start=1)
+    terms = [(float(n), an, bn) for n, (an, bn) in harmonics]
+
+    def force(q):
+        f = 0.0
+        for n, an, bn in terms:
+            f += n * (an * math.sin(n * q) - bn * math.cos(n * q))
+        return f
+
+    qs = np.empty(steps + 1)
+    ps = np.empty(steps + 1)
+    q, p = start.q_unwrapped, start.p
+    qs[0], ps[0] = q, p
+    half = 0.5 * dt
+    f = force(q)
+    for i in range(1, steps + 1):
+        p_half = p + half * f
+        q = q + dt * 2.0 * (p_half + shift)
+        f = force(q)
+        p = p_half + half * f
+        qs[i], ps[i] = q, p
+    return qs, ps
+
+
+def miller_indexed(max_order: int, z: float) -> tuple[np.ndarray, int]:
+    """(e^{-z} I_n(z) for n = 0..max_order, number of rescales): the backward
+    recurrence I_{k-1} = I_{k+1} + (2k/z) I_k on a numpy array, item by item,
+    from the start order max(max_order, 1.2 z + 12 sqrt(z)) + 40; each value
+    over 1e250 scales the array from it up by 1e-250 in place.  Normalized by
+    I_0 + 2 sum_{k>=1} I_k = e^z."""
+    start = int(max(max_order, 1.2 * z + 12.0 * math.sqrt(z)) + 40)
+    b = np.zeros(start + 2)
+    b[start] = 1.0
+    rescales = 0
+    for k in range(start, 0, -1):
+        b[k - 1] = b[k + 1] + (2.0 * k / z) * b[k]
+        if b[k - 1] > 1e250:
+            b[k - 1:] *= 1e-250
+            rescales += 1
+    total = b[0] + 2.0 * b[1:].sum()
+    return b[: max_order + 1] / total, rescales

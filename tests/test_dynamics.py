@@ -15,6 +15,7 @@ from circleq.dynamics import PhasePoint, evolve
 from oracles import (
     action_along,
     alpha_invariance_check,
+    leapfrog_loop,
     phase_point,
     potential_derivative,
     winding_number,
@@ -150,6 +151,40 @@ def test_leapfrog_matches_scalar_reference(h_kind, dt, potential):
     assert np.array_equal(traj.q_unwrapped, qs)
     assert np.array_equal(traj.p, ps)
     assert np.array_equal(traj.energies, energies)
+
+
+def same_bits(got, expected):
+    return np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        TrigPotential(a=(1.0,)),
+        TrigPotential(a=(-0.7,)),
+        TrigPotential(a=(0.0,)),
+        TrigPotential(a=(1.0, 0.3), b=(0.0, 0.2)),
+        TrigPotential(a=(1.0, 1.0), b=(0.2, 0.0)),
+        TrigPotential(b=(0.5,)),
+        TrigPotential(a=(2.0,), b=(-0.0,)),
+        TrigPotential.free(),
+    ],
+    ids=["pendulum", "inverted", "zero", "two_harmonics", "sine_first", "sine_only",
+         "negative_zero_sine", "free"],
+)
+def test_step_loop_matches_the_force_closure_loop_bit_for_bit(potential):
+    # the one-cosine-harmonic force 0.0 + a1 sin q and the inlined generic sum
+    # give the bits of one force call per step, signed zeros included
+    model = EnhancedHamiltonian.build(potential, FiducialSpec(r=1.5, alpha=0.3, hbar=0.2))
+    starts = [PhasePoint(0.0, 0.0, 0.0), PhasePoint(-0.0, -0.0, -0.0), PhasePoint.start(math.pi, 0.0)]
+    for h_kind in ("classical", "enhanced"):
+        for dt in (0.002, -0.003):
+            for start in starts:
+                traj = evolve(h_kind, model, start, dt, 2000)
+                qs, ps = leapfrog_loop(h_kind, model, start, dt, 2000)
+                case = (h_kind, dt, start)
+                assert same_bits(traj.q_unwrapped, qs), case
+                assert same_bits(traj.p, ps), case
 
 
 def test_leapfrog_second_order():

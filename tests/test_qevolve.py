@@ -292,6 +292,17 @@ def test_delocalized_modes_grow_the_block_by_doubling(tmp_path, monkeypatch, hba
         assert code is None
 
 
+def test_block_near_the_lattice_edge_takes_the_edge(tmp_path, monkeypatch):
+    # two 1e300 harmonics (bandwidth m = 2) on a 161-slot lattice: the fourth
+    # block would stop one slot short of the edge, and a solve of the whole
+    # lattice would follow it (63, 83, 120, 160, 161); it takes that slot
+    settings = ["model.r = 0.3", "model.hbar = 0.05", "model.alpha = 0.3",
+                "model.potential.a = 1e300, 1e300", "run.q0 = 1.0", "run.p0 = 1.1"]
+    code, solved, traces = spied_compare(monkeypatch, tmp_path, settings)
+    assert code == 0 and solved == [63, 83, 120, 161]
+    assert traces[0].slots_kept == 161
+
+
 def test_huge_couplings_keep_the_bound_finite():
     # squared edge leaks of a 1e300 coupling overflowed to inf (with a
     # RuntimeWarning) before the residual norms were taken through hypot

@@ -15,7 +15,7 @@ from circleq.specfun import (
     integrate_periodic,
 )
 
-from oracles import gauss_legendre_alone
+from oracles import gauss_legendre_alone, miller_indexed
 
 # sum_k (1/4)^k / (k!)^2 with 30+ terms, frozen as a regression constant
 I0_AT_1 = 1.2660658777520082
@@ -63,6 +63,19 @@ def test_bessel_scaled_huge_argument():
     with mpmath.workdps(40):
         exact = float(mpmath.besseli(3, 1e4) * mpmath.exp(-1e4))
     assert bessel_i_scaled_sequence(3, 1e4)[3] == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("max_order, z, rescales", [
+    (408, 50.0, 1), (0, 100.0, 0), (1, 100.0, 0), (0, 400.0, 1), (1700, 400.0, 4),
+    (3000, 3200.0, 5), (100, 1e4, 13),
+])
+def test_miller_list_loop_matches_the_indexed_loop_bit_for_bit(max_order, z, rescales):
+    # the rescale of values over 1e250 runs on Python floats as on the array
+    expected, taken = miller_indexed(max_order, z)
+    got = bessel_i_scaled_sequence(max_order, z)
+    assert taken == rescales
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_bessel_domain_errors():
