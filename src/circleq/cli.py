@@ -4,8 +4,8 @@ plot-script generation.
 Configuration grammar
 ---------------------
 Flat ``key = value`` lines with dotted section prefixes; ``#`` starts a
-comment, blank lines are ignored, later assignments win.  No positional
-arguments beyond the subcommand; a file is passed with ``--config`` and
+comment, blank lines are ignored, later assignments win.  The command is
+the only positional argument; a file is passed with ``--config`` and
 single keys are overridden with ``--set key=value`` (repeatable).
 Every key is checked before any command runs, read or not; an interval
 bounds a number or each list entry, ``(0`` starts at the smallest normal
@@ -54,7 +54,6 @@ from .enhanced import (
     enhanced_hamiltonian,
 )
 from .fiducial import (
-    EnvelopeCheck,
     FiducialSpec,
     evaluate,
     gaussian_bound_check,
@@ -62,22 +61,14 @@ from .fiducial import (
     momentum_coefficients,
     normalization,
 )
-from .hilbert import ResolutionError, TwistedBasis, default_cutoff
-from .qevolve import (
-    MAX_LATTICE_DIM,
-    build_hamiltonian,
-    compare_restricted,
-    comparison_basis,
-    evolve_quantum,
-)
+from .hilbert import MAX_CUTOFF, MAX_LATTICE_DIM, ResolutionError, TwistedBasis, default_cutoff
+from .qevolve import build_hamiltonian, compare_restricted, comparison_basis, evolve_quantum
 from .specfun import ConvergenceError
 
 OUTDIR_ENV = "CIRCLEQ_OUTDIR"
 SCHEMA_VERSION = "v1"
 # most time steps, samples or table rows any key may ask for
 MAX_ROWS = 1_000_000
-# largest lattice half-width N any command builds
-_MAX_CUTOFF = (MAX_LATTICE_DIM - 1) // 2
 # least value of a quantity that must be > 0: the smallest normal double
 _TINY = sys.float_info.min
 _FINITE = (-math.inf, math.inf, False)
@@ -103,8 +94,8 @@ _KEYS = (
     ("model.potential.a0", "0.0", "float", _FINITE, "constant potential term"),
     ("model.potential.a", "", "float list", _FINITE, "cos coefficients a_1..a_m"),
     ("model.potential.b", "", "float list", _FINITE, "sin coefficients b_1..b_m"),
-    ("run.cutoff", "auto", "int", (1, _MAX_CUTOFF, True), "lattice half-width N"),
-    ("run.max_harmonic", "auto", "int", (0, _MAX_CUTOFF, True), "harmonics in ``fiducial``"),
+    ("run.cutoff", "auto", "int", (1, MAX_CUTOFF, True), "lattice half-width N"),
+    ("run.max_harmonic", "auto", "int", (0, MAX_CUTOFF, True), "harmonics in ``fiducial``"),
     ("run.profile_points", "720", "int", (1, MAX_ROWS, False), "rows in the fiducial profile"),
     ("run.p_cutoff_factors", "5, 10, 20, 40", "float list", (_TINY, MAX_LATTICE_DIM, False),
      f"nonempty; cutoffs in units of sqrt(hbar max(r, hbar)), <= {MAX_LATTICE_DIM} nodes each"),
@@ -244,7 +235,7 @@ class RunConfig:
         if job in ("fiducial", "unity", "compare", "evolve quantum"):
             # the fiducial support and the potential bandwidth
             support = default_cutoff(z, degree) if z < MAX_LATTICE_DIM else math.inf
-            _require(support <= _MAX_CUTOFF, f"'model.r' / 'model.hbar': r/hbar = {z:.6g} needs "
+            _require(support <= MAX_CUTOFF, f"'model.r' / 'model.hbar': r/hbar = {z:.6g} needs "
                      f"a lattice wider than MAX_LATTICE_DIM = {MAX_LATTICE_DIM} slots")
             cfg.basis = TwistedBasis(spec.alpha, spec.hbar, v["run.cutoff"] or support)
         if command == "unity":
@@ -526,8 +517,7 @@ def cmd_fiducial(cfg: RunConfig):
     z, log_peak = spec.localization, 2.0 * math.log(normalization(spec))  # log N^2
     log_gauss = log_peak - z * theta * theta
     mom = moments(spec, max_harmonic=cfg["run.max_harmonic"])
-    no_envelope = EnvelopeCheck(True, 0.0, 0.0)  # r = 0 has no Gaussian envelope
-    envelope = gaussian_bound_check(spec) if spec.r > 0 else no_envelope
+    envelope = gaussian_bound_check(spec)
     coeffs = momentum_coefficients(spec, basis)
     tables = [
         ("fiducial_profile.csv", "fiducial-profile", {
@@ -588,14 +578,16 @@ def cmd_hamiltonian(cfg: RunConfig):
     p_axis = np.linspace(p_min, p_max, int(p_count))
     q_count = cfg["run.q_points"]
     q_axis = -math.pi + 2.0 * math.pi * np.arange(q_count) / q_count
-    p, q = np.meshgrid(p_axis, q_axis, indexing="ij")  # rows: p outer, q inner
+    # surfaces on the broadcast axes; rows: p outer, q inner
+    p, q = p_axis[:, None], q_axis[None, :]
     h_cs = enhanced_hamiltonian(model, p, q)
     h_shifted = enhanced_hamiltonian(model, canonical_shift(p, spec), q)
     h_c = classical_hamiltonian(potential, p, q)
     residual = h_shifted - h_c - model.kinetic_offset
     tables = [
         ("hamiltonian_grid.csv", "hamiltonian-grid", {
-            "p": p.ravel(), "q": q.ravel(), "h_coherent": h_cs.ravel(),
+            "p": np.repeat(p_axis, q_count), "q": np.tile(q_axis, p_axis.size),
+            "h_coherent": h_cs.ravel(),
             "h_coherent_shifted": h_shifted.ravel(), "h_classical": h_c.ravel(),
             "residual": residual.ravel(),
         }),
@@ -730,7 +722,7 @@ def _selftest_checks():
 
     def check_spectrum():
         basis = TwistedBasis(0.3, 1.0, 16)
-        ham = build_hamiltonian(TrigPotential.free(), basis)
+        ham = build_hamiltonian(TrigPotential(), basis)
         exact = np.sort(basis.momenta() ** 2)
         return float(np.max(np.abs(np.linalg.eigvalsh(ham.matrix) - exact))) < 1e-10
 
@@ -774,14 +766,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="circle coherent-state quantization toolkit",
     )
     parser.add_argument("--version", action="version", version=f"circleq {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", "-c", default=None, help="path to a key = value config file")
-        cmd.add_argument(
-            "--set", dest="overrides", action="append", default=[],
-            metavar="KEY=VALUE", help="override a single config key",
-        )
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", "-c", default=None, help="path to a key = value config file")
+    parser.add_argument(
+        "--set", dest="overrides", action="append", default=[],
+        metavar="KEY=VALUE", help="override a single config key",
+    )
     return parser
 
 

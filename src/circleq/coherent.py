@@ -53,7 +53,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fiducial import FiducialSpec, momentum_coefficients, default_basis
-from .hilbert import MomentumState, ResolutionError, TwistedBasis, wrap_angle
+from .hilbert import MAX_LATTICE_DIM, MomentumState, ResolutionError, TwistedBasis, wrap_angle
 from .specfun import gauss_legendre
 
 # out-of-basis spectral weight above this triggers a truncation diagnostic
@@ -62,7 +62,7 @@ EDGE_WEIGHT_LIMIT = 1e-8
 _BLOCK = 512
 # half-rule nodes per unity sweep: half the largest rule a config admits
 # (MAX_LATTICE_DIM nodes), so a sweep holds no more than that rule alone
-_SWEEP_NODES = 4096
+_SWEEP_NODES = MAX_LATTICE_DIM // 2
 
 
 @dataclass(frozen=True)

@@ -64,10 +64,6 @@ class TrigPotential:
         """Bound sum_n n (|a_n| + |b_n|) on |V'(q)|."""
         return sum(n * (abs(x) + abs(y)) for n, (x, y) in enumerate(zip(self.a, self.b), start=1))
 
-    @classmethod
-    def free(cls) -> "TrigPotential":
-        return cls()
-
 
 @dataclass(eq=False)
 class EnhancedHamiltonian:

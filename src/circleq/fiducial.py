@@ -154,10 +154,9 @@ def gaussian_bound_check(spec: FiducialSpec) -> EnvelopeCheck:
     gap z (2 cos theta - 2 + theta^2) is monotone away from 0 and peaks at
     theta = +/-pi with value z (pi^2 - 4).  The lower bound is
     cos theta - 1 >= -theta^2 / 2.  Both comparisons run in log space so
-    no K is ever exponentiated.
+    no K is ever exponentiated.  At r = 0 both bounds hold with equality,
+    and both margins are 0.
     """
-    if spec.r <= 0.0:
-        raise ValueError("the envelope bound needs r > 0")
     z = spec.localization
     theta = -math.pi + TWO_PI * np.arange(ENVELOPE_SAMPLES) / ENVELOPE_SAMPLES
     gap = z * (2.0 * np.cos(theta) - 2.0 + theta * theta)

@@ -17,6 +17,11 @@ import numpy as np
 
 from .specfun import TWO_PI
 
+# largest lattice any command builds; r/hbar = 200 at p = 0 needs 3227 slots
+MAX_LATTICE_DIM = 8192
+# largest half-width N of such a lattice
+MAX_CUTOFF = (MAX_LATTICE_DIM - 1) // 2
+
 
 class ResolutionError(ValueError):
     """A basis truncation is too coarse for the requested result."""

@@ -41,7 +41,7 @@ import numpy as np
 from .coherent import CoherentLabel, coherent_state
 from .dynamics import PhasePoint, Trajectory, evolve
 from .enhanced import EnhancedHamiltonian, TrigPotential
-from .hilbert import MomentumState, TwistedBasis, default_cutoff
+from .hilbert import MAX_CUTOFF, MAX_LATTICE_DIM, MomentumState, TwistedBasis, default_cutoff
 
 # largest summed weight sum |a_j|^2 of the eigenmodes left out of a propagation
 WINDOW_TAIL = 1e-24
@@ -49,8 +49,6 @@ WINDOW_TAIL = 1e-24
 TIME_CHUNK = 128
 # evolve_quantum pads the initial state's span by 1/MARGIN_DIVISOR of it on each side
 MARGIN_DIVISOR = 4
-# largest lattice comparison_basis builds; r/hbar = 200 at p = 0 needs 3227
-MAX_LATTICE_DIM = 8192
 
 
 @dataclass(eq=False)
@@ -120,10 +118,6 @@ class ExpectationTrace:
     discarded_weight: float
     slots_kept: int
     truncation_bound: float
-
-    def circle_moment(self) -> np.ndarray:
-        """Complex moment <e^{iQ}>(t); its modulus measures coherence."""
-        return self.cos_q + 1j * self.sin_q
 
 
 def _apply(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -279,7 +273,7 @@ def comparison_basis(model: EnhancedHamiltonian, label: CoherentLabel) -> Twiste
     spec = model.spec
     margin = abs(label.p) / spec.hbar
     support = default_cutoff(spec.localization, model.potential.degree)
-    if support + margin > (MAX_LATTICE_DIM - 1) // 2:
+    if support + margin > MAX_CUTOFF:
         raise ValueError(
             f"a boost of |p|/hbar = {margin:.6g} needs a lattice wider than "
             f"MAX_LATTICE_DIM = {MAX_LATTICE_DIM} slots"
@@ -310,7 +304,7 @@ def compare_restricted(
 
     shift = spec.hbar * spec.alpha
     momentum_dev = np.abs(quantum.mean_p - (enhanced.p + shift))
-    coherence = np.abs(quantum.circle_moment())
+    coherence = np.abs(quantum.cos_q + 1j * quantum.sin_q)  # |<e^{iQ}>|
     safe = np.where(coherence > 1e-12, coherence, 1.0)
     cos_n = np.where(coherence > 1e-12, quantum.cos_q / safe, np.nan)
     sin_n = np.where(coherence > 1e-12, quantum.sin_q / safe, np.nan)

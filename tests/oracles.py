@@ -7,9 +7,10 @@ function of the angle (``boundary_defect``) and of a lattice state
 (``check_boundary_phase``), the spread of the enhanced flow across twists
 (``alpha_invariance_check``), the exact rounding residuals of the CSV
 formatter's powers of ten, the Gauss-Legendre rule of one count by its own
-recurrence, the boost of one momentum over the whole lattice, the leapfrog
-step loop with its force as a closure, and the Miller recurrence on a numpy
-array.  Each is a literal transcription of its formula.
+recurrence, the boost of one momentum over the whole lattice, the unity
+diagonal in closed form by sine and cosine integrals, the leapfrog step loop
+with its force as a closure, and the Miller recurrence on a numpy array.
+Each is a literal transcription of its formula.
 """
 
 import math
@@ -215,6 +216,45 @@ def whole_lattice_boost(spec: FiducialSpec, shift: float, basis: TwistedBasis) -
     else:
         kernel, row = 1.0 / (shift + lags), (-1.0) ** m * np.sin(math.pi * (shift - m)) / math.pi
     return (kernel[None, :] @ hankel)[0] * row * (-1.0) ** slots
+
+
+def closed_form_unity_diagonal(spec: FiducialSpec, basis: TwistedBasis, p_cutoff: float) -> np.ndarray:
+    """diag_k = int_{-L}^{L} f_k(x)^2 dx, L = p_cutoff/hbar, on every slot k, with
+    no momentum nodes.  Lag differences are integers, so sin pi(x+a) sin pi(x+b)
+    = (-1)^(a-b) sin^2 pi(x+a), and partial fractions in 1/((x+a)(x+b)) give
+
+        diag_k = sum_n c_n^2 G(n-k) + (2/pi^2) sum_n (-1)^n c_n u_n J(n-k)
+        G(a) = S(a+L) - S(a-L),  S(y) = Si(2 pi y)/pi - sin^2(pi y)/(pi^2 y)
+        J(a) = [Cin(2 pi |a+L|) - Cin(2 pi |a-L|)] / 2
+        u_n = sum_{m != n} (-1)^m c_m / (m - n)
+
+    with Cin(x) = gamma + ln x - Ci(x), over the normal coefficients the
+    production boost keeps."""
+    from scipy.special import sici
+
+    def cin(x):
+        safe = np.where(x > 0.0, x, 1.0)
+        return np.where(x > 0.0, np.euler_gamma + np.log(safe) - sici(safe)[1], 0.0)
+
+    def s(y):
+        safe = np.where(y != 0.0, y, 1.0)
+        return np.where(y != 0.0, sici(2.0 * np.pi * y)[0] / np.pi
+                        - np.sin(np.pi * y) ** 2 / (np.pi**2 * safe), 0.0)
+
+    c = momentum_coefficients(spec, default_basis(spec)).coeffs.real
+    n_src = default_basis(spec).n_values()
+    keep = c >= np.finfo(float).tiny
+    c, n_src, slots = c[keep], n_src[keep], basis.n_values()
+    half = p_cutoff / spec.hbar
+    signed = (-1.0) ** n_src * c
+    gaps = (n_src[None, :] - n_src[:, None]).astype(float)  # m - n, row n
+    u = np.divide(signed[None, :], gaps, out=np.zeros_like(gaps), where=gaps != 0.0).sum(axis=1)
+    # G and J on the D + S - 1 lags a = n - k, then read at every (k, n)
+    lags = np.arange(n_src[0] - slots[-1], n_src[-1] - slots[0] + 1, dtype=float)
+    g = s(lags + half) - s(lags - half)
+    j = 0.5 * (cin(2.0 * np.pi * np.abs(lags + half)) - cin(2.0 * np.pi * np.abs(lags - half)))
+    at = n_src[None, :] - slots[:, None] - (n_src[0] - slots[-1])  # row k, column n
+    return g[at] @ (c * c) + j[at] @ (2.0 / np.pi**2 * signed * u)
 
 
 def leapfrog_loop(h_kind: str, model: EnhancedHamiltonian, start: PhasePoint, dt: float,

@@ -52,7 +52,7 @@ def test_criterion_02_spectrum():
     worst = 0.0
     for alpha in (0.0, 0.3, 0.62):
         basis = TwistedBasis(alpha, 1.0, 32)
-        ham = build_hamiltonian(TrigPotential.free(), basis)
+        ham = build_hamiltonian(TrigPotential(), basis)
         eigenvalues = np.linalg.eigvalsh(ham.matrix)
         worst = max(worst, float(np.max(np.abs(eigenvalues - np.sort(basis.momenta() ** 2)))))
     # alpha = 0 keeps the +/-n doublets, a generic twist splits them
@@ -162,7 +162,7 @@ def test_criterion_06_alpha_invariance():
 
 def test_criterion_07_surface_term():
     alpha, hbar = 0.3, 1.0
-    model = EnhancedHamiltonian.build(TrigPotential.free(), FiducialSpec(r=2.0, alpha=alpha))
+    model = EnhancedHamiltonian.build(TrigPotential(), FiducialSpec(r=2.0, alpha=alpha))
     # free drift at rate 2 p0 = 2 pi closes exactly one turn at T = 1
     traj = evolve("classical", model, PhasePoint.start(-1.0, math.pi), 0.01, 100)
     winding = winding_number(traj)
@@ -207,7 +207,7 @@ def test_criterion_08_symplectic_integrity():
 
 
 def test_criterion_09_quantum_classical_correspondence():
-    free = EnhancedHamiltonian.build(TrigPotential.free(), FiducialSpec(r=8.0, alpha=0.25))
+    free = EnhancedHamiltonian.build(TrigPotential(), FiducialSpec(r=8.0, alpha=0.25))
     free_report = compare_restricted(free, CoherentLabel(p=2.3, q=-0.5), total_time=5.0, dt=0.01)
     momentum_gap = float(np.max(free_report.momentum_deviation))
 

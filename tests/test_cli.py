@@ -214,10 +214,13 @@ def test_fiducial_log_profile_matches_linear_formulas(tmp_path):
 
 @pytest.mark.parametrize("r", ["0", "2.0"])
 def test_fiducial_moments_row_reports_the_envelope_check(tmp_path, monkeypatch, r):
-    # a failed EnvelopeCheck is falsy, so only r = 0 may stand for "no check"
+    # r = 0 runs the check itself, which passes with margins +0.0; a failed
+    # check is reported as it came
     from circleq.fiducial import EnvelopeCheck
 
-    monkeypatch.setattr(cli, "gaussian_bound_check", lambda spec: EnvelopeCheck(False, -1.5, 2.5))
+    if r != "0":
+        monkeypatch.setattr(cli, "gaussian_bound_check",
+                            lambda spec: EnvelopeCheck(False, -1.5, 2.5))
     code, outdir = run(tmp_path, "fiducial", f"model.r = {r}")
     assert code == 0
     row = stable_lines(outdir / "fiducial_moments.csv")[2].split(",")[-3:]

@@ -8,6 +8,7 @@ from circleq.specfun import QuadratureGrid, gauss_legendre
 from circleq.hilbert import ResolutionError, TwistedBasis
 from circleq.fiducial import FiducialSpec, default_basis, evaluate, momentum_coefficients
 from circleq import coherent
+from circleq.cli import RunConfig
 from circleq.coherent import (
     CoherentLabel,
     _boost_blocks,
@@ -16,7 +17,7 @@ from circleq.coherent import (
     verify_unity,
 )
 
-from oracles import whole_lattice_boost
+from oracles import closed_form_unity_diagonal, whole_lattice_boost
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -255,6 +256,36 @@ def test_unity_sweep_across_column_blocks(monkeypatch):
     for split, whole in zip(verify_unity(spec, basis, cutoffs), reports, strict=True):
         assert np.max(np.abs(split.diag_entries - whole.diag_entries)) <= 1e-15
     assert sweeps == [(102, 155), (102,)]
+
+
+def unity_config(*settings):
+    return RunConfig.load("unity", overrides=(*settings, "model.alpha = 0.25"))
+
+
+@pytest.mark.parametrize("settings", [
+    ("model.r = 10",),
+    ("model.r = 1", "run.p_cutoff_factors = 40"),  # a window past the 33-slot lattice
+    ("model.r = 2.5", "model.hbar = 0.05", "run.p_cutoff_factors = 5, 40"),
+    ("model.r = 0",),
+], ids=["r10", "r1-past-lattice", "r50", "r0"])
+def test_unity_sweep_matches_the_closed_form(settings):
+    # the momentum integral by sine and cosine integrals, with no nodes, on
+    # the command's own lattice and cutoffs
+    cfg = unity_config(*settings)
+    reports = verify_unity(cfg.spec, cfg.basis, cfg.p_cutoffs)
+    for cutoff, report in zip(cfg.p_cutoffs, reports, strict=True):
+        diag = closed_form_unity_diagonal(cfg.spec, cfg.basis, cutoff)
+        assert np.max(np.abs(report.diag_entries - diag)) < 1e-13
+
+
+@pytest.mark.parametrize("r, factor, deficit", [(10.0, 40.0, 76.0), (1.0, 20.0, 7.0), (1.0, 40.0, 47.0)])
+def test_closed_form_trace_deficit(r, factor, deficit):
+    # 2 L - sum_k diag_k = int_{-L}^{L} (1 - sum_k f_k^2) dx: the boost weight
+    # the window leaks off the lattice, to two significant digits
+    cfg = unity_config(f"model.r = {r}", f"run.p_cutoff_factors = {factor}")
+    [cutoff] = cfg.p_cutoffs
+    diag = closed_form_unity_diagonal(cfg.spec, cfg.basis, cutoff)
+    assert float(f"{2.0 * cutoff / cfg.spec.hbar - diag.sum():.2g}") == deficit
 
 
 def test_boost_table_matches_dense_sinc_kernel():

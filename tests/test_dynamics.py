@@ -27,7 +27,7 @@ def pendulum_model(r=2.0, alpha=0.0, hbar=1.0):
 
 
 def free_model(alpha=0.0, hbar=1.0):
-    return EnhancedHamiltonian.build(TrigPotential.free(), FiducialSpec(r=2.0, alpha=alpha, hbar=hbar))
+    return EnhancedHamiltonian.build(TrigPotential(), FiducialSpec(r=2.0, alpha=alpha, hbar=hbar))
 
 
 def test_phase_point_consistency():
@@ -136,7 +136,7 @@ def scalar_leapfrog_reference(h_kind, model, start, dt, steps):
 @pytest.mark.parametrize(
     "potential",
     [
-        TrigPotential.free(),
+        TrigPotential(),
         TrigPotential(a=(1.0,)),
         TrigPotential(a=(1.0, 0.3), b=(0.2,)),
         TrigPotential(a0=0.4, a=(0.8, -0.3, 0.15), b=(0.1, 0.0, -0.2)),
@@ -167,7 +167,7 @@ def same_bits(got, expected):
         TrigPotential(a=(1.0, 1.0), b=(0.2, 0.0)),
         TrigPotential(b=(0.5,)),
         TrigPotential(a=(2.0,), b=(-0.0,)),
-        TrigPotential.free(),
+        TrigPotential(),
     ],
     ids=["pendulum", "inverted", "zero", "two_harmonics", "sine_first", "sine_only",
          "negative_zero_sine", "free"],

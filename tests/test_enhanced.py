@@ -55,7 +55,7 @@ def test_potential_value_and_derivative():
 
 def test_kinetic_only_surface():
     spec = FiducialSpec(r=2.0, alpha=0.0)
-    model = EnhancedHamiltonian.build(TrigPotential.free(), spec)
+    model = EnhancedHamiltonian.build(TrigPotential(), spec)
     assert enhanced_hamiltonian(model, 2.0, 0.3) == pytest.approx(4.0 + model.kinetic_offset)
 
 
@@ -123,7 +123,7 @@ def test_oracle_equivalence_random_tuples():
 
 
 def test_classical_hamiltonian_values():
-    assert classical_hamiltonian(TrigPotential.free(), 1.0, 0.0) == 1.0
+    assert classical_hamiltonian(TrigPotential(), 1.0, 0.0) == 1.0
     assert classical_hamiltonian(TrigPotential(a=(1.0,)), 0.0, 0.0) == pytest.approx(1.0)
 
 

@@ -186,8 +186,10 @@ def test_gaussian_bound_equality_at_peak():
 
 
 def test_gaussian_bound_requires_concentration():
-    with pytest.raises(ValueError):
-        gaussian_bound_check(FiducialSpec(r=0.0))
+    # the uniform state r = 0 meets both bounds with equality: margins +0.0
+    check = gaussian_bound_check(FiducialSpec(r=0.0))
+    assert (check.passed, check.upper_margin, check.lower_margin) == (True, 0.0, 0.0)
+    assert not np.signbit([check.upper_margin, check.lower_margin]).any()
 
 
 def test_envelope_width_scaling():

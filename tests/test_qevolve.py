@@ -187,7 +187,7 @@ CHUNK_ORACLE_CASES = {
     "real": lambda: coherent_case(TrigPotential(a=(0.8, 0.2)), 300),
     "complex": lambda: coherent_case(SINE_TERMS, 300),
     "bandwidth3": lambda: coherent_case(TrigPotential(a0=0.3, a=(0.8, -0.2, 0.1), b=(0.0, 0.1, -0.05)), 300),
-    "free": lambda: coherent_case(TrigPotential.free(), 300),
+    "free": lambda: coherent_case(TrigPotential(), 300),
     "ragged_chunks": lambda: coherent_case(TrigPotential(a=(1.0,)), 2 * TIME_CHUNK + 37),
     "backward": lambda: coherent_case(SINE_TERMS, 300)[:2] + (-0.01, 300),
 }
@@ -352,7 +352,7 @@ def test_quantum_path_memory_stays_banded():
 BLOCK_POTENTIALS = {
     "real": TrigPotential(a0=-0.4, a=(0.9, 0.1, -0.7)),
     "complex": TrigPotential(a0=0.3, a=(0.8, -0.2, 0.1), b=(0.0, 0.1, -0.05)),
-    "free": TrigPotential.free(),
+    "free": TrigPotential(),
 }
 # (rows, cols) on the 13-slot lattice below; stops past 13 are clipped
 BLOCK_SLICES = {
@@ -381,7 +381,7 @@ def test_block_matches_dense_oracle(potential, where):
 
 def test_free_hamiltonian_is_diagonal():
     basis = TwistedBasis(0.3, 0.5, 6)
-    ham = build_hamiltonian(TrigPotential.free(), basis)
+    ham = build_hamiltonian(TrigPotential(), basis)
     assert np.allclose(ham.matrix, np.diag(basis.momenta() ** 2))
 
 
@@ -423,7 +423,7 @@ def test_cutoff_must_exceed_degree():
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.77])
 def test_free_spectrum_exact(alpha):
     basis = TwistedBasis(alpha, 1.0, 32)
-    ham = build_hamiltonian(TrigPotential.free(), basis)
+    ham = build_hamiltonian(TrigPotential(), basis)
     eigenvalues = np.linalg.eigvalsh(ham.matrix)
     exact = np.sort(basis.momenta() ** 2)
     assert np.max(np.abs(eigenvalues - exact)) <= 1e-10
@@ -443,7 +443,7 @@ def test_twist_splits_doublets():
 
 def test_stationary_state_traces_constant():
     basis = TwistedBasis(0.25, 1.0, 8)
-    ham = build_hamiltonian(TrigPotential.free(), basis)
+    ham = build_hamiltonian(TrigPotential(), basis)
     trace = evolve_quantum(ham, basis_state(basis, 3), 0.05, 40)
     assert np.ptp(trace.mean_p) < 1e-12
     assert trace.mean_p[0] == pytest.approx(3.25)
@@ -456,7 +456,7 @@ def test_free_coherent_momentum_and_dispersion():
     basis = TwistedBasis(0.25, 1.0, default_cutoff(8.0) + 3)
     label = CoherentLabel(p=2.3, q=0.0)
     state = coherent_state(label, spec, basis).normalized()
-    ham = build_hamiltonian(TrigPotential.free(), basis)
+    ham = build_hamiltonian(TrigPotential(), basis)
     trace = evolve_quantum(ham, state, 0.01, 400)
     assert np.max(np.abs(trace.mean_p - (label.p + 0.25))) < 1e-9
     assert np.all(trace.cos_q**2 + trace.sin_q**2 <= 1.0 + 1e-12)
@@ -482,7 +482,7 @@ def test_unitarity_and_energy_conservation():
 
 def test_initial_state_must_be_normalized():
     basis = TwistedBasis(0.0, 1.0, 4)
-    ham = build_hamiltonian(TrigPotential.free(), basis)
+    ham = build_hamiltonian(TrigPotential(), basis)
     bad = MomentumState(basis, np.full(basis.dimension, 0.5 + 0j))
     with pytest.raises(ValueError):
         evolve_quantum(ham, bad, 0.1, 2)
@@ -494,14 +494,14 @@ def test_initial_state_must_be_normalized():
     ids=["alpha", "hbar", "cutoff_n"],
 )
 def test_basis_mismatch_rejected(other):
-    ham = build_hamiltonian(TrigPotential.free(), TwistedBasis(0.0, 1.0, 4))
+    ham = build_hamiltonian(TrigPotential(), TwistedBasis(0.0, 1.0, 4))
     with pytest.raises(ValueError):
         evolve_quantum(ham, basis_state(other, 0), 0.1, 2)
 
 
 def test_equal_basis_is_accepted():
     # a separately built basis with equal fields is the same lattice
-    ham = build_hamiltonian(TrigPotential.free(), TwistedBasis(0.3, 1.0, 4))
+    ham = build_hamiltonian(TrigPotential(), TwistedBasis(0.3, 1.0, 4))
     trace = evolve_quantum(ham, basis_state(TwistedBasis(0.3, 1.0, 4), 0), 0.1, 2)
     assert trace.mean_p[0] == pytest.approx(0.3)
 
@@ -529,7 +529,7 @@ def test_ehrenfest_rate_at_start():
 
 def test_compare_free_particle_momentum():
     spec = FiducialSpec(r=8.0, alpha=0.25)
-    model = EnhancedHamiltonian.build(TrigPotential.free(), spec)
+    model = EnhancedHamiltonian.build(TrigPotential(), spec)
     report = compare_restricted(model, CoherentLabel(p=2.3, q=-0.5), total_time=5.0, dt=0.01)
     assert np.max(report.momentum_deviation) < 1e-9
 
