@@ -4,7 +4,7 @@ Bessel-normalized fiducial state, circle coherent states with a verified
 resolution of unity, the attenuated phase-space Hamiltonian, and
 classical / enhanced / quantum dynamics side by side."""
 
-from .specfun import QuadratureGrid, bessel_i_scaled_sequence, integrate_periodic
+from .specfun import bessel_i_scaled_sequence
 from .hilbert import (
     MomentumState,
     ResolutionError,

@@ -16,10 +16,11 @@ term by term against the fiducial coefficients c_n (a direct quadrature
 of the same integral is kept in the tests as an independent oracle).
 The kernel depends on n - k only, so it is Toeplitz: every row of boosted
 coefficients is a correlation of c with one run of kernel values over the
-lags n - k, and a whole table of momenta is a product of those runs with
-the Hankel matrix of c.  Each column of that matrix holds only the D
-coefficients, so the product goes by blocks of b slots, each against the
-D + b - 1 lags it meets, and no (P, S) table is ever held.  With
+lags n - k.  A coherent state is that one correlation.  The unity sweep
+needs a whole table of momenta, a product of the runs with the Hankel
+matrix of c; each column of that matrix holds only the D coefficients, so
+the product goes by blocks of b slots, each against the D + b - 1 lags it
+meets, and no (P, S) table is ever held.  With
 p/hbar = m + r, m = rint(p/hbar),
 sinc(n - k + p/hbar) = (-1)^(n + k + m) sin(pi r) / (pi (n - k + p/hbar)):
 one sine per momentum, with the signs folded into c and into the slots.
@@ -76,6 +77,20 @@ class CoherentLabel:
         object.__setattr__(self, "q", float(wrap_angle(self.q)))
 
 
+def _signed_support(spec: FiducialSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(s, n): the signed fiducial coefficients s = (-1)^n c_n on the slots n
+    of the central run of coefficients c_n >= the smallest normal double.
+    The ones past it are zero or subnormal, add nothing a double can hold to
+    any boosted entry, and make the boost crawl."""
+    support = default_basis(spec)
+    c = momentum_coefficients(spec, support).coeffs.real
+    # c_n is even in n and falls off monotonically from n = 0
+    normal = np.flatnonzero(c >= np.finfo(float).tiny)
+    run = slice(normal[0], normal[-1] + 1)
+    n_src = support.n_values()[run]
+    return c[run] * (-1.0) ** n_src, n_src
+
+
 def _boost_blocks(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis):
     """Boosted fiducial coefficients f[i, k] = sum_n c_n sinc(n - k + shifts[i])
     on the slots k of ``basis``, one row per shift p/hbar, yielded as column
@@ -89,19 +104,13 @@ def _boost_blocks(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis):
     H[l, j] = c[l + j - (b - 1)] of the zero-padded coefficients, the same for
     every block, read as a strided view with no copy; a single row sums in
     lag order, the same sum bit for bit as over all D + S - 1 lags at once.
-    The support keeps only the central run of coefficients |c_n| >= the
-    smallest normal double: the ones past it are zero or subnormal, add
-    nothing a double can hold to any entry, and make the product crawl.
-    Memory is O(P (D + b)).
+    The coefficients are those of :func:`_signed_support`.  Memory is
+    O(P (D + b)).
     """
-    support = default_basis(spec)
-    c = momentum_coefficients(spec, support).coeffs.real
-    # c_n is even in n and falls off monotonically from n = 0
-    normal = np.flatnonzero(c >= np.finfo(float).tiny)
-    run = slice(normal[0], normal[-1] + 1)
-    c, n_src, slots = c[run], support.n_values()[run], basis.n_values()
+    signed, n_src = _signed_support(spec)
+    slots = basis.n_values()
     b = min(_BLOCK, slots.size)
-    hankel = sliding_window_view(np.pad(c * (-1.0) ** n_src, b - 1), b)
+    hankel = sliding_window_view(np.pad(signed, b - 1), b)
     whole = np.rint(shifts)
     at_whole = shifts == whole
     rows = (-1.0) ** whole * np.where(at_whole, 1.0, np.sin(math.pi * (shifts - whole)) / math.pi)
@@ -122,15 +131,28 @@ def coherent_state(
 ) -> MomentumState:
     """Coefficients d_n = e^{-i (n + alpha) q} f_n(p) of |p, q>.
 
-    Boost first, rotation second; the rotation phase multiplies the
-    boosted coefficients exactly, so d_n(p, q) = e^{-i (n+alpha) q} d_n(p, 0)
-    holds by construction.  Raises ResolutionError when the basis is too
-    narrow to hold the boosted state.
+    Boost first, rotation second.  The boost is one correlation of the
+    signed coefficients with the kernel run over all D + S - 1 lags, as in
+    :func:`_boost_blocks`; an integer p/hbar = m takes the unit run at lag
+    -m, so the state is the fiducial shifted by m slots bit for bit.  The
+    rotation phase multiplies the boosted coefficients exactly, so
+    d_n(p, q) = e^{-i (n+alpha) q} d_n(p, 0) holds by construction.  Raises
+    ResolutionError when the basis is too narrow to hold the boosted state.
     """
     if basis.alpha != spec.alpha or basis.hbar != spec.hbar:
         raise ValueError("basis and fiducial spec disagree on alpha or hbar")
-    blocks = _boost_blocks(spec, np.array([label.p / spec.hbar]), basis)
-    f = np.concatenate([block[0] for block in blocks])
+    signed, n_src = _signed_support(spec)
+    slots = basis.n_values()
+    shift = label.p / spec.hbar
+    whole = np.rint(shift)
+    lags = np.arange(n_src[0] - slots[-1], n_src[-1] - slots[0] + 1)
+    if shift == whole:
+        kernel, row = (lags == -whole).astype(float), (-1.0) ** whole
+    else:
+        kernel = 1.0 / (shift + lags)
+        row = (-1.0) ** whole * np.sin(math.pi * (shift - whole)) / math.pi
+    # entry i sums kernel[i + j] signed[j], the lags n - k of slot k = slots[-1] - i
+    f = np.correlate(kernel, signed, "valid")[::-1] * row * (-1.0) ** slots
     deficit = 1.0 - float(f @ f)
     if deficit > EDGE_WEIGHT_LIMIT:
         raise ResolutionError(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import TWO_PI, QuadratureGrid, bessel_i_scaled_sequence, integrate_periodic
+from .specfun import TWO_PI, bessel_i_scaled_sequence
 from .hilbert import MomentumState, TwistedBasis, default_cutoff, reduce_twist
 
 _SQRT_2PI = math.sqrt(TWO_PI)
@@ -103,23 +103,23 @@ def attenuations(spec: FiducialSpec, max_harmonic: int) -> np.ndarray:
 
 
 def moments(spec: FiducialSpec, max_harmonic: int = 0) -> FiducialMoments:
-    """Position mean by quadrature on the 512-node grid, momentum moments
-    by lattice sums, and the potential-attenuation factors <cos nQ> by
-    Bessel ratios.
+    """Position mean by the trapezoidal rule on 512 equispaced angles from
+    -pi, momentum moments by lattice sums, and the potential-attenuation
+    factors <cos nQ> by Bessel ratios.
 
     These are measurements, not closed forms: the closed forms <Q> = 0,
     <P> = hbar alpha and var_p = hbar r rho_1 / 2 are what they are
     checked against.
     """
-    grid = QuadratureGrid.make()
+    nodes = -math.pi + TWO_PI * np.arange(512) / 512
     basis = default_basis(spec)
 
-    density = np.abs(evaluate(spec, grid.nodes)) ** 2
-    integrand = grid.nodes * density
+    density = np.abs(evaluate(spec, nodes)) ** 2
+    integrand = nodes * density
     # theta jumps from pi to -pi across the chart seam; the seam node takes
     # the two-sided average, which vanishes because |eta| is even
     integrand[0] = 0.0
-    mean_q = float(integrate_periodic(integrand, grid).real)
+    mean_q = float(TWO_PI / 512 * integrand.sum())
 
     weights = momentum_coefficients(spec, basis).coeffs.real ** 2
     p_values = basis.momenta()

@@ -1,16 +1,14 @@
-"""Modified Bessel functions of integer order and quadrature rules.
+"""Modified Bessel functions of integer order and Gauss-Legendre rules.
 
-Everything else in the package sits on three primitives: the overflow-safe
-sequence e^{-z} I_n(z), n = 0..m, the uniform trapezoidal rule on
-[-pi, pi), spectrally accurate for smooth periodic integrands, and the
-Gauss-Legendre rules on [-1, 1] for the momentum integrals, as many node
-counts as a caller needs from one Legendre recurrence.
+Everything else in the package sits on two primitives: the overflow-safe
+sequence e^{-z} I_n(z), n = 0..m, and the Gauss-Legendre rules on [-1, 1]
+for the momentum integrals, as many node counts as a caller needs from one
+Legendre recurrence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,39 +68,6 @@ def bessel_i_scaled_sequence(max_order: int, z: float) -> np.ndarray:
         terms[0] = 1.0
         return np.cumprod(terms)
     return _miller_scaled(max_order, z)
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
-    """Uniform angular grid theta_j = -pi + 2 pi j / M, j = 0..M-1.
-
-    The node at -pi sits on the chart seam; weight * node_count = 2 pi.
-    """
-
-    node_count: int
-    nodes: np.ndarray
-    weight: float
-
-    @classmethod
-    def make(cls, node_count: int = 512) -> "QuadratureGrid":
-        if node_count < 16 or node_count % 2 != 0:
-            raise ValueError(
-                f"node_count must be even and >= 16, got {node_count}"
-            )
-        nodes = -math.pi + TWO_PI * np.arange(node_count) / node_count
-        return cls(node_count=node_count, nodes=nodes, weight=TWO_PI / node_count)
-
-
-def integrate_periodic(values: np.ndarray, grid: QuadratureGrid):
-    """Trapezoidal integral over [-pi, pi) of the samples ``values`` at the
-    grid nodes.
-
-    Exact (to roundoff) for trigonometric polynomials of degree < M/2 and
-    geometrically convergent for analytic periodic integrands.  For
-    integrands that jump at the chart seam theta = +/-pi the accuracy
-    degrades; the error is then proportional to the seam jump.
-    """
-    return grid.weight * values.sum()
 
 
 def _legendre_pairs(xs: list, ns: list) -> list:

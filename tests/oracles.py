@@ -1,31 +1,66 @@
 """Reference implementations the tests compare the package against.
 
-None of these has a caller in ``src/``: position-space synthesis and
-analysis, the action along a trajectory with its surface term, the force
-V'(q) of a trigonometric potential, the boundary-condition defect of a
-function of the angle (``boundary_defect``) and of a lattice state
+None of these has a caller in ``src/``: the uniform trapezoidal rule on
+[-pi, pi) (``QuadratureGrid`` and ``integrate_periodic``), position-space
+synthesis and analysis, the action along a trajectory with its surface term,
+the force V'(q) of a trigonometric potential, the boundary-condition defect
+of a function of the angle (``boundary_defect``) and of a lattice state
 (``check_boundary_phase``), the spread of the enhanced flow across twists
 (``alpha_invariance_check``), the exact rounding residuals of the CSV
 formatter's powers of ten, the Gauss-Legendre rule of one count by its own
 recurrence, the boost of one momentum over the whole lattice, the unity
-diagonal in closed form by sine and cosine integrals, the leapfrog step loop
-with its force as a closure, and the Miller recurrence on a numpy array.
+diagonal in closed form by sine and cosine integrals, the circle moment of a
+free coherent state in closed form, the leapfrog step loop with its force as
+a closure, and the Miller recurrence on a numpy array.
 Each is a literal transcription of its formula.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from circleq.dynamics import PhasePoint, Trajectory, evolve
 from circleq.enhanced import EnhancedHamiltonian, TrigPotential
 from circleq.fiducial import FiducialSpec, default_basis, momentum_coefficients
-from circleq.hilbert import MomentumState, ResolutionError, TwistedBasis
-from circleq.specfun import QuadratureGrid
+from circleq.hilbert import MomentumState, ResolutionError, TwistedBasis, default_cutoff
+from circleq.specfun import TWO_PI
 from numpy.lib.stride_tricks import sliding_window_view
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureGrid:
+    """Uniform angular grid theta_j = -pi + 2 pi j / M, j = 0..M-1.
+
+    The node at -pi sits on the chart seam; weight * node_count = 2 pi.
+    """
+
+    node_count: int
+    nodes: np.ndarray
+    weight: float
+
+    @classmethod
+    def make(cls, node_count: int = 512) -> "QuadratureGrid":
+        if node_count < 16 or node_count % 2 != 0:
+            raise ValueError(
+                f"node_count must be even and >= 16, got {node_count}"
+            )
+        nodes = -math.pi + TWO_PI * np.arange(node_count) / node_count
+        return cls(node_count=node_count, nodes=nodes, weight=TWO_PI / node_count)
+
+
+def integrate_periodic(values: np.ndarray, grid: QuadratureGrid):
+    """Trapezoidal integral over [-pi, pi) of the samples ``values`` at the
+    grid nodes.
+
+    Exact (to roundoff) for trigonometric polynomials of degree < M/2 and
+    geometrically convergent for analytic periodic integrands.  For
+    integrands that jump at the chart seam theta = +/-pi the accuracy
+    degrades; the error is then proportional to the seam jump.
+    """
+    return grid.weight * values.sum()
 
 
 class PositionWavefunction:
@@ -255,6 +290,33 @@ def closed_form_unity_diagonal(spec: FiducialSpec, basis: TwistedBasis, p_cutoff
     j = 0.5 * (cin(2.0 * np.pi * np.abs(lags + half)) - cin(2.0 * np.pi * np.abs(lags - half)))
     at = n_src[None, :] - slots[:, None] - (n_src[0] - slots[-1])  # row k, column n
     return g[at] @ (c * c) + j[at] @ (2.0 / np.pi**2 * signed * u)
+
+
+def free_circle_moment(spec: FiducialSpec, q0: float, p0: float, times) -> np.ndarray:
+    """<e^{iQ}>(t) of |p0, q0> under the free Hamiltonian P^2, for an integer
+    m = p0/hbar:
+
+        <e^{iQ}>(t) = e^{i q0} sum_k c_{k+1} c_k e^{i hbar t (2(k+m) + 2 alpha + 1)}
+
+    The boost shifts the fiducial coefficients c by m slots, slot n turns as
+    e^{-i hbar (n + alpha)^2 t}, and e^{iQ} raises n by one.  c_k is
+    e^{-z} I_k(z) from ``scipy.special.ive``, z = r/hbar, normalized over
+    |k| <= default_cutoff(z)."""
+    from scipy.special import ive
+
+    m = p0 / spec.hbar
+    if m != round(m):
+        raise ValueError(f"p0/hbar = {m} is not an integer")
+    k = np.arange(-default_cutoff(spec.localization), default_cutoff(spec.localization) + 1)
+    c = ive(k, spec.localization)
+    c /= np.sqrt(c @ c)
+    weights = c[1:] * c[:-1]
+    rates = spec.hbar * (2.0 * (k[:-1] + m) + 2.0 * spec.alpha + 1.0)
+    times = np.asarray(times, dtype=float)
+    total = np.empty(times.shape, dtype=complex)
+    for start in range(0, times.size, 1024):  # (1024, 2K) phases at a time
+        total[start: start + 1024] = np.exp(1j * np.outer(times[start: start + 1024], rates)) @ weights
+    return np.exp(1j * q0) * total
 
 
 def leapfrog_loop(h_kind: str, model: EnhancedHamiltonian, start: PhasePoint, dt: float,

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from circleq.specfun import QuadratureGrid
 from circleq.hilbert import TwistedBasis
 from circleq.fiducial import FiducialSpec, attenuations, gaussian_bound_check, moments
 from circleq.coherent import CoherentLabel, verify_unity
@@ -24,9 +23,10 @@ from circleq.enhanced import (
 from circleq.dynamics import PhasePoint, evolve
 from circleq.qevolve import build_hamiltonian, compare_restricted
 
-from oracles import action_along, alpha_invariance_check, phase_point, winding_number
+from oracles import QuadratureGrid, action_along, alpha_invariance_check, phase_point, winding_number
 from test_coherent import literal_unity_reference
 from test_enhanced import displaced_expectation
+from test_qevolve import revival_compare
 
 
 def report(number, ok, detail):
@@ -231,3 +231,21 @@ def test_criterion_10_gaussian_envelope():
         margins.append((ratio, check.passed))
     ok = all(passed for _, passed in margins)
     report(10, ok, f"two-sided envelope with K=exp(z(pi^2-4)) at 1e4 points: {margins}")
+
+
+def test_criterion_12_revivals():
+    # criterion 11 is reserved for the order of contact of the enhanced flow
+    quarter, half, full = 5000, 10000, 20000
+    ok, readings = True, []
+    for ratio in (10.0, 50.0):
+        free, _ = revival_compare(ratio, 0.25, 1.0)
+        coherence, phase = free.coherence, free.phase_deviation
+        restored = abs(coherence[full] - coherence[0])
+        ok &= restored <= 1e-12 and phase[full] <= 1e-9 and phase[half] >= 1.99
+        ok &= coherence[quarter] <= 1e-10
+        readings.append(f"r/hbar={ratio:g} coherence restored to {restored:.1e}, phase gap "
+                        f"{phase[full]:.1e} (T_rev) / {phase[half]:.3f} (T_rev/2), "
+                        f"coherence {coherence[quarter]:.1e} at T_rev/4")
+    pendulum, _ = revival_compare(50.0, 0.25, 1.0, TrigPotential(a=(1.0,)))
+    readings.append(f"pendulum (a=1) coherence {pendulum.coherence[full]:.2f} at T_rev, no bound")
+    report(12, bool(ok), "free-circle revival: " + "; ".join(readings))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circleq.specfun import QuadratureGrid, gauss_legendre
+from circleq.specfun import gauss_legendre
 from circleq.hilbert import ResolutionError, TwistedBasis
 from circleq.fiducial import FiducialSpec, default_basis, evaluate, momentum_coefficients
 from circleq import coherent
@@ -17,7 +17,7 @@ from circleq.coherent import (
     verify_unity,
 )
 
-from oracles import closed_form_unity_diagonal, whole_lattice_boost
+from oracles import QuadratureGrid, closed_form_unity_diagonal, whole_lattice_boost
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -325,14 +325,32 @@ def test_single_row_boost_is_the_whole_lattice_product_bit_for_bit():
 
 
 def test_coherent_state_matches_dense_sinc_kernel():
-    spec = FiducialSpec(r=6.0, alpha=0.3, hbar=0.5)
+    # at r/hbar = 50 (817 slots) a fractional p/hbar and ones 1e-12 either side
+    # of an integer take the run 1 / (n - k + p/hbar)
+    readme = FiducialSpec(r=2.5, alpha=0.3, hbar=0.05)
+    cases = [
+        (FiducialSpec(r=6.0, alpha=0.3, hbar=0.5), [(0.0, 0.0), (1.5, 0.7), (-2.3, -2.9), (0.37, 3.0)]),
+        (readme, [(0.37, 1.1), *(((3.0 + d) * readme.hbar, -0.4) for d in (1e-12, -1e-12))]),
+    ]
+    for spec, labels in cases:
+        basis = default_basis(spec)
+        for p, q in labels:
+            label = CoherentLabel(p, q)
+            state = coherent_state(label, spec, basis)
+            phases = np.exp(-1j * (basis.n_values() + basis.alpha) * label.q)
+            dense = phases * dense_boost(spec, basis, [p / spec.hbar])[0]
+            assert np.max(np.abs(state.coeffs - dense)) < 1e-14
+    # p/hbar = +/-3 exactly (0.15 / 0.05 is not 3) takes the unit run: the
+    # normal coefficients shifted by 3 slots, bit for bit
+    spec = FiducialSpec(r=12.5, alpha=0.3, hbar=0.25)
     basis = default_basis(spec)
-    for p, q in [(0.0, 0.0), (1.5, 0.7), (-2.3, -2.9), (0.37, 3.0)]:
-        label = CoherentLabel(p, q)
-        state = coherent_state(label, spec, basis)
-        phases = np.exp(-1j * (basis.n_values() + basis.alpha) * label.q)
-        dense = phases * dense_boost(spec, basis, [p / spec.hbar])[0]
-        assert np.max(np.abs(state.coeffs - dense)) < 1e-14
+    c = momentum_coefficients(spec, basis).coeffs.real
+    c[c < np.finfo(float).tiny] = 0.0
+    for p, m in [(0.75, 3), (-0.75, -3)]:
+        assert p / spec.hbar == m
+        expected = np.zeros_like(c)
+        expected[max(m, 0): c.size + min(m, 0)] = c[max(-m, 0): c.size - max(m, 0)]
+        assert np.array_equal(coherent_state(CoherentLabel(p, 0.0), spec, basis).coeffs, expected)
 
 
 def test_unity_memory_bounded():

@@ -4,7 +4,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from circleq.specfun import QuadratureGrid, integrate_periodic
 from circleq.hilbert import TwistedBasis, default_cutoff
 from circleq.fiducial import FiducialSpec, evaluate, moments, momentum_coefficients
 from circleq.enhanced import (
@@ -15,7 +14,7 @@ from circleq.enhanced import (
     enhanced_hamiltonian,
 )
 
-from oracles import potential_derivative, surface_term
+from oracles import QuadratureGrid, integrate_periodic, potential_derivative, surface_term
 
 
 def displaced_expectation(model, p, q, grid=None):

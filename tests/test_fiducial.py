@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from circleq.specfun import QuadratureGrid, integrate_periodic
 from circleq.hilbert import TwistedBasis
 
-from oracles import PositionWavefunction, analyze, check_boundary_phase
+from oracles import PositionWavefunction, QuadratureGrid, analyze, check_boundary_phase, integrate_periodic
 from circleq.fiducial import (
     FiducialSpec,
     attenuations,

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circleq.specfun import QuadratureGrid, integrate_periodic
 from circleq.hilbert import (
     MomentumState,
     ResolutionError,
@@ -15,7 +14,15 @@ from circleq.hilbert import (
 )
 from circleq.fiducial import FiducialSpec, momentum_coefficients, default_basis
 
-from oracles import PositionWavefunction, analyze, boundary_defect, check_boundary_phase, synthesize
+from oracles import (
+    PositionWavefunction,
+    QuadratureGrid,
+    analyze,
+    boundary_defect,
+    check_boundary_phase,
+    integrate_periodic,
+    synthesize,
+)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 

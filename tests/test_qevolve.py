@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from circleq.specfun import QuadratureGrid, integrate_periodic, TWO_PI
+from circleq.specfun import TWO_PI
 from circleq.hilbert import MomentumState, TwistedBasis, default_cutoff
 from circleq.fiducial import FiducialSpec
 from circleq.coherent import CoherentLabel, coherent_state
@@ -23,6 +23,8 @@ from circleq.qevolve import (
     comparison_basis,
     evolve_quantum,
 )
+
+from oracles import QuadratureGrid, free_circle_moment, integrate_periodic
 
 
 def basis_state(basis, n):
@@ -532,6 +534,43 @@ def test_compare_free_particle_momentum():
     model = EnhancedHamiltonian.build(TrigPotential(), spec)
     report = compare_restricted(model, CoherentLabel(p=2.3, q=-0.5), total_time=5.0, dt=0.01)
     assert np.max(report.momentum_deviation) < 1e-9
+
+
+def revival_compare(ratio, alpha, p0, potential=TrigPotential()):
+    """(report, roundoff) of ``compare`` from (p0, q0 = 0.7) at r = 2.5 over one
+    revival time T_rev = 2 pi / hbar in 20,000 steps, so samples 5000, 10000
+    and 20000 sit at T_rev / 4, T_rev / 2 and T_rev.  ``roundoff`` is
+    eps ||H|| T_rev / hbar, the growth evolve_quantum names, with ||H|| the
+    largest P^2 on the lattice (the free Hamiltonian's norm)."""
+    hbar = 2.5 / ratio
+    model = EnhancedHamiltonian.build(potential, FiducialSpec(r=2.5, alpha=alpha, hbar=hbar))
+    label, revival = CoherentLabel(p0, 0.7), 2.0 * math.pi / hbar
+    report = compare_restricted(model, label, revival, revival / 20000)
+    norm = float(np.max(comparison_basis(model, label).momenta() ** 2))
+    return report, np.finfo(float).eps * norm * revival / hbar
+
+
+@pytest.mark.parametrize("ratio", [10.0, 50.0])
+def test_free_circle_revives(ratio):
+    # P = hbar (n + alpha), so at T_rev slot n turns by 2 pi (n + alpha)^2: an
+    # integer p0/hbar revives at q0 + 4 pi alpha, where the enhanced flow lands
+    # too, sits at its antipode at T_rev / 2 and has dispersed at T_rev / 4
+    quarter, half, full = 5000, 10000, 20000
+    report, roundoff = revival_compare(ratio, 0.25, 1.0)
+    coherence, phase = report.coherence, report.phase_deviation
+    assert np.max(np.abs(coherence[[half, full]] - coherence[0])) <= 1e-12
+    assert phase[full] <= 1e-9 and phase[half] >= 1.99
+    assert coherence[quarter] <= 1e-10
+    moment = report.quantum.cos_q + 1j * report.quantum.sin_q
+    spec = FiducialSpec(r=2.5, alpha=0.25, hbar=2.5 / ratio)
+    assert np.max(np.abs(moment - free_circle_moment(spec, 0.7, 1.0, report.times))) <= roundoff
+    # a fractional p0/hbar boosts through the run 1 / (n - k + p/hbar); every
+    # lattice state picks up e^{4 pi i alpha} at T_rev and -e^{2 pi i alpha} at
+    # T_rev / 2, and alpha = 0.1 (unlike 0.25) tells the phase's sign apart
+    report, roundoff = revival_compare(ratio, 0.1, 0.37)
+    moment = report.quantum.cos_q + 1j * report.quantum.sin_q
+    assert abs(moment[full] - np.exp(4j * math.pi * 0.1) * moment[0]) <= roundoff
+    assert abs(moment[half] + np.exp(2j * math.pi * 0.1) * moment[0]) <= roundoff
 
 
 def test_compare_runs_the_classical_flow_on_the_same_steps():

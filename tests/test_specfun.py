@@ -8,14 +8,9 @@ from hypothesis import strategies as st
 
 import circleq.specfun as specfun
 from circleq.cli import main
-from circleq.specfun import (
-    QuadratureGrid,
-    bessel_i_scaled_sequence,
-    gauss_legendre,
-    integrate_periodic,
-)
+from circleq.specfun import bessel_i_scaled_sequence, gauss_legendre
 
-from oracles import gauss_legendre_alone, miller_indexed
+from oracles import QuadratureGrid, gauss_legendre_alone, integrate_periodic, miller_indexed
 
 # sum_k (1/4)^k / (k!)^2 with 30+ terms, frozen as a regression constant
 I0_AT_1 = 1.2660658777520082
