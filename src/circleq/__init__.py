@@ -29,11 +29,7 @@ from .enhanced import (
     classical_hamiltonian,
     enhanced_hamiltonian,
 )
-from .dynamics import (
-    PhasePoint,
-    Trajectory,
-    evolve,
-)
+from .dynamics import Trajectory, evolve
 from .qevolve import (
     ComparisonReport,
     ExpectationTrace,

@@ -45,7 +45,7 @@ from .coherent import (
     legendre_node_count,
     verify_unity,
 )
-from .dynamics import MAX_STABLE_STEP, PhasePoint, evolve, max_stable_step
+from .dynamics import MAX_STABLE_STEP, evolve, max_stable_step
 from .enhanced import (
     EnhancedHamiltonian,
     TrigPotential,
@@ -94,7 +94,8 @@ _KEYS = (
     ("model.potential.a0", "0.0", "float", _FINITE, "constant potential term"),
     ("model.potential.a", "", "float list", _FINITE, "cos coefficients a_1..a_m"),
     ("model.potential.b", "", "float list", _FINITE, "sin coefficients b_1..b_m"),
-    ("run.cutoff", "auto", "int", (1, MAX_CUTOFF, True), "lattice half-width N"),
+    ("run.cutoff", "auto", "int", (1, MAX_CUTOFF, True),
+     "``fiducial`` and ``unity`` lattice half-width N"),
     ("run.max_harmonic", "auto", "int", (0, MAX_CUTOFF, True), "harmonics in ``fiducial``"),
     ("run.profile_points", "720", "int", (1, MAX_ROWS, False), "rows in the fiducial profile"),
     ("run.p_cutoff_factors", "5, 10, 20, 40", "float list", (_TINY, MAX_LATTICE_DIM, False),
@@ -233,8 +234,10 @@ class RunConfig:
         )
         _require(v["run.p_cutoff_factors"], "'run.p_cutoff_factors': must be nonempty")
         if job in ("fiducial", "unity", "compare", "evolve quantum"):
-            # the fiducial support and the potential bandwidth
-            support = default_cutoff(z, degree) if z < MAX_LATTICE_DIM else math.inf
+            # the fiducial support, and the potential bandwidth where H acts on
+            # the lattice: fiducial and unity read no potential
+            band = degree if job in ("compare", "evolve quantum") else 0
+            support = default_cutoff(z, band) if z < MAX_LATTICE_DIM else math.inf
             _require(support <= MAX_CUTOFF, f"'model.r' / 'model.hbar': r/hbar = {z:.6g} needs "
                      f"a lattice wider than MAX_LATTICE_DIM = {MAX_LATTICE_DIM} slots")
             cfg.basis = TwistedBasis(spec.alpha, spec.hbar, v["run.cutoff"] or support)
@@ -264,13 +267,11 @@ class RunConfig:
                 v["run.dt"] = min(0.01 / math.sqrt(scale), limit)
             _require(0.0 < v["run.dt"] <= limit, f"'run.dt': {v['run.dt']:.6g} is not in (0, "
                      f"{limit:.6g}], set by 'model.potential.a' / 'model.potential.b'")
-        if command == "compare":
-            if v["run.total_time"] is None:
-                v["run.total_time"] = v["run.dt"] * v["run.steps"]
-            else:
-                steps = v["run.total_time"] / v["run.dt"]
-                _require(1.0 <= steps <= MAX_ROWS, f"'run.total_time': {steps:.6g} steps of "
-                         f"run.dt, outside [1, {MAX_ROWS}]")
+        if command == "compare" and v["run.total_time"] is not None:
+            steps = v["run.total_time"] / v["run.dt"]
+            _require(1.0 <= steps <= MAX_ROWS, f"'run.total_time': {steps:.6g} steps of "
+                     f"run.dt, outside [1, {MAX_ROWS}]")
+            v["run.steps"] = round(steps)
         return cfg
 
 
@@ -618,15 +619,16 @@ def _fractional_boost(spec: FiducialSpec, p0: float) -> ContractViolation:
 
 def cmd_evolve(cfg: RunConfig):
     kind, model, basis = cfg["run.kind"], cfg.model, cfg.basis
-    dt, steps, q0, p0 = cfg["run.dt"], cfg["run.steps"], cfg["run.q0"], cfg["run.p0"]
+    dt, steps = cfg["run.dt"], cfg["run.steps"]
+    label = CoherentLabel(p=cfg["run.p0"], q=cfg["run.q0"])
     if kind in ("classical", "enhanced"):
-        traj = evolve(kind, model, PhasePoint.start(q0, p0), dt, steps)
+        traj = evolve(kind, model, label.p, label.q, dt, steps)
         table = _trajectory_table(f"trajectory_{kind}.csv", kind, traj)
     else:
         try:
-            state = coherent_state(CoherentLabel(p=p0, q=q0), model.spec, basis).normalized()
+            state = coherent_state(label, model.spec, basis).normalized()
         except ResolutionError:
-            raise _fractional_boost(model.spec, p0) from None
+            raise _fractional_boost(model.spec, label.p) from None
         ham = build_hamiltonian(model.potential, basis)
         table = _quantum_table("trajectory_quantum.csv", evolve_quantum(ham, state, dt, steps))
     return [table], f"""
@@ -645,7 +647,7 @@ def cmd_compare(cfg: RunConfig):
     model, p0 = cfg.model, cfg["run.p0"]
     label = CoherentLabel(p=p0, q=cfg["run.q0"])
     try:  # the coherent state's leak is the only ResolutionError it raises
-        report = compare_restricted(model, label, cfg["run.total_time"], cfg["run.dt"])
+        report = compare_restricted(model, label, cfg["run.dt"], cfg["run.steps"])
     except ResolutionError:
         raise _fractional_boost(model.spec, p0) from None
 
@@ -654,7 +656,7 @@ def cmd_compare(cfg: RunConfig):
         _trajectory_table("compare_enhanced.csv", "enhanced", report.enhanced),
         _quantum_table("compare_quantum.csv", report.quantum),
         ("compare_deviation.csv", "compare-deviation", {
-            "t": report.times, "momentum_deviation": report.momentum_deviation,
+            "t": report.quantum.times, "momentum_deviation": report.momentum_deviation,
             "phase_deviation": report.phase_deviation, "coherence": report.coherence,
         }),
         ("compare_summary.csv", "compare-summary", {

@@ -23,24 +23,6 @@ from .hilbert import wrap_angle
 MAX_STABLE_STEP = 0.1
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point on the cylinder; q is the wrapped chart of q_unwrapped."""
-
-    q: float
-    q_unwrapped: float
-    p: float
-
-    def __post_init__(self):
-        if abs(wrap_angle(self.q_unwrapped) - self.q) > 1e-12:
-            raise ValueError("q must equal wrap(q_unwrapped)")
-
-    @classmethod
-    def start(cls, q: float, p: float) -> "PhasePoint":
-        q = float(wrap_angle(q))
-        return cls(q=q, q_unwrapped=q, p=float(p))
-
-
 @dataclass(eq=False)
 class Trajectory:
     times: np.ndarray
@@ -70,15 +52,20 @@ def max_stable_step(h_kind: str, model: EnhancedHamiltonian) -> float:
 def evolve(
     h_kind: str,
     model: EnhancedHamiltonian,
-    start: PhasePoint,
+    p0: float,
+    q0: float,
     dt: float,
     steps: int,
 ) -> Trajectory:
-    """Leapfrog (kick-drift-kick) trajectory with energies at every sample.
+    """Leapfrog (kick-drift-kick) trajectory from momentum p0 and angle q0,
+    with energies at every sample.
 
-    For the free potential the drift is exact: q(t) = q(0) + 2 p t on the
-    classical flow and q(0) + 2 (p + hbar alpha) t on the enhanced one.  dt
-    may be negative, which runs the (time reversible) scheme backward.
+    q0 is the unwrapped coordinate: ``q_unwrapped`` starts at it as given
+    and ``q`` is its chart, so a run from sample i of a trajectory continues
+    that trajectory bit for bit.  For the free potential the drift is exact:
+    q(t) = q(0) + 2 p t on the classical flow and q(0) + 2 (p + hbar alpha) t
+    on the enhanced one.  dt may be negative, which runs the (time
+    reversible) scheme backward.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
@@ -100,7 +87,7 @@ def evolve(
     pendulum = len(terms) == 1 and terms[0][2] == 0.0
     a1, sin, cos = terms[0][1] if pendulum else 0.0, math.sin, math.cos
     qs, ps = np.empty(steps + 1), np.empty(steps + 1)
-    q, p, p_half = start.q_unwrapped, start.p, 0.0
+    q, p, p_half = float(q0), float(p0), 0.0
     half, drift = 0.5 * dt, dt * 2.0
     # iteration i kicks twice with the force at q_i, closing step i and
     # opening step i + 1, whose drift goes unused after the last sample

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import CoherentLabel, coherent_state
-from .dynamics import PhasePoint, Trajectory, evolve
+from .dynamics import Trajectory, evolve
 from .enhanced import EnhancedHamiltonian, TrigPotential
 from .hilbert import MAX_CUTOFF, MAX_LATTICE_DIM, MomentumState, TwistedBasis, default_cutoff
 
@@ -245,16 +245,16 @@ class ComparisonReport:
     enhanced flow strays from the quantum one.
 
     ``quantum`` is the exact evolution of |p, q>, ``enhanced`` the leapfrog
-    flow of H_cs and ``classical`` the leapfrog flow of p^2 + V(q), all
-    sampled at ``times``.  ``phase_deviation`` is the Euclidean gap between
-    the unit vectors (cos q, sin q) of the enhanced angle and the
-    normalized quantum moment <e^{iQ}>/|<e^{iQ}>|; ``momentum_deviation``
-    compares the quantum <P> against the shifted enhanced momentum
-    p + hbar alpha.  ``ehrenfest_window`` is the time the phase deviation
-    first reaches 0.1 (the full horizon if it never does).
+    flow of H_cs and ``classical`` the leapfrog flow of p^2 + V(q); each
+    carries the one time grid as ``times``, and the deviations are taken at
+    its samples.  ``phase_deviation`` is the Euclidean gap between the unit
+    vectors (cos q, sin q) of the enhanced angle and the normalized quantum
+    moment <e^{iQ}>/|<e^{iQ}>|; ``momentum_deviation`` compares the quantum
+    <P> against the shifted enhanced momentum p + hbar alpha.
+    ``ehrenfest_window`` is the time the phase deviation first reaches 0.1
+    (the full horizon if it never does).
     """
 
-    times: np.ndarray
     momentum_deviation: np.ndarray
     phase_deviation: np.ndarray
     coherence: np.ndarray
@@ -284,23 +284,22 @@ def comparison_basis(model: EnhancedHamiltonian, label: CoherentLabel) -> Twiste
 def compare_restricted(
     model: EnhancedHamiltonian,
     label: CoherentLabel,
-    total_time: float,
     dt: float,
+    steps: int,
 ) -> ComparisonReport:
     """Run the true quantum evolution from |p, q> on the
     :func:`comparison_basis` lattice, and the enhanced and classical flows
-    from (p, q) on the same steps, and report their deviation traces."""
+    from (p, q), all over ``steps`` steps of ``dt``, and report their
+    deviation traces."""
     spec = model.spec
     basis = comparison_basis(model, label)
-    steps = max(1, int(round(total_time / dt)))
 
     initial = coherent_state(label, spec, basis).normalized()
     ham = build_hamiltonian(model.potential, basis)
     quantum = evolve_quantum(ham, initial, dt, steps)
 
-    start = PhasePoint.start(label.q, label.p)
-    enhanced = evolve("enhanced", model, start, dt, steps)
-    classical = evolve("classical", model, start, dt, steps)
+    enhanced = evolve("enhanced", model, label.p, label.q, dt, steps)
+    classical = evolve("classical", model, label.p, label.q, dt, steps)
 
     shift = spec.hbar * spec.alpha
     momentum_dev = np.abs(quantum.mean_p - (enhanced.p + shift))
@@ -315,7 +314,6 @@ def compare_restricted(
     crossed = np.nonzero(phase_dev >= 0.1)[0]
     window = float(quantum.times[crossed[0]]) if crossed.size else float(quantum.times[-1])
     return ComparisonReport(
-        times=quantum.times,
         momentum_deviation=momentum_dev,
         phase_deviation=phase_dev,
         coherence=coherence,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from circleq.dynamics import PhasePoint, Trajectory, evolve
+from circleq.dynamics import Trajectory, evolve
 from circleq.enhanced import EnhancedHamiltonian, TrigPotential
 from circleq.fiducial import FiducialSpec, default_basis, momentum_coefficients
 from circleq.hilbert import MomentumState, ResolutionError, TwistedBasis, default_cutoff
@@ -122,12 +122,9 @@ def potential_derivative(potential: TrigPotential, q):
     return total if total.ndim else float(total)
 
 
-def phase_point(trajectory: Trajectory, i: int) -> PhasePoint:
-    """Sample i of a trajectory as a phase-space point."""
-    return PhasePoint(
-        q=float(trajectory.q[i]), q_unwrapped=float(trajectory.q_unwrapped[i]),
-        p=float(trajectory.p[i]),
-    )
+def phase_point(trajectory: Trajectory, i: int) -> tuple[float, float]:
+    """Sample i of a trajectory as the (p0, q0) that ``evolve`` continues it from."""
+    return float(trajectory.p[i]), float(trajectory.q_unwrapped[i])
 
 
 def winding_number(trajectory: Trajectory) -> int:
@@ -165,7 +162,8 @@ def action_along(
 
 def alpha_invariance_check(
     model: EnhancedHamiltonian,
-    start: PhasePoint,
+    p0: float,
+    q0: float,
     alphas,
     dt: float,
     steps: int,
@@ -185,8 +183,8 @@ def alpha_invariance_check(
     for alpha in alphas:
         spec_a = replace(model.spec, alpha=alpha)
         model_a = EnhancedHamiltonian.build(model.potential, spec_a)
-        p0 = start.p - hbar * float(spec_a.alpha) if compensated else start.p
-        traj = evolve("enhanced", model_a, PhasePoint.start(start.q, p0), dt, steps)
+        p_a = p0 - hbar * float(spec_a.alpha) if compensated else p0
+        traj = evolve("enhanced", model_a, p_a, q0, dt, steps)
         tracks.append((traj.q_unwrapped, traj.p + hbar * spec_a.alpha))
     worst = 0.0
     for i in range(len(tracks)):
@@ -319,7 +317,7 @@ def free_circle_moment(spec: FiducialSpec, q0: float, p0: float, times) -> np.nd
     return np.exp(1j * q0) * total
 
 
-def leapfrog_loop(h_kind: str, model: EnhancedHamiltonian, start: PhasePoint, dt: float,
+def leapfrog_loop(h_kind: str, model: EnhancedHamiltonian, p0: float, q0: float, dt: float,
                   steps: int) -> tuple[np.ndarray, np.ndarray]:
     """(q_unwrapped, p) of the kick-drift-kick flow: one ``force`` call per
     step, shared by the closing kick of a step and the opening kick of the
@@ -340,7 +338,7 @@ def leapfrog_loop(h_kind: str, model: EnhancedHamiltonian, start: PhasePoint, dt
 
     qs = np.empty(steps + 1)
     ps = np.empty(steps + 1)
-    q, p = start.q_unwrapped, start.p
+    q, p = q0, p0
     qs[0], ps[0] = q, p
     half = 0.5 * dt
     f = force(q)

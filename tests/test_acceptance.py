@@ -20,7 +20,7 @@ from circleq.enhanced import (
     classical_hamiltonian,
     enhanced_hamiltonian,
 )
-from circleq.dynamics import PhasePoint, evolve
+from circleq.dynamics import evolve
 from circleq.qevolve import build_hamiltonian, compare_restricted
 
 from oracles import QuadratureGrid, action_along, alpha_invariance_check, phase_point, winding_number
@@ -152,10 +152,9 @@ def test_criterion_05_classical_limit():
 
 def test_criterion_06_alpha_invariance():
     model = EnhancedHamiltonian.build(TrigPotential(a=(1.0,)), FiducialSpec(r=2.0))
-    start = PhasePoint.start(0.5, 0.7)
     alphas = (0.0, 0.25, 0.5, 0.75)
-    compensated = alpha_invariance_check(model, start, alphas, 0.01, 1000)
-    control = alpha_invariance_check(model, start, alphas, 0.01, 1000, compensated=False)
+    compensated = alpha_invariance_check(model, 0.7, 0.5, alphas, 0.01, 1000)
+    control = alpha_invariance_check(model, 0.7, 0.5, alphas, 0.01, 1000, compensated=False)
     ok = compensated <= 1e-10 and control > 1e-3
     report(6, ok, f"alpha-invariance {compensated:.2e} (control {control:.2e})")
 
@@ -164,7 +163,7 @@ def test_criterion_07_surface_term():
     alpha, hbar = 0.3, 1.0
     model = EnhancedHamiltonian.build(TrigPotential(), FiducialSpec(r=2.0, alpha=alpha))
     # free drift at rate 2 p0 = 2 pi closes exactly one turn at T = 1
-    traj = evolve("classical", model, PhasePoint.start(-1.0, math.pi), 0.01, 100)
+    traj = evolve("classical", model, math.pi, -1.0, 0.01, 100)
     winding = winding_number(traj)
     gap = action_along(traj, model, True) - action_along(traj, model, False)
     defect = abs(gap - 2.0 * math.pi * hbar * alpha * winding)
@@ -174,25 +173,24 @@ def test_criterion_07_surface_term():
 
 def test_criterion_08_symplectic_integrity():
     model = EnhancedHamiltonian.build(TrigPotential(a=(1.0,)), FiducialSpec(r=2.0))
-    start = PhasePoint.start(math.pi - 0.8, 0.0)
+    p0, q0 = 0.0, math.pi - 0.8
     horizon = 4.0
-    reference = evolve("classical", model, start, 0.01 / 16, int(horizon / (0.01 / 16)))
+    reference = evolve("classical", model, p0, q0, 0.01 / 16, int(horizon / (0.01 / 16)))
     dts = (0.08, 0.04, 0.02, 0.01)
     errors = [
         abs(
-            evolve("classical", model, start, dt, int(horizon / dt)).q_unwrapped[-1]
+            evolve("classical", model, p0, q0, dt, int(horizon / dt)).q_unwrapped[-1]
             - reference.q_unwrapped[-1]
         )
         for dt in dts
     ]
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
 
-    forward = evolve("classical", model, start, 0.01, 1000)
-    back = evolve("classical", model, phase_point(forward, 1000), -0.01, 1000)
-    reversal = max(abs(back.q_unwrapped[-1] - start.q), abs(back.p[-1] - start.p))
+    forward = evolve("classical", model, p0, q0, 0.01, 1000)
+    back = evolve("classical", model, *phase_point(forward, 1000), -0.01, 1000)
+    reversal = max(abs(back.q_unwrapped[-1] - q0), abs(back.p[-1] - p0))
 
-    calm = PhasePoint.start(math.pi - 0.3, 0.0)
-    drift_traj = evolve("classical", model, calm, 0.002, 100000)
+    drift_traj = evolve("classical", model, 0.0, math.pi - 0.3, 0.002, 100000)
     drift = float(np.max(np.abs(drift_traj.energies - drift_traj.energies[0])))
     late = float(np.max(np.abs(drift_traj.energies[-10000:] - drift_traj.energies[0])))
     early = float(np.max(np.abs(drift_traj.energies[:10000] - drift_traj.energies[0])))
@@ -208,7 +206,7 @@ def test_criterion_08_symplectic_integrity():
 
 def test_criterion_09_quantum_classical_correspondence():
     free = EnhancedHamiltonian.build(TrigPotential(), FiducialSpec(r=8.0, alpha=0.25))
-    free_report = compare_restricted(free, CoherentLabel(p=2.3, q=-0.5), total_time=5.0, dt=0.01)
+    free_report = compare_restricted(free, CoherentLabel(p=2.3, q=-0.5), dt=0.01, steps=500)
     momentum_gap = float(np.max(free_report.momentum_deviation))
 
     hbar = 0.05
@@ -217,7 +215,7 @@ def test_criterion_09_quantum_classical_correspondence():
     )
     # one small-oscillation period about q = pi is ~4.5 time units
     pendulum = compare_restricted(
-        sharp, CoherentLabel(p=0.0, q=math.pi - 0.4), total_time=4.6, dt=0.002
+        sharp, CoherentLabel(p=0.0, q=math.pi - 0.4), dt=0.002, steps=2300
     )
     phase_gap = float(np.max(pendulum.phase_deviation))
     ok = momentum_gap <= 1e-9 and phase_gap < 0.05

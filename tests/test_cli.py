@@ -235,6 +235,18 @@ def test_fiducial_rerun_is_bit_identical(tmp_path):
         assert stable_lines(out1 / name) == stable_lines(out2 / name)
 
 
+@pytest.mark.parametrize("command", ["fiducial", "unity"])
+def test_fiducial_and_unity_ignore_the_potential(tmp_path, command):
+    # their lattice holds the fiducial support alone, so no potential key
+    # changes what they write
+    _, bare = run(tmp_path / "bare", command, "model.r = 2")
+    _, loaded = run(tmp_path / "loaded", command, "model.r = 2", "model.potential.a = 1, 1, 1")
+    names = sorted(path.name for path in bare.iterdir())
+    assert names == sorted(path.name for path in loaded.iterdir())
+    for name in names:
+        assert stable_lines(bare / name) == stable_lines(loaded / name), name
+
+
 def test_numbers_round_trip_at_17_digits(tmp_path):
     _, outdir = run(tmp_path, "fiducial")
     coeffs = read_table(outdir / "fiducial_coefficients.csv")

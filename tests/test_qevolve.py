@@ -10,7 +10,7 @@ from circleq.specfun import TWO_PI
 from circleq.hilbert import MomentumState, TwistedBasis, default_cutoff
 from circleq.fiducial import FiducialSpec
 from circleq.coherent import CoherentLabel, coherent_state
-from circleq.dynamics import PhasePoint, evolve
+from circleq.dynamics import evolve
 from circleq.enhanced import EnhancedHamiltonian, TrigPotential
 import circleq.qevolve as qevolve
 from circleq.cli import main
@@ -532,7 +532,7 @@ def test_ehrenfest_rate_at_start():
 def test_compare_free_particle_momentum():
     spec = FiducialSpec(r=8.0, alpha=0.25)
     model = EnhancedHamiltonian.build(TrigPotential(), spec)
-    report = compare_restricted(model, CoherentLabel(p=2.3, q=-0.5), total_time=5.0, dt=0.01)
+    report = compare_restricted(model, CoherentLabel(p=2.3, q=-0.5), dt=0.01, steps=500)
     assert np.max(report.momentum_deviation) < 1e-9
 
 
@@ -545,7 +545,7 @@ def revival_compare(ratio, alpha, p0, potential=TrigPotential()):
     hbar = 2.5 / ratio
     model = EnhancedHamiltonian.build(potential, FiducialSpec(r=2.5, alpha=alpha, hbar=hbar))
     label, revival = CoherentLabel(p0, 0.7), 2.0 * math.pi / hbar
-    report = compare_restricted(model, label, revival, revival / 20000)
+    report = compare_restricted(model, label, revival / 20000, 20000)
     norm = float(np.max(comparison_basis(model, label).momenta() ** 2))
     return report, np.finfo(float).eps * norm * revival / hbar
 
@@ -563,7 +563,7 @@ def test_free_circle_revives(ratio):
     assert coherence[quarter] <= 1e-10
     moment = report.quantum.cos_q + 1j * report.quantum.sin_q
     spec = FiducialSpec(r=2.5, alpha=0.25, hbar=2.5 / ratio)
-    assert np.max(np.abs(moment - free_circle_moment(spec, 0.7, 1.0, report.times))) <= roundoff
+    assert np.max(np.abs(moment - free_circle_moment(spec, 0.7, 1.0, report.quantum.times))) <= roundoff
     # a fractional p0/hbar boosts through the run 1 / (n - k + p/hbar); every
     # lattice state picks up e^{4 pi i alpha} at T_rev and -e^{2 pi i alpha} at
     # T_rev / 2, and alpha = 0.1 (unlike 0.25) tells the phase's sign apart
@@ -577,16 +577,17 @@ def test_compare_runs_the_classical_flow_on_the_same_steps():
     model = EnhancedHamiltonian.build(
         TrigPotential(a=(1.0, 0.3), b=(0.2,)), FiducialSpec(r=0.5, alpha=0.25, hbar=0.05)
     )
-    report = compare_restricted(model, CoherentLabel(p=1.0, q=0.7), total_time=0.4, dt=0.002)
-    classical = evolve("classical", model, PhasePoint.start(0.7, 1.0), 0.002, 200)
+    label = CoherentLabel(p=1.0, q=0.7)
+    report = compare_restricted(model, label, dt=0.002, steps=200)
+    classical = evolve("classical", model, label.p, label.q, 0.002, 200)
     for field in ("times", "q", "q_unwrapped", "p", "energies"):
         assert np.array_equal(getattr(report.classical, field), getattr(classical, field)), field
-    assert np.array_equal(report.classical.times, report.times)
+    assert np.array_equal(report.classical.times, report.quantum.times)
 
 
 def test_compare_sizes_its_own_lattice():
     parameters = list(inspect.signature(compare_restricted).parameters)
-    assert parameters == ["model", "label", "total_time", "dt"]
+    assert parameters == ["model", "label", "dt", "steps"]
 
 
 def test_compare_pendulum_localized_vs_spread():
@@ -595,16 +596,16 @@ def test_compare_pendulum_localized_vs_spread():
     sharp = EnhancedHamiltonian.build(
         TrigPotential(a=(1.0,)), FiducialSpec(r=50 * hbar, alpha=0.25, hbar=hbar)
     )
-    report = compare_restricted(sharp, label, total_time=4.6, dt=0.002)
+    report = compare_restricted(sharp, label, dt=0.002, steps=2300)
     # one full small-oscillation period is ~4.5 time units; regression
     # bound 0.05 frozen per the acceptance contract (measured 0.013)
     assert float(np.max(report.phase_deviation)) < 0.05
-    assert report.ehrenfest_window == pytest.approx(report.times[-1])
+    assert report.ehrenfest_window == pytest.approx(report.quantum.times[-1])
 
     spread = EnhancedHamiltonian.build(
         TrigPotential(a=(1.0,)), FiducialSpec(r=2 * hbar, alpha=0.25, hbar=hbar)
     )
-    control = compare_restricted(spread, label, total_time=4.6, dt=0.002)
+    control = compare_restricted(spread, label, dt=0.002, steps=2300)
     assert float(np.max(control.phase_deviation)) > 2.0 * float(np.max(report.phase_deviation))
 
 
