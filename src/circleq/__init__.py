@@ -21,7 +21,7 @@ from .fiducial import (
     momentum_coefficients,
     normalization,
 )
-from .coherent import CoherentLabel, UnityReport, coherent_state, verify_unity
+from .coherent import UnityReport, coherent_state, verify_unity
 from .enhanced import (
     EnhancedHamiltonian,
     TrigPotential,

@@ -38,13 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coherent import (
-    EDGE_WEIGHT_LIMIT,
-    CoherentLabel,
-    coherent_state,
-    legendre_node_count,
-    verify_unity,
-)
+from .coherent import EDGE_WEIGHT_LIMIT, coherent_state, legendre_node_count, verify_unity
 from .dynamics import MAX_STABLE_STEP, evolve, max_stable_step
 from .enhanced import (
     EnhancedHamiltonian,
@@ -55,13 +49,16 @@ from .enhanced import (
 )
 from .fiducial import (
     FiducialSpec,
+    attenuations,
     evaluate,
     gaussian_bound_check,
     moments,
     momentum_coefficients,
     normalization,
 )
-from .hilbert import MAX_CUTOFF, MAX_LATTICE_DIM, ResolutionError, TwistedBasis, default_cutoff
+from .hilbert import (
+    MAX_CUTOFF, MAX_LATTICE_DIM, ResolutionError, TwistedBasis, default_cutoff, wrap_angle,
+)
 from .qevolve import build_hamiltonian, compare_restricted, comparison_basis, evolve_quantum
 from .specfun import ConvergenceError
 
@@ -209,7 +206,11 @@ class RunConfig:
     def load(cls, command: str, path: str | None = None, overrides=()) -> "RunConfig":
         entries = dict(_DEFAULTS)
         if path is not None:
-            entries.update(parse_config_text(Path(path).read_text(), source=path))
+            try:
+                text = Path(path).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 at byte offset {exc.start}") from None
+            entries.update(parse_config_text(text, source=path))
         for item in overrides:
             if "=" not in item:
                 raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -255,7 +256,7 @@ class RunConfig:
         if job in ("compare", "evolve quantum"):
             # the lattice holds the boost too, and run.cutoff does not apply
             try:
-                cfg.basis = comparison_basis(cfg.model, CoherentLabel(v["run.p0"], v["run.q0"]))
+                cfg.basis = comparison_basis(cfg.model, v["run.p0"])
             except ValueError as exc:
                 raise ConfigError(f"'run.p0' / 'model.hbar': {exc}") from None
         if command in ("evolve", "compare"):
@@ -517,7 +518,8 @@ def cmd_fiducial(cfg: RunConfig):
     # envelope overflows, and the density's tails underflow to 0 before that
     z, log_peak = spec.localization, 2.0 * math.log(normalization(spec))  # log N^2
     log_gauss = log_peak - z * theta * theta
-    mom = moments(spec, max_harmonic=cfg["run.max_harmonic"])
+    mom = moments(spec)
+    cos_moments = attenuations(spec, cfg["run.max_harmonic"])
     envelope = gaussian_bound_check(spec)
     coeffs = momentum_coefficients(spec, basis)
     tables = [
@@ -534,10 +536,10 @@ def cmd_fiducial(cfg: RunConfig):
             "envelope_lower_margin": envelope.lower_margin,
         }),
         ("fiducial_attenuation.csv", "fiducial-attenuation", {
-            "harmonic": np.arange(len(mom.cos_moments)), "cos_moment": mom.cos_moments,
+            "harmonic": np.arange(len(cos_moments)), "cos_moment": cos_moments,
         }),
         ("fiducial_coefficients.csv", "fiducial-coefficients", {
-            "n": basis.n_values(), "momentum": basis.momenta(), "coefficient": coeffs.coeffs.real,
+            "n": basis.n_values(), "momentum": basis.momenta(), "coefficient": coeffs,
         }),
     ]
     return tables, """
@@ -620,15 +622,15 @@ def _fractional_boost(spec: FiducialSpec, p0: float) -> ContractViolation:
 def cmd_evolve(cfg: RunConfig):
     kind, model, basis = cfg["run.kind"], cfg.model, cfg.basis
     dt, steps = cfg["run.dt"], cfg["run.steps"]
-    label = CoherentLabel(p=cfg["run.p0"], q=cfg["run.q0"])
+    p0, q0 = cfg["run.p0"], float(wrap_angle(cfg["run.q0"]))
     if kind in ("classical", "enhanced"):
-        traj = evolve(kind, model, label.p, label.q, dt, steps)
+        traj = evolve(kind, model, p0, q0, dt, steps)
         table = _trajectory_table(f"trajectory_{kind}.csv", kind, traj)
     else:
         try:
-            state = coherent_state(label, model.spec, basis).normalized()
+            state = coherent_state(model.spec, basis, p0, q0)
         except ResolutionError:
-            raise _fractional_boost(model.spec, label.p) from None
+            raise _fractional_boost(model.spec, p0) from None
         ham = build_hamiltonian(model.potential, basis)
         table = _quantum_table("trajectory_quantum.csv", evolve_quantum(ham, state, dt, steps))
     return [table], f"""
@@ -645,9 +647,8 @@ fig.savefig("trajectory.png", dpi=150)
 
 def cmd_compare(cfg: RunConfig):
     model, p0 = cfg.model, cfg["run.p0"]
-    label = CoherentLabel(p=p0, q=cfg["run.q0"])
     try:  # the coherent state's leak is the only ResolutionError it raises
-        report = compare_restricted(model, label, cfg["run.dt"], cfg["run.steps"])
+        report = compare_restricted(model, p0, cfg["run.q0"], cfg["run.dt"], cfg["run.steps"])
     except ResolutionError:
         raise _fractional_boost(model.spec, p0) from None
 

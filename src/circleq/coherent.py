@@ -54,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fiducial import FiducialSpec, momentum_coefficients, default_basis
-from .hilbert import MAX_LATTICE_DIM, MomentumState, ResolutionError, TwistedBasis, wrap_angle
+from .hilbert import MAX_LATTICE_DIM, MomentumState, ResolutionError, TwistedBasis
 from .specfun import gauss_legendre
 
 # out-of-basis spectral weight above this triggers a truncation diagnostic
@@ -66,24 +66,13 @@ _BLOCK = 512
 _SWEEP_NODES = MAX_LATTICE_DIM // 2
 
 
-@dataclass(frozen=True)
-class CoherentLabel:
-    """Phase-space label: momentum p (unrestricted) and angle q."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", float(wrap_angle(self.q)))
-
-
 def _signed_support(spec: FiducialSpec) -> tuple[np.ndarray, np.ndarray]:
     """(s, n): the signed fiducial coefficients s = (-1)^n c_n on the slots n
     of the central run of coefficients c_n >= the smallest normal double.
     The ones past it are zero or subnormal, add nothing a double can hold to
     any boosted entry, and make the boost crawl."""
     support = default_basis(spec)
-    c = momentum_coefficients(spec, support).coeffs.real
+    c = momentum_coefficients(spec, support)
     # c_n is even in n and falls off monotonically from n = 0
     normal = np.flatnonzero(c >= np.finfo(float).tiny)
     run = slice(normal[0], normal[-1] + 1)
@@ -126,10 +115,9 @@ def _boost_blocks(spec: FiducialSpec, shifts: np.ndarray, basis: TwistedBasis):
         yield f
 
 
-def coherent_state(
-    label: CoherentLabel, spec: FiducialSpec, basis: TwistedBasis
-) -> MomentumState:
-    """Coefficients d_n = e^{-i (n + alpha) q} f_n(p) of |p, q>.
+def coherent_state(spec: FiducialSpec, basis: TwistedBasis, p: float, q: float) -> MomentumState:
+    """The unit vector |p, q>: coefficients d_n = e^{-i (n + alpha) q} f_n(p)
+    divided by their norm; q + 2 pi gives the state times e^{-2 pi i alpha}.
 
     Boost first, rotation second.  The boost is one correlation of the
     signed coefficients with the kernel run over all D + S - 1 lags, as in
@@ -137,13 +125,14 @@ def coherent_state(
     -m, so the state is the fiducial shifted by m slots bit for bit.  The
     rotation phase multiplies the boosted coefficients exactly, so
     d_n(p, q) = e^{-i (n+alpha) q} d_n(p, 0) holds by construction.  Raises
-    ResolutionError when the basis is too narrow to hold the boosted state.
+    ResolutionError when the boost leaks more than ``EDGE_WEIGHT_LIMIT`` of
+    its weight past the basis, before dividing by the norm.
     """
     if basis.alpha != spec.alpha or basis.hbar != spec.hbar:
         raise ValueError("basis and fiducial spec disagree on alpha or hbar")
     signed, n_src = _signed_support(spec)
     slots = basis.n_values()
-    shift = label.p / spec.hbar
+    shift = p / spec.hbar
     whole = np.rint(shift)
     lags = np.arange(n_src[0] - slots[-1], n_src[-1] - slots[0] + 1)
     if shift == whole:
@@ -159,8 +148,8 @@ def coherent_state(
             f"boosted state leaks {deficit:.3e} of its weight outside the "
             f"lattice |n| <= {basis.cutoff_n}; enlarge the cutoff"
         )
-    phases = np.exp(-1j * (basis.n_values() + basis.alpha) * label.q)
-    return MomentumState(basis, phases * f)
+    d = np.exp(-1j * (slots + basis.alpha) * q) * f
+    return MomentumState(basis, d / math.sqrt(np.vdot(d, d).real))
 
 
 @dataclass(eq=False)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import TWO_PI, bessel_i_scaled_sequence
-from .hilbert import MomentumState, TwistedBasis, default_cutoff, reduce_twist
+from .hilbert import TwistedBasis, default_cutoff, reduce_twist
 
 _SQRT_2PI = math.sqrt(TWO_PI)
 # angles sampled by the envelope check
@@ -54,7 +54,6 @@ class FiducialMoments:
     mean_q: float
     mean_p: float
     var_p: float
-    cos_moments: np.ndarray  # <cos nQ> for n = 0..max_harmonic
 
 
 def normalization(spec: FiducialSpec) -> float:
@@ -79,8 +78,8 @@ def default_basis(spec: FiducialSpec) -> TwistedBasis:
     return TwistedBasis(spec.alpha, spec.hbar, default_cutoff(spec.localization))
 
 
-def momentum_coefficients(spec: FiducialSpec, basis: TwistedBasis) -> MomentumState:
-    """Lattice coefficients c_n = sqrt(2 pi) N e^{-r/hbar} I_n(r/hbar).
+def momentum_coefficients(spec: FiducialSpec, basis: TwistedBasis) -> np.ndarray:
+    """Lattice coefficients c_n = sqrt(2 pi) N e^{-r/hbar} I_n(r/hbar), float64.
 
     Real, positive and even in n.  The closed form is validated against
     the quadrature projection in the test suite before being trusted as
@@ -89,8 +88,7 @@ def momentum_coefficients(spec: FiducialSpec, basis: TwistedBasis) -> MomentumSt
     if basis.alpha != spec.alpha or basis.hbar != spec.hbar:
         raise ValueError("basis and fiducial spec disagree on alpha or hbar")
     scaled = bessel_i_scaled_sequence(basis.cutoff_n, spec.localization)
-    c = _SQRT_2PI * normalization(spec) * scaled[np.abs(basis.n_values())]
-    return MomentumState(basis, c.astype(complex))
+    return _SQRT_2PI * normalization(spec) * scaled[np.abs(basis.n_values())]
 
 
 def attenuations(spec: FiducialSpec, max_harmonic: int) -> np.ndarray:
@@ -102,10 +100,9 @@ def attenuations(spec: FiducialSpec, max_harmonic: int) -> np.ndarray:
     return seq / seq[0]
 
 
-def moments(spec: FiducialSpec, max_harmonic: int = 0) -> FiducialMoments:
+def moments(spec: FiducialSpec) -> FiducialMoments:
     """Position mean by the trapezoidal rule on 512 equispaced angles from
-    -pi, momentum moments by lattice sums, and the potential-attenuation
-    factors <cos nQ> by Bessel ratios.
+    -pi, and momentum moments by lattice sums.
 
     These are measurements, not closed forms: the closed forms <Q> = 0,
     <P> = hbar alpha and var_p = hbar r rho_1 / 2 are what they are
@@ -121,7 +118,7 @@ def moments(spec: FiducialSpec, max_harmonic: int = 0) -> FiducialMoments:
     integrand[0] = 0.0
     mean_q = float(TWO_PI / 512 * integrand.sum())
 
-    weights = momentum_coefficients(spec, basis).coeffs.real ** 2
+    weights = momentum_coefficients(spec, basis) ** 2
     p_values = basis.momenta()
     mean_p = float(p_values @ weights)
     # centered before squaring: <P^2> - <P>^2 cancels when hbar alpha is
@@ -132,7 +129,6 @@ def moments(spec: FiducialSpec, max_harmonic: int = 0) -> FiducialMoments:
         mean_q=mean_q,
         mean_p=mean_p,
         var_p=var_p,
-        cos_moments=attenuations(spec, max_harmonic),
     )
 
 

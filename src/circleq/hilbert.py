@@ -17,7 +17,7 @@ import numpy as np
 
 from .specfun import TWO_PI
 
-# largest lattice any command builds; r/hbar = 200 at p = 0 needs 3227 slots
+# largest lattice any command builds; r/hbar = 200 at p = 0 needs 3217 slots (3219 with a pendulum)
 MAX_LATTICE_DIM = 8192
 # largest half-width N of such a lattice
 MAX_CUTOFF = (MAX_LATTICE_DIM - 1) // 2
@@ -91,7 +91,3 @@ class MomentumState:
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.coeffs, self.coeffs).real)
-
-    def normalized(self) -> "MomentumState":
-        return MomentumState(self.basis, self.coeffs / math.sqrt(self.norm_sq()))
-

@@ -38,10 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CoherentLabel, coherent_state
+from .coherent import coherent_state
 from .dynamics import Trajectory, evolve
 from .enhanced import EnhancedHamiltonian, TrigPotential
-from .hilbert import MAX_CUTOFF, MAX_LATTICE_DIM, MomentumState, TwistedBasis, default_cutoff
+from .hilbert import (
+    MAX_CUTOFF, MAX_LATTICE_DIM, MomentumState, TwistedBasis, default_cutoff, wrap_angle,
+)
 
 # largest summed weight sum |a_j|^2 of the eigenmodes left out of a propagation
 WINDOW_TAIL = 1e-24
@@ -264,14 +266,14 @@ class ComparisonReport:
     classical: Trajectory
 
 
-def comparison_basis(model: EnhancedHamiltonian, label: CoherentLabel) -> TwistedBasis:
-    """Default lattice: fiducial support, potential bandwidth, boost margin.
+def comparison_basis(model: EnhancedHamiltonian, p0: float) -> TwistedBasis:
+    """Default lattice: fiducial support, potential bandwidth, boost margin |p0|/hbar.
 
     Raises ValueError when the lattice would exceed ``MAX_LATTICE_DIM``
     slots, before anything of that size is built.
     """
     spec = model.spec
-    margin = abs(label.p) / spec.hbar
+    margin = abs(p0) / spec.hbar
     support = default_cutoff(spec.localization, model.potential.degree)
     if support + margin > MAX_CUTOFF:
         raise ValueError(
@@ -283,23 +285,25 @@ def comparison_basis(model: EnhancedHamiltonian, label: CoherentLabel) -> Twiste
 
 def compare_restricted(
     model: EnhancedHamiltonian,
-    label: CoherentLabel,
+    p0: float,
+    q0: float,
     dt: float,
     steps: int,
 ) -> ComparisonReport:
-    """Run the true quantum evolution from |p, q> on the
+    """Run the true quantum evolution from |p0, q0> on the
     :func:`comparison_basis` lattice, and the enhanced and classical flows
-    from (p, q), all over ``steps`` steps of ``dt``, and report their
-    deviation traces."""
+    from (p0, q0), all over ``steps`` steps of ``dt``, and report their
+    deviation traces.  All three start from q0 wrapped into [-pi, pi)."""
     spec = model.spec
-    basis = comparison_basis(model, label)
+    basis = comparison_basis(model, p0)
+    q0 = float(wrap_angle(q0))
 
-    initial = coherent_state(label, spec, basis).normalized()
+    initial = coherent_state(spec, basis, p0, q0)
     ham = build_hamiltonian(model.potential, basis)
     quantum = evolve_quantum(ham, initial, dt, steps)
 
-    enhanced = evolve("enhanced", model, label.p, label.q, dt, steps)
-    classical = evolve("classical", model, label.p, label.q, dt, steps)
+    enhanced = evolve("enhanced", model, p0, q0, dt, steps)
+    classical = evolve("classical", model, p0, q0, dt, steps)
 
     shift = spec.hbar * spec.alpha
     momentum_dev = np.abs(quantum.mean_p - (enhanced.p + shift))

@@ -237,7 +237,7 @@ def whole_lattice_boost(spec: FiducialSpec, shift: float, basis: TwistedBasis) -
     """f_k = sum_n c_n sinc(n - k + shift) on every slot k at once: one run of
     D + S - 1 kernel values against the (D + S - 1, S) Hankel view of the
     normal coefficients, signs folded as in the production boost."""
-    c = momentum_coefficients(spec, default_basis(spec)).coeffs.real
+    c = momentum_coefficients(spec, default_basis(spec))
     n_src = default_basis(spec).n_values()
     keep = c >= np.finfo(float).tiny
     c, n_src, slots = c[keep], n_src[keep], basis.n_values()
@@ -274,7 +274,7 @@ def closed_form_unity_diagonal(spec: FiducialSpec, basis: TwistedBasis, p_cutoff
         return np.where(y != 0.0, sici(2.0 * np.pi * y)[0] / np.pi
                         - np.sin(np.pi * y) ** 2 / (np.pi**2 * safe), 0.0)
 
-    c = momentum_coefficients(spec, default_basis(spec)).coeffs.real
+    c = momentum_coefficients(spec, default_basis(spec))
     n_src = default_basis(spec).n_values()
     keep = c >= np.finfo(float).tiny
     c, n_src, slots = c[keep], n_src[keep], basis.n_values()

@@ -12,7 +12,7 @@ import numpy as np
 
 from circleq.hilbert import TwistedBasis
 from circleq.fiducial import FiducialSpec, attenuations, gaussian_bound_check, moments
-from circleq.coherent import CoherentLabel, verify_unity
+from circleq.coherent import verify_unity
 from circleq.enhanced import (
     EnhancedHamiltonian,
     TrigPotential,
@@ -206,7 +206,7 @@ def test_criterion_08_symplectic_integrity():
 
 def test_criterion_09_quantum_classical_correspondence():
     free = EnhancedHamiltonian.build(TrigPotential(), FiducialSpec(r=8.0, alpha=0.25))
-    free_report = compare_restricted(free, CoherentLabel(p=2.3, q=-0.5), dt=0.01, steps=500)
+    free_report = compare_restricted(free, 2.3, -0.5, dt=0.01, steps=500)
     momentum_gap = float(np.max(free_report.momentum_deviation))
 
     hbar = 0.05
@@ -214,9 +214,7 @@ def test_criterion_09_quantum_classical_correspondence():
         TrigPotential(a=(1.0,)), FiducialSpec(r=50 * hbar, alpha=0.25, hbar=hbar)
     )
     # one small-oscillation period about q = pi is ~4.5 time units
-    pendulum = compare_restricted(
-        sharp, CoherentLabel(p=0.0, q=math.pi - 0.4), dt=0.002, steps=2300
-    )
+    pendulum = compare_restricted(sharp, 0.0, math.pi - 0.4, dt=0.002, steps=2300)
     phase_gap = float(np.max(pendulum.phase_deviation))
     ok = momentum_gap <= 1e-9 and phase_gap < 0.05
     report(9, ok, f"free momentum gap {momentum_gap:.1e}, pendulum phase gap {phase_gap:.3f}")

@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 import circleq.cli as cli
 from circleq.cli import OUTDIR_ENV, RunConfig, main, parse_config_text
+from circleq.coherent import coherent_state
+from circleq.hilbert import wrap_angle
+from circleq.qevolve import build_hamiltonian, evolve_quantum
 from oracles import power_of_ten_residuals
 
 SCHEMAS = {
@@ -65,6 +68,16 @@ def test_config_file_loading(tmp_path):
     cfg = RunConfig.load("evolve", str(cfgfile), overrides=["run.steps = 19"])
     assert cfg.spec.r == 2.5
     assert cfg["run.steps"] == 19
+
+
+def test_config_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_bytes(b"model.r = 2\xff\n")
+    outdir = tmp_path / "out"
+    assert main(["fiducial", "-c", str(cfgfile), "--set", f"output.dir = {outdir}"]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfgfile}: not UTF-8 at byte offset 11" in err and "Traceback" not in err
+    assert not outdir.exists()
 
 
 def test_malformed_value_exits_one(tmp_path, capsys):
@@ -253,7 +266,7 @@ def test_numbers_round_trip_at_17_digits(tmp_path):
     from circleq.fiducial import FiducialSpec, momentum_coefficients, default_basis
 
     spec = FiducialSpec(r=1.0)
-    exact = momentum_coefficients(spec, default_basis(spec)).coeffs.real
+    exact = momentum_coefficients(spec, default_basis(spec))
     assert np.array_equal(coeffs["coefficient"], exact)
     # default model is centered at zero twist
     row = read_table(outdir / "fiducial_moments.csv")
@@ -694,6 +707,31 @@ def test_evolve_kinds(tmp_path):
     assert code == 0
     quantum = read_table(outdir_q / "trajectory_quantum.csv")
     assert np.max(np.abs(quantum["norm"] - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("q0", ["10", "-9.5"])
+def test_every_flow_starts_from_the_chart_angle(tmp_path, q0):
+    # run.q0 is wrapped into [-pi, pi) once: the leapfrog flows start at that
+    # angle and the quantum side at the coherent state there, bit for bit
+    model = ("model.r = 2.5", "model.hbar = 0.1", "model.alpha = 0.3", "model.potential.a = 1.0")
+    start = ("run.p0 = 0.37", f"run.q0 = {q0}", "run.dt = 0.01", "run.steps = 20")
+    chart = float(wrap_angle(float(q0)))
+    tables = {}
+    for kind in ("classical", "enhanced", "quantum"):
+        code, outdir = run(tmp_path / kind, "evolve", *model, *start, f"run.kind = {kind}")
+        assert code == 0
+        tables[kind] = read_table(outdir / f"trajectory_{kind}.csv")
+    code, outdir = run(tmp_path / "compare", "compare", *model, *start)
+    assert code == 0
+    compared = {kind: read_table(outdir / f"compare_{kind}.csv")
+                for kind in ("classical", "enhanced", "quantum")}
+    for kind in ("classical", "enhanced"):
+        assert tables[kind]["q_unwrapped"][0] == compared[kind]["q_unwrapped"][0] == chart
+    cfg = RunConfig.load("evolve", overrides=(*model, *start, "run.kind = quantum"))
+    state = coherent_state(cfg.spec, cfg.basis, 0.37, chart)
+    trace = evolve_quantum(build_hamiltonian(cfg.potential, cfg.basis), state, 0.01, 20)
+    for table in (tables["quantum"], compared["quantum"]):
+        assert (table["cos_q"][0], table["sin_q"][0]) == (trace.cos_q[0], trace.sin_q[0])
 
 
 def test_compare_free_momentum_columns(tmp_path):

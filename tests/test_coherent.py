@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from circleq.specfun import gauss_legendre
-from circleq.hilbert import ResolutionError, TwistedBasis
+from circleq.hilbert import ResolutionError, TwistedBasis, wrap_angle
 from circleq.fiducial import FiducialSpec, default_basis, evaluate, momentum_coefficients
 from circleq import coherent
 from circleq.cli import RunConfig
 from circleq.coherent import (
-    CoherentLabel,
     _boost_blocks,
     coherent_state,
     legendre_node_count,
@@ -47,7 +46,7 @@ def dense_boost(spec, basis, shifts):
     """Literal boost table f[i, k] = sum_n c_n sinc(n - k + shifts[i]) from a
     full (P, S, D) sinc kernel over the fiducial support."""
     support = default_basis(spec)
-    c = momentum_coefficients(spec, support).coeffs.real
+    c = momentum_coefficients(spec, support)
     kernel = np.sinc(
         support.n_values()[None, None, :]
         - basis.n_values()[None, :, None]
@@ -87,9 +86,24 @@ def literal_unity_reference(spec, basis, p_cutoff, p_nodes=None, full_2d=False, 
     return np.diag(matrix).real, float(np.max(np.abs(off)))
 
 
-def test_label_wraps_angle():
-    assert CoherentLabel(p=1.0, q=1.5 * math.pi).q == pytest.approx(-0.5 * math.pi)
-    assert CoherentLabel(p=-2.0, q=math.pi).q == pytest.approx(-math.pi)
+def unit(coeffs):
+    """``coeffs`` as complex, divided by their norm as coherent_state divides."""
+    d = np.asarray(coeffs, dtype=complex)
+    return d / math.sqrt(np.vdot(d, d).real)
+
+
+def test_angle_period_is_the_twist_phase():
+    # q is taken as given: a full turn multiplies every slot by e^{-2 pi i alpha}
+    spec = FiducialSpec(r=6.0, alpha=0.3, hbar=0.5)
+    basis = default_basis(spec)
+    for p, q in [(1.0, 1.5 * math.pi), (-2.0, math.pi), (0.37, -9.5)]:
+        turned = coherent_state(spec, basis, p, q + 2.0 * math.pi).coeffs
+        state = coherent_state(spec, basis, p, q).coeffs
+        assert np.max(np.abs(turned - np.exp(-2j * math.pi * spec.alpha) * state)) < 1e-13
+        # so the chart angle gives the state up to that phase once per turn
+        turns = (q - float(wrap_angle(q))) / (2.0 * math.pi)
+        chart = coherent_state(spec, basis, p, float(wrap_angle(q))).coeffs
+        assert np.max(np.abs(state - np.exp(-2j * math.pi * spec.alpha * turns) * chart)) < 1e-13
 
 
 def test_zero_label_reproduces_fiducial():
@@ -97,16 +111,15 @@ def test_zero_label_reproduces_fiducial():
     # np.sinc(3.0) = 3.9e-17 left a roundoff trail
     spec = FiducialSpec(r=3.0, alpha=0.3)
     basis = default_basis(spec)
-    state = coherent_state(CoherentLabel(0.0, 0.0), spec, basis)
-    fid = momentum_coefficients(spec, basis)
-    assert np.array_equal(state.coeffs, fid.coeffs)
+    state = coherent_state(spec, basis, 0.0, 0.0)
+    assert np.array_equal(state.coeffs, unit(momentum_coefficients(spec, basis)))
 
 
 def test_integer_boost_is_lattice_shift():
     spec = FiducialSpec(r=4.0, alpha=0.25, hbar=0.5)
     basis = default_basis(spec)
-    boosted = coherent_state(CoherentLabel(p=3 * spec.hbar, q=0.0), spec, basis)
-    fiducial = momentum_coefficients(spec, basis).coeffs
+    boosted = coherent_state(spec, basis, 3 * spec.hbar, 0.0)
+    fiducial = momentum_coefficients(spec, basis)
     # c'_n = c_{n-3}; the three slots pushed past the upper edge hold < 1e-10
     assert np.vdot(fiducial[-3:], fiducial[-3:]).real < 1e-10
     assert np.max(np.abs(boosted.coeffs[3:] - fiducial[:-3])) < 1e-10
@@ -116,9 +129,8 @@ def test_integer_boost_is_lattice_shift():
 def test_coefficients_match_quadrature_oracle():
     spec = FiducialSpec(r=8.0, alpha=0.3)
     basis = TwistedBasis(0.3, 1.0, 24)
-    label = CoherentLabel(p=1.7, q=2.1)
-    state = coherent_state(label, spec, basis)
-    oracle = quadrature_coefficients(spec, basis, label.p, label.q)
+    state = coherent_state(spec, basis, 1.7, 2.1)
+    oracle = quadrature_coefficients(spec, basis, 1.7, 2.1)
     assert np.max(np.abs(state.coeffs - oracle)) < 1e-9
 
 
@@ -127,8 +139,11 @@ def test_normalization_random_labels():
     basis = default_basis(spec)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        label = CoherentLabel(p=rng.uniform(-3, 3), q=rng.uniform(-math.pi, math.pi))
-        state = coherent_state(label, spec, basis)
+        p, q = rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)
+        state = coherent_state(spec, basis, p, q)
+        # the boost before the division leaks little, by the dense sinc kernel
+        boost = dense_boost(spec, basis, [p / spec.hbar])[0]
+        assert abs(boost @ boost - 1.0) < 1e-9
         assert abs(state.norm_sq() - 1.0) < 1e-9
 
 
@@ -136,9 +151,9 @@ def test_phase_covariance_exact():
     spec = FiducialSpec(r=5.0, alpha=0.4)
     basis = default_basis(spec)
     p = 1.3
-    at_zero = coherent_state(CoherentLabel(p, 0.0), spec, basis)
+    at_zero = coherent_state(spec, basis, p, 0.0)
     q = -2.2
-    rotated = coherent_state(CoherentLabel(p, q), spec, basis)
+    rotated = coherent_state(spec, basis, p, q)
     phases = np.exp(-1j * (basis.n_values() + basis.alpha) * q)
     assert np.max(np.abs(rotated.coeffs - phases * at_zero.coeffs)) < 1e-15
 
@@ -148,19 +163,18 @@ def test_resolution_diagnostic_fires():
     spec = FiducialSpec(r=6.0, alpha=0.0)
     narrow = TwistedBasis(0.0, 1.0, 10)
     with pytest.raises(ResolutionError):
-        coherent_state(CoherentLabel(p=25.0, q=0.0), spec, narrow)
+        coherent_state(spec, narrow, 25.0, 0.0)
     # weak concentration: the non-integer boost tail itself overflows 1e-8
     spec1 = FiducialSpec(r=1.0, alpha=0.0)
     with pytest.raises(ResolutionError):
-        coherent_state(CoherentLabel(p=0.3, q=0.0), spec1, TwistedBasis(0.0, 1.0, 16))
+        coherent_state(spec1, TwistedBasis(0.0, 1.0, 16), 0.3, 0.0)
 
 
 def test_overlap_normalization_and_symmetry():
     spec = FiducialSpec(r=6.0, alpha=0.2)
     basis = default_basis(spec)
-    a = CoherentLabel(0.8, 0.4)
-    b = CoherentLabel(-1.1, -2.0)
-    state_a, state_b = coherent_state(a, spec, basis), coherent_state(b, spec, basis)
+    state_a = coherent_state(spec, basis, 0.8, 0.4)
+    state_b = coherent_state(spec, basis, -1.1, -2.0)
     assert abs(np.vdot(state_a.coeffs, state_a.coeffs) - 1.0) < 1e-9
     ab = np.vdot(state_a.coeffs, state_b.coeffs)
     ba = np.vdot(state_b.coeffs, state_a.coeffs)
@@ -171,10 +185,9 @@ def test_overlap_normalization_and_symmetry():
 def test_overlap_decays_with_separation():
     spec = FiducialSpec(r=2.0, alpha=0.0)
     basis = default_basis(spec)
-    origin = CoherentLabel(0.0, 0.0)
     qs = np.linspace(0.1, math.pi / 2, 8)
-    at_origin = coherent_state(origin, spec, basis)
-    states = [coherent_state(CoherentLabel(0.0, q), spec, basis) for q in qs]
+    at_origin = coherent_state(spec, basis, 0.0, 0.0)
+    states = [coherent_state(spec, basis, 0.0, q) for q in qs]
     mags = [abs(np.vdot(at_origin.coeffs, state.coeffs)) for state in states]
     assert all(a > b for a, b in zip(mags, mags[1:]))
 
@@ -294,7 +307,7 @@ def test_boost_table_matches_dense_sinc_kernel():
         spec = FiducialSpec(r=r, alpha=0.3, hbar=hbar)
         basis = default_basis(spec)
         edge = basis.cutoff_n
-        c = momentum_coefficients(spec, basis).coeffs.real
+        c = momentum_coefficients(spec, basis)
         c[c < np.finfo(float).tiny] = 0.0  # the boost keeps only normal coefficients
         whole = [0.0, 3.0, -3.0, edge, -edge]
         near = [m + d for m in (0.0, 3.0, -edge) for d in (1e-12, -1e-12)]
@@ -335,22 +348,21 @@ def test_coherent_state_matches_dense_sinc_kernel():
     for spec, labels in cases:
         basis = default_basis(spec)
         for p, q in labels:
-            label = CoherentLabel(p, q)
-            state = coherent_state(label, spec, basis)
-            phases = np.exp(-1j * (basis.n_values() + basis.alpha) * label.q)
+            state = coherent_state(spec, basis, p, q)
+            phases = np.exp(-1j * (basis.n_values() + basis.alpha) * q)
             dense = phases * dense_boost(spec, basis, [p / spec.hbar])[0]
             assert np.max(np.abs(state.coeffs - dense)) < 1e-14
     # p/hbar = +/-3 exactly (0.15 / 0.05 is not 3) takes the unit run: the
-    # normal coefficients shifted by 3 slots, bit for bit
+    # normal coefficients shifted by 3 slots and normalized, bit for bit
     spec = FiducialSpec(r=12.5, alpha=0.3, hbar=0.25)
     basis = default_basis(spec)
-    c = momentum_coefficients(spec, basis).coeffs.real
+    c = momentum_coefficients(spec, basis)
     c[c < np.finfo(float).tiny] = 0.0
     for p, m in [(0.75, 3), (-0.75, -3)]:
         assert p / spec.hbar == m
         expected = np.zeros_like(c)
         expected[max(m, 0): c.size + min(m, 0)] = c[max(-m, 0): c.size - max(m, 0)]
-        assert np.array_equal(coherent_state(CoherentLabel(p, 0.0), spec, basis).coeffs, expected)
+        assert np.array_equal(coherent_state(spec, basis, p, 0.0).coeffs, unit(expected))
 
 
 def test_unity_memory_bounded():

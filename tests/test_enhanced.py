@@ -29,7 +29,7 @@ def displaced_expectation(model, p, q, grid=None):
     if grid is None:
         grid = QuadratureGrid.make(1024)
     basis = TwistedBasis(spec.alpha, spec.hbar, default_cutoff(spec.localization, potential.degree))
-    weights = momentum_coefficients(spec, basis).coeffs.real ** 2
+    weights = momentum_coefficients(spec, basis) ** 2
     kinetic = float(((basis.momenta() + p) ** 2) @ weights)
     density = np.abs(evaluate(spec, grid.nodes)) ** 2
     rotated = potential.value(grid.nodes + q)

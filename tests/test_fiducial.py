@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circleq.hilbert import TwistedBasis
+from circleq.hilbert import MomentumState, TwistedBasis
 
 from oracles import PositionWavefunction, QuadratureGrid, analyze, check_boundary_phase, integrate_periodic
 from circleq.fiducial import (
@@ -61,11 +61,12 @@ def test_evaluate_even_magnitude():
 
 def test_momentum_coefficients_uniform_state():
     spec = FiducialSpec(r=0.0)
-    state = momentum_coefficients(spec, TwistedBasis(0.0, 1.0, 6))
+    c = momentum_coefficients(spec, TwistedBasis(0.0, 1.0, 6))
     expected = np.zeros(13)
     expected[6] = 1.0  # c_n collapses to the Kronecker delta at n = 0
-    assert np.allclose(state.coeffs.real, expected, atol=1e-15)
-    assert state.norm_sq() == pytest.approx(1.0)
+    assert c.dtype == np.float64
+    assert np.allclose(c, expected, atol=1e-15)
+    assert c @ c == pytest.approx(1.0)
 
 
 def test_momentum_coefficients_match_quadrature_projection():
@@ -76,17 +77,16 @@ def test_momentum_coefficients_match_quadrature_projection():
     grid = QuadratureGrid.make(512)
     closed = momentum_coefficients(spec, basis)
     projected = analyze(PositionWavefunction(grid, evaluate(spec, grid.nodes)), basis)
-    assert np.max(np.abs(closed.coeffs - projected.coeffs)) < 1e-10
-    assert np.all(closed.coeffs.real >= 0.0)
-    sym = closed.coeffs.real
-    assert np.allclose(sym, sym[::-1])  # even in n
+    assert np.max(np.abs(closed - projected.coeffs)) < 1e-10
+    assert np.all(closed >= 0.0)
+    assert np.allclose(closed, closed[::-1])  # even in n
 
 
 def test_momentum_coefficients_completeness_ladder():
     # sum of squares climbs to 1 as the lattice widens
     spec = FiducialSpec(r=4.0, alpha=0.0, hbar=1.0)
     norms = [
-        momentum_coefficients(spec, TwistedBasis(0.0, 1.0, cutoff)).norm_sq()
+        float(np.sum(momentum_coefficients(spec, TwistedBasis(0.0, 1.0, cutoff)) ** 2))
         for cutoff in (2, 6, 12, 40)
     ]
     assert all(a < b or b == pytest.approx(1.0, abs=1e-13) for a, b in zip(norms, norms[1:]))
@@ -120,16 +120,17 @@ def test_boundary_membership_grid():
     for r in R_GRID:
         for alpha in ALPHA_GRID:
             spec = FiducialSpec(r=r, alpha=alpha)
-            state = momentum_coefficients(spec, default_basis(spec))
+            basis = default_basis(spec)
+            state = MomentumState(basis, momentum_coefficients(spec, basis))
             assert check_boundary_phase(state) < 1e-12
 
 
 def test_variance_asymptotics_and_closed_form():
     spec = FiducialSpec(r=50.0, alpha=0.25, hbar=1.0)
-    mom = moments(spec, max_harmonic=2)
+    mom = moments(spec)
     assert 0.95 <= mom.var_p / (spec.hbar * spec.r / 2.0) <= 1.05
     # independent closed form var_p = r^2 (1 - <cos 2Q>) / 2
-    oracle = spec.r**2 * (1.0 - mom.cos_moments[2]) / 2.0
+    oracle = spec.r**2 * (1.0 - attenuations(spec, 2)[2]) / 2.0
     assert mom.var_p == pytest.approx(oracle, rel=1e-10)
     assert mom.var_p >= 0.0
 
@@ -140,8 +141,7 @@ def test_variance_uniform_state_is_zero():
 
 def test_cos_moments_structure_and_quadrature_oracle():
     spec = FiducialSpec(r=2.0, alpha=0.1)
-    mom = moments(spec, max_harmonic=4)
-    rho = mom.cos_moments
+    rho = attenuations(spec, 4)
     assert rho[0] == pytest.approx(1.0, abs=1e-14)
     assert np.all(np.diff(rho) < 0.0) and np.all(rho >= 0.0) and np.all(rho <= 1.0)
     grid = QuadratureGrid.make(1024)

@@ -1,10 +1,11 @@
 """The package carries no code that only the tests call.
 
-Every public module-level function and every public method in
+Every public module-level function and class and every public method in
 ``src/circleq`` must be referenced somewhere in ``src/`` outside its own
-``def``: a function by name, a method through an attribute.  Code that
-serves only as a test oracle belongs in ``tests/oracles.py``.  An import
-is not a use, so ``__init__`` re-exporting a name does not keep it alive.
+definition: a function or class by name, a method through an attribute.
+Code that serves only as a test oracle belongs in ``tests/oracles.py``.  An
+import is not a use, so ``__init__`` re-exporting a name does not keep it
+alive.
 """
 
 import ast
@@ -16,11 +17,13 @@ SOURCES = sorted(Path(circleq.__file__).parent.glob("*.py"))
 
 
 def _public_defs(tree: ast.Module):
-    """(qualified name, def node, is a method) of every public def at module
-    level or directly in a module-level class."""
+    """(qualified name, def node, is a method) of every public class or def
+    at module level, and of every public def directly in such a class."""
     for node in tree.body:
         members = [(node, "")]
         if isinstance(node, ast.ClassDef):
+            if not node.name.startswith("_"):
+                yield node.name, node, False
             members = [(child, f"{node.name}.") for child in node.body]
         for child, prefix in members:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -53,8 +56,9 @@ def test_every_public_def_has_a_caller_in_src():
 
 
 def test_the_guard_sees_an_unused_def():
-    tree = ast.parse("def used():\n    return 1\n\ndef orphan():\n    return used()\n"
-                     "class Box:\n    def size(self):\n        return self.size\n")
+    tree = ast.parse("def used():\n    return 1\n\ndef orphan():\n    return used(), Box()\n"
+                     "class Box:\n    def size(self):\n        return self.size\n"
+                     "class Stray:\n    pass\n")
     found = {name: _references(tree, node.name, method, node)
              for name, node, method in _public_defs(tree)}
-    assert found == {"used": 1, "orphan": 0, "Box.size": 0}
+    assert found == {"used": 1, "orphan": 0, "Box": 1, "Box.size": 0, "Stray": 0}
