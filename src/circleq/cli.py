@@ -313,26 +313,23 @@ def _pairs(values) -> np.ndarray:
     return np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), np.complex128)
 
 
-def _split(h: float) -> tuple:
-    """Dekker's split h = h1 + h2, 26 significant bits each, in integers (no overflow)."""
-    m, e = math.frexp(h)
-    mantissa = int(m * 2**53)
-    top = (mantissa + 2**26) >> 27 << 27
-    return math.ldexp(top, e - 53), math.ldexp(mantissa - top, e - 53)
-
-
 @functools.cache
 def _tables() -> tuple:
     """The formatter's tables, built on first use (``--version`` needs none)."""
     # per k: 10^(16-k) = h1 + h2 + l, h = h1 + h2 and l correctly rounded
     ks = range(_K_LO, _K_HI + 1)
-    scale = [(math.nan,) * 3] * (-292 - _K_LO)
+    scale = [(math.nan,) * 2] * (-292 - _K_LO)
     for k in range(-292, _K_HI + 1):
         a, b = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
         h = a / b  # int / int rounds correctly
         n, d = h.as_integer_ratio()
-        scale.append((*_split(h), (a * d - n * b) / (b * d)))
-    scale = np.array(scale).T.copy()
+        scale.append((h, (a * d - n * b) / (b * d)))
+    h, low = np.array(scale).T.copy()
+    # Dekker's split: h1 is h rounded to 26 bits, h2 = h - h1 the other 26
+    h1 = ((h.view(_WORD) + 2**26) & -2**27 % 2**64).view(np.float64)
+    # per 4-digit group: its digit values, first digit in the lowest byte
+    digit = np.arange(10, dtype=_WORD)
+    digits = functools.reduce(np.bitwise_or.outer, [digit << 8 * s for s in range(4)]).ravel()
     # per 17 r + c (c of the 16 digits after the lead kept, the point after r
     # of them, r = 17 for none at -4 <= k < 0): the s digits before the
     # point, those after it (moved up a byte) and the point
@@ -344,7 +341,7 @@ def _tables() -> tuple:
     # per k: word 0's "0.000" and word 3's "e-05" (%g: fixed at -4 <= k < 17)
     prefix = _words([b"\0\0" + b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"" for k in ks], 8)
     suffix = _words([b"" if -4 <= k < 17 else b"\0e%+03d" % k for k in ks], 8)
-    return *scale, head, tail, point, layout, prefix[0], suffix[0]
+    return h1, h - h1, low, digits, head, tail, point, layout, prefix[0], suffix[0]
 
 
 def _scaled(ax: np.ndarray, i: np.ndarray) -> tuple:
@@ -373,7 +370,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     every value certified by ``_MARGIN`` from array arithmetic, the rest
     (zeros, non-finite values, magnitudes below 1e-292 and exact ties at
     the 17th digit) per value."""
-    *_, head, tail, point, layout, prefix, suffix = _tables()
+    *_, digits, head, tail, point, layout, prefix, suffix = _tables()
     with np.errstate(all="ignore"):
         ax = np.abs(x)
         certified = (ax > 0) & (ax < math.inf)
@@ -391,17 +388,13 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         carry = d == 10**17
         d[carry] = 10**16
         i += carry
-        # the lead, and the other 16 digits as two words of 8 split lane by
-        # lane: 4 digits per 32 bits, 2 per 16, 1 per byte, first digit lowest
+        # the lead, and the other 16 digits as two words of 8, each word two
+        # 4-digit groups read from the digit table, first digit lowest
         top = d // 10**8
         lead = top // 10**8
-        w = np.stack([top - lead * 10**8, d - top * 10**8], axis=1).view(_WORD)
-        q = w * 109951163 >> 40
-        w = q | (w - q * 10**4) << 32
-        q = w * 10486 >> 20 & 0x7F_0000_007F
-        w = q | (w - q * 100) << 16
-        q = w * 103 >> 10 & 0x000F_000F_000F_000F
-        w = q | (w - q * 10) << 8
+        w = np.stack([top - lead * 10**8, d - top * 10**8], axis=1)
+        high = w // 10**4
+        w = digits.take(high) | digits.take(w - high * 10**4) << 32
         # digits kept: up to the highest nonzero byte, found from a float's exponent
         second = w[:, 1] != 0
         bits = np.where(second, w[:, 1], w[:, 0]).astype(np.float64).view(np.int64) >> 52

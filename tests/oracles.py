@@ -6,8 +6,8 @@ synthesis and analysis, the action along a trajectory with its surface term,
 the force V'(q) of a trigonometric potential, the boundary-condition defect
 of a function of the angle (``boundary_defect``) and of a lattice state
 (``check_boundary_phase``), the spread of the enhanced flow across twists
-(``alpha_invariance_check``), the exact rounding residuals of the CSV
-formatter's powers of ten, the Gauss-Legendre rule of one count by its own
+(``alpha_invariance_check``), Dekker's split of the CSV formatter's powers
+of ten in integers and their exact rounding residuals, the Gauss-Legendre rule of one count by its own
 recurrence, the boost of one momentum over the whole lattice, the unity
 diagonal in closed form by sine and cosine integrals, the circle moment of a
 free coherent state in closed form, the leapfrog step loop with its force as
@@ -193,6 +193,23 @@ def alpha_invariance_check(
             dp = np.max(np.abs(tracks[i][1] - tracks[j][1]))
             worst = max(worst, float(dq), float(dp))
     return worst
+
+def dekker_split(h: float) -> tuple:
+    """Dekker's split h = h1 + h2, 26 significant bits each, in integers (no overflow)."""
+    m, e = math.frexp(h)
+    mantissa = int(m * 2**53)
+    top = (mantissa + 2**26) >> 27 << 27
+    return math.ldexp(top, e - 53), math.ldexp(mantissa - top, e - 53)
+
+
+def power_of_ten_splits(k_lo: int, k_hi: int) -> tuple:
+    """``dekker_split`` of fl(10^(16-k)) for k = k_lo..k_hi as two arrays,
+    NaN below k = -292 where 10^(16-k) overflows."""
+    rows = [(math.nan, math.nan) if k < -292
+            else dekker_split(10 ** max(16 - k, 0) / 10 ** max(k - 16, 0))  # rounds correctly
+            for k in range(k_lo, k_hi + 1)]
+    return tuple(np.array(rows).T)
+
 
 def power_of_ten_residuals(k_lo: int, k_hi: int) -> np.ndarray:
     """l = 10^(16-k) - fl(10^(16-k)) correctly rounded, for k = k_lo..k_hi,

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import importlib
 import io
+import itertools
 import math
 import re
 import tempfile
@@ -19,7 +20,7 @@ from circleq.cli import OUTDIR_ENV, RunConfig, main, parse_config_text
 from circleq.coherent import coherent_state
 from circleq.hilbert import wrap_angle
 from circleq.qevolve import build_hamiltonian, evolve_quantum
-from oracles import power_of_ten_residuals
+from oracles import power_of_ten_residuals, power_of_ten_splits
 
 SCHEMAS = {
     "fiducial_profile.csv": "# schema: circleq/fiducial-profile v1",
@@ -336,6 +337,24 @@ def test_float_text_matches_per_value_on_raw_bit_patterns():
     assert_per_value(bits.view(np.float64))
 
 
+def digit_groups():
+    # 17 digits whose 16 after the lead put 0000, 0001, 1000 or 9999 in each
+    # 4-digit group read from the digit table, 1e16 and 99999999999999999
+    # among them, at exponents on both sides of both notation switches
+    groups = ("0000", "0001", "1000", "9999")
+    return [float(f"{lead}.{''.join(four)}e{k}") for lead, *four, k in itertools.product(
+        "19", *[groups] * 4, (-250, -5, -1, 0, 15, 16, 17, 22, 300))]
+
+
+def test_digit_groups_reach_every_group_pattern():
+    # every pattern shows up in every group of some value's %.17g digits
+    seen = set()
+    for v in digit_groups():
+        trailing = ("%.16e" % v)[2:18]
+        seen.update((at, trailing[at:at + 4]) for at in range(0, 16, 4))
+    assert {(at, g) for at in range(0, 16, 4) for g in ("0000", "0001", "1000", "9999")} <= seen
+
+
 def ties():
     # 2^50 <= |x| < 2^51 has quarter ulps and 16 integer digits, so x.25 and
     # x.75 end the 17 digits on an exact half; 2^49..2^50 has eighth ulps
@@ -355,6 +374,7 @@ FORMAT_EDGES = {
     "subnormal": [5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308],
     "extremes": [1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0],
     "three_digit_exponents": [1e100, -1e-100, 9.999999999999999e99, 1e-99, 1.2345e-150, 6.02e307],
+    "digit_groups": digit_groups(),
 }
 
 
@@ -405,6 +425,23 @@ def test_realistic_values_take_the_per_value_route_only_at_zero(monkeypatch):
     monkeypatch.setattr(cli, "_MARGIN", 0.5)
     assert written_floats(x) == ["%.17g" % v for v in x.tolist()]
     assert len(per_value_route) == x.size
+
+
+def test_power_of_ten_split_is_the_integer_split():
+    # the bit-mask split on all 635 rows: the 602 finite ones as Dekker's
+    # integer split gives them, the 33 below k = -292 NaN in both halves
+    h1, h2 = cli._tables()[:2]
+    want1, want2 = power_of_ten_splits(cli._K_LO, cli._K_HI)
+    assert h1.size == 635 and np.count_nonzero(np.isnan(want1)) == 33
+    assert np.array_equal(h1, want1, equal_nan=True)
+    assert np.array_equal(h2, want2, equal_nan=True)
+
+
+def test_digit_table_is_every_group_as_four_digits():
+    digits = cli._tables()[3]
+    assert digits.shape == (10**4,) and not np.any(digits >> 32)
+    text = (digits.view(np.uint8).reshape(-1, 8)[:, :4] + ord("0")).tobytes()
+    assert text == b"".join(b"%04d" % g for g in range(10**4))
 
 
 def test_power_of_ten_residuals_equal_the_exact_quotient():
