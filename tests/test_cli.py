@@ -771,6 +771,22 @@ def test_every_flow_starts_from_the_chart_angle(tmp_path, q0):
         assert (table["cos_q"][0], table["sin_q"][0]) == (trace.cos_q[0], trace.sin_q[0])
 
 
+def test_compare_starts_every_flow_at_an_angle_in_the_chart(tmp_path):
+    # run.q0 = 0.7 is in [-pi, pi): all three flows start at 0.7 itself
+    model = ("model.r = 2.5", "model.hbar = 0.1", "model.alpha = 0.3", "model.potential.a = 1.0")
+    start = ("run.p0 = 0.37", "run.q0 = 0.7", "run.dt = 0.01", "run.steps = 20")
+    code, outdir = run(tmp_path, "compare", *model, *start)
+    assert code == 0
+    for kind in ("classical", "enhanced"):
+        table = read_table(outdir / f"compare_{kind}.csv")
+        assert table["q"][0] == table["q_unwrapped"][0] == 0.7
+    cfg = RunConfig.load("compare", overrides=(*model, *start))
+    state = coherent_state(cfg.spec, cfg.basis, 0.37, 0.7)
+    trace = evolve_quantum(build_hamiltonian(cfg.potential, cfg.basis), state, 0.01, 20)
+    quantum = read_table(outdir / "compare_quantum.csv")
+    assert (quantum["cos_q"][0], quantum["sin_q"][0]) == (trace.cos_q[0], trace.sin_q[0])
+
+
 def test_compare_free_momentum_columns(tmp_path):
     code, outdir = run(
         tmp_path, "compare",

@@ -43,6 +43,13 @@ def test_wrapped_chart_stays_in_range():
     assert winding_number(traj) >= 3
 
 
+def test_chart_samples_are_the_unwrapped_angle_bit_for_bit():
+    traj = evolve("classical", pendulum_model(), 1.6, 0.7, 0.01, 3000)
+    inside = (traj.q_unwrapped >= -math.pi) & (traj.q_unwrapped < math.pi)
+    assert 0 < np.count_nonzero(inside) < inside.size
+    assert np.array_equal(traj.q[inside], traj.q_unwrapped[inside])
+
+
 @pytest.mark.parametrize("kind", ["classical", "enhanced"])
 def test_leapfrog_step_against_the_force_oracle(kind):
     # one kick-drift-kick step written out with V' from the oracle, for a

@@ -40,6 +40,15 @@ def test_wrap_angle_range():
         assert abs(math.remainder(w - theta, 2 * math.pi)) < 1e-12
 
 
+def test_wrap_angle_keeps_an_angle_in_the_chart():
+    # (0.7 + pi) % 2 pi - pi is 0.7000000000000002; -pi is in the chart, pi is not
+    for theta, chart in ((0.7, 0.7), (-math.pi, -math.pi), (math.pi, -math.pi)):
+        assert wrap_angle(theta) == chart
+    assert wrap_angle(np.array([0.7, -math.pi, math.pi])).tolist() == [0.7, -math.pi, -math.pi]
+    inside = np.random.default_rng(7).uniform(-math.pi, math.pi, 1000)
+    assert np.array_equal(wrap_angle(inside), inside)
+
+
 def test_basis_reduces_alpha_mod_one():
     assert TwistedBasis(1.25, 1.0, 4).alpha == pytest.approx(0.25)
     assert TwistedBasis(-0.75, 1.0, 4).alpha == pytest.approx(0.25)
