@@ -301,6 +301,8 @@ _MARGIN = 1e-14
 # the rows below that are NaN (their values stay uncertified), and one
 # spare row each side takes a rescale
 _K_LO, _K_HI = -325, 309
+# clears a double's low 27 significand bits: 26 stay, the implicit one among them
+_HIGH_26 = -2**27 % 2**64
 
 
 def _words(texts: list, width: int) -> np.ndarray:
@@ -326,7 +328,7 @@ def _tables() -> tuple:
         scale.append((h, (a * d - n * b) / (b * d)))
     h, low = np.array(scale).T.copy()
     # Dekker's split: h1 is h rounded to 26 bits, h2 = h - h1 the other 26
-    h1 = ((h.view(_WORD) + 2**26) & -2**27 % 2**64).view(np.float64)
+    h1 = ((h.view(_WORD) + 2**26) & _HIGH_26).view(np.float64)
     # per 4-digit group: its digit values, first digit in the lowest byte
     digit = np.arange(10, dtype=_WORD)
     digits = functools.reduce(np.bitwise_or.outer, [digit << 8 * s for s in range(4)]).ravel()
@@ -347,7 +349,7 @@ def _tables() -> tuple:
 def _scaled(ax: np.ndarray, i: np.ndarray) -> tuple:
     """floor(y) and its fraction for y = ax 10^(16-k), k = i + _K_LO."""
     h1, h2, low = (table[i] for table in _tables()[:3])
-    a1 = (ax.view(_WORD) & -2**27 % 2**64).view(np.float64)  # 26 bits, a2 the other 27
+    a1 = (ax.view(_WORD) & _HIGH_26).view(np.float64)  # a2 keeps the other 27 bits
     a2 = ax - a1
     p = ax * (h1 + h2)
     # each partial product fits 53 bits, and each sum in this order is exact

@@ -7,11 +7,12 @@ the force V'(q) of a trigonometric potential, the boundary-condition defect
 of a function of the angle (``boundary_defect``) and of a lattice state
 (``check_boundary_phase``), the spread of the enhanced flow across twists
 (``alpha_invariance_check``), Dekker's split of the CSV formatter's powers
-of ten in integers and their exact rounding residuals, the Gauss-Legendre rule of one count by its own
-recurrence, the boost of one momentum over the whole lattice, the unity
-diagonal in closed form by sine and cosine integrals, the circle moment of a
-free coherent state in closed form, the leapfrog step loop with its force as
-a closure, and the Miller recurrence on a numpy array.
+of ten in integers and their exact rounding residuals, the Gauss-Legendre
+rule of one count by its own recurrence, the boost of one momentum over the
+whole lattice, the unity diagonal in closed form by sine and cosine
+integrals, the circle moment of a free coherent state in closed form, the
+leapfrog step loop with its force as a closure, and the Miller recurrence
+on a numpy array.
 Each is a literal transcription of its formula.
 """
 
@@ -193,6 +194,7 @@ def alpha_invariance_check(
             dp = np.max(np.abs(tracks[i][1] - tracks[j][1]))
             worst = max(worst, float(dq), float(dp))
     return worst
+
 
 def dekker_split(h: float) -> tuple:
     """Dekker's split h = h1 + h2, 26 significant bits each, in integers (no overflow)."""

@@ -346,15 +346,6 @@ def digit_groups():
         "19", *[groups] * 4, (-250, -5, -1, 0, 15, 16, 17, 22, 300))]
 
 
-def test_digit_groups_reach_every_group_pattern():
-    # every pattern shows up in every group of some value's %.17g digits
-    seen = set()
-    for v in digit_groups():
-        trailing = ("%.16e" % v)[2:18]
-        seen.update((at, trailing[at:at + 4]) for at in range(0, 16, 4))
-    assert {(at, g) for at in range(0, 16, 4) for g in ("0000", "0001", "1000", "9999")} <= seen
-
-
 def ties():
     # 2^50 <= |x| < 2^51 has quarter ulps and 16 integer digits, so x.25 and
     # x.75 end the 17 digits on an exact half; 2^49..2^50 has eighth ulps
@@ -746,13 +737,14 @@ def test_evolve_kinds(tmp_path):
     assert np.max(np.abs(quantum["norm"] - 1.0)) < 1e-9
 
 
-@pytest.mark.parametrize("q0", ["10", "-9.5"])
-def test_every_flow_starts_from_the_chart_angle(tmp_path, q0):
-    # run.q0 is wrapped into [-pi, pi) once: the leapfrog flows start at that
-    # angle and the quantum side at the coherent state there, bit for bit
+@pytest.mark.parametrize("q0, chart", [pytest.param(q0, chart, id=q0) for q0, chart in (
+    ("10", float(wrap_angle(10.0))), ("-9.5", float(wrap_angle(-9.5))), ("0.7", 0.7))])
+def test_every_flow_starts_from_the_chart_angle(tmp_path, q0, chart):
+    # run.q0 is wrapped into [-pi, pi) once, and one already there is kept:
+    # the leapfrog flows start at that angle and the quantum side at the
+    # coherent state there, bit for bit
     model = ("model.r = 2.5", "model.hbar = 0.1", "model.alpha = 0.3", "model.potential.a = 1.0")
     start = ("run.p0 = 0.37", f"run.q0 = {q0}", "run.dt = 0.01", "run.steps = 20")
-    chart = float(wrap_angle(float(q0)))
     tables = {}
     for kind in ("classical", "enhanced", "quantum"):
         code, outdir = run(tmp_path / kind, "evolve", *model, *start, f"run.kind = {kind}")
@@ -769,22 +761,6 @@ def test_every_flow_starts_from_the_chart_angle(tmp_path, q0):
     trace = evolve_quantum(build_hamiltonian(cfg.potential, cfg.basis), state, 0.01, 20)
     for table in (tables["quantum"], compared["quantum"]):
         assert (table["cos_q"][0], table["sin_q"][0]) == (trace.cos_q[0], trace.sin_q[0])
-
-
-def test_compare_starts_every_flow_at_an_angle_in_the_chart(tmp_path):
-    # run.q0 = 0.7 is in [-pi, pi): all three flows start at 0.7 itself
-    model = ("model.r = 2.5", "model.hbar = 0.1", "model.alpha = 0.3", "model.potential.a = 1.0")
-    start = ("run.p0 = 0.37", "run.q0 = 0.7", "run.dt = 0.01", "run.steps = 20")
-    code, outdir = run(tmp_path, "compare", *model, *start)
-    assert code == 0
-    for kind in ("classical", "enhanced"):
-        table = read_table(outdir / f"compare_{kind}.csv")
-        assert table["q"][0] == table["q_unwrapped"][0] == 0.7
-    cfg = RunConfig.load("compare", overrides=(*model, *start))
-    state = coherent_state(cfg.spec, cfg.basis, 0.37, 0.7)
-    trace = evolve_quantum(build_hamiltonian(cfg.potential, cfg.basis), state, 0.01, 20)
-    quantum = read_table(outdir / "compare_quantum.csv")
-    assert (quantum["cos_q"][0], quantum["sin_q"][0]) == (trace.cos_q[0], trace.sin_q[0])
 
 
 def test_compare_free_momentum_columns(tmp_path):
