@@ -16,7 +16,6 @@ from .fiducial import (
     FiducialMoments,
     FiducialSpec,
     evaluate,
-    gaussian_bound_check,
     moments,
     momentum_coefficients,
     normalization,

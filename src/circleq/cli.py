@@ -51,7 +51,6 @@ from .fiducial import (
     FiducialSpec,
     attenuations,
     evaluate,
-    gaussian_bound_check,
     moments,
     momentum_coefficients,
     normalization,
@@ -515,7 +514,6 @@ def cmd_fiducial(cfg: RunConfig):
     log_gauss = log_peak - z * theta * theta
     mom = moments(spec)
     cos_moments = attenuations(spec, cfg["run.max_harmonic"])
-    envelope = gaussian_bound_check(spec)
     coeffs = momentum_coefficients(spec, basis)
     tables = [
         ("fiducial_profile.csv", "fiducial-profile", {
@@ -527,8 +525,6 @@ def cmd_fiducial(cfg: RunConfig):
         ("fiducial_moments.csv", "fiducial-moments", {
             "r": spec.r, "alpha": spec.alpha, "hbar": spec.hbar,
             "mean_q": mom.mean_q, "mean_p": mom.mean_p, "var_p": mom.var_p,
-            "envelope_ok": envelope.passed, "envelope_upper_margin": envelope.upper_margin,
-            "envelope_lower_margin": envelope.lower_margin,
         }),
         ("fiducial_attenuation.csv", "fiducial-attenuation", {
             "harmonic": np.arange(len(cos_moments)), "cos_moment": cos_moments,

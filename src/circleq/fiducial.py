@@ -24,8 +24,6 @@ from .specfun import TWO_PI, bessel_i_scaled_sequence
 from .hilbert import TwistedBasis, default_cutoff, reduce_twist
 
 _SQRT_2PI = math.sqrt(TWO_PI)
-# angles sampled by the envelope check
-ENVELOPE_SAMPLES = 10000
 
 
 @dataclass(frozen=True)
@@ -131,32 +129,3 @@ def moments(spec: FiducialSpec) -> FiducialMoments:
         var_p=var_p,
     )
 
-
-@dataclass(eq=False)
-class EnvelopeCheck:
-    """Outcome of the two-sided Gaussian envelope test."""
-
-    passed: bool
-    upper_margin: float  # min over samples of log(K N^2 e^{-z theta^2}) - log|eta|^2
-    lower_margin: float  # min over samples of log|eta|^2 - log(N^2 e^{-z theta^2})
-
-
-def gaussian_bound_check(spec: FiducialSpec) -> EnvelopeCheck:
-    """Verify N^2 e^{-z theta^2} <= |eta|^2 <= K N^2 e^{-z theta^2} at
-    ``ENVELOPE_SAMPLES`` equispaced angles, z = r/hbar, with the explicit
-    constant K = e^{z (pi^2 - 4)}.
-
-    K is the analytic maximum of |eta|^2 over the Gaussian: the exponent
-    gap z (2 cos theta - 2 + theta^2) is monotone away from 0 and peaks at
-    theta = +/-pi with value z (pi^2 - 4).  The lower bound is
-    cos theta - 1 >= -theta^2 / 2.  Both comparisons run in log space so
-    no K is ever exponentiated.  At r = 0 both bounds hold with equality,
-    and both margins are 0.
-    """
-    z = spec.localization
-    theta = -math.pi + TWO_PI * np.arange(ENVELOPE_SAMPLES) / ENVELOPE_SAMPLES
-    gap = z * (2.0 * np.cos(theta) - 2.0 + theta * theta)
-    upper = float(np.min(z * (math.pi**2 - 4.0) - gap))
-    lower = float(np.min(gap))
-    tol = 1e-12 * max(1.0, z)
-    return EnvelopeCheck(upper >= -tol and lower >= -tol, upper, lower)

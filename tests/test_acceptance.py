@@ -11,7 +11,8 @@ import time
 import numpy as np
 
 from circleq.hilbert import TwistedBasis
-from circleq.fiducial import FiducialSpec, attenuations, gaussian_bound_check, moments
+from circleq.cli import RunConfig, cmd_fiducial
+from circleq.fiducial import FiducialSpec, attenuations, evaluate, moments
 from circleq.coherent import verify_unity
 from circleq.enhanced import (
     EnhancedHamiltonian,
@@ -221,12 +222,23 @@ def test_criterion_09_quantum_classical_correspondence():
 
 
 def test_criterion_10_gaussian_envelope():
-    margins = []
-    for ratio in (1.0, 5.0, 20.0):
-        check = gaussian_bound_check(FiducialSpec(r=ratio, hbar=1.0))
-        margins.append((ratio, check.passed))
-    ok = all(passed for _, passed in margins)
-    report(10, ok, f"two-sided envelope with K=exp(z(pi^2-4)) at 1e4 points: {margins}")
+    # the computed density against the profile's closed-form envelopes
+    # N^2 e^{-z theta^2} and e^{z (pi^2 - 4)} N^2 e^{-z theta^2}, wherever
+    # the density is a normal double
+    ok, excess = True, []
+    for ratio in (1.0, 5.0, 20.0, 200.0):
+        cfg = RunConfig.load("fiducial", overrides=[f"model.r = {ratio}"])
+        tables, _ = cmd_fiducial(cfg)
+        profile = {file: table for file, _, table in tables}["fiducial_profile.csv"]
+        density = np.abs(evaluate(cfg.spec, profile["theta"])) ** 2
+        normal = density >= np.finfo(float).tiny
+        log_density = np.log(density[normal])
+        worst = max(float(np.max(log_density - profile["log_upper_envelope"][normal])),
+                    float(np.max(profile["log_lower_envelope"][normal] - log_density)))
+        ok &= worst <= 1e-12 and 2 * normal.sum() > normal.size
+        excess.append((ratio, int(normal.sum()), f"{worst:.1e}"))
+    report(10, ok, f"log |eta|^2 within 1e-12 of K=exp(z(pi^2-4)) envelopes "
+                   f"(r/hbar, normal angles, worst excess): {excess}")
 
 
 def test_criterion_12_revivals():
@@ -245,3 +257,24 @@ def test_criterion_12_revivals():
     pendulum, _ = revival_compare(50.0, 0.25, 1.0, TrigPotential(a=(1.0,)))
     readings.append(f"pendulum (a=1) coherence {pendulum.coherence[full]:.2f} at T_rev, no bound")
     report(12, bool(ok), "free-circle revival: " + "; ".join(readings))
+
+
+def test_criterion_14_ehrenfest_window_scaling():
+    # criterion 13 is reserved for the whole spectrum through thermodynamics.
+    # On a regular orbit the break time grows like (r/hbar)^{1/2} (Berry,
+    # Balazs, Tabor and Voros, Ann. Phys. 122 (1979) 26)
+    r, dt, steps, ratios = 2.5, 0.005, 2000, (10.0, 20.0, 40.0, 80.0, 160.0)
+    ok, readings = True, []
+    for a, p0, q0 in (((1.0,), 1.5, 0.0), ((1.0, 0.3), 1.6, 0.7)):
+        start, windows = time.perf_counter(), []
+        for ratio in ratios:
+            hbar = r / ratio
+            model = EnhancedHamiltonian.build(TrigPotential(a=a), FiducialSpec(r=r, hbar=hbar))
+            window = compare_restricted(model, hbar * round(p0 / hbar), q0, dt, steps).ehrenfest_window
+            ok &= window < dt * steps
+            windows.append(window)
+        slope = float(np.polyfit(np.log(ratios), np.log(windows), 1)[0])
+        ok &= 0.35 <= slope <= 0.65
+        readings.append(f"a={a} p0={p0} q0={q0}: windows {[round(w, 3) for w in windows]}, "
+                        f"slope {slope:.3f} ({time.perf_counter() - start:.2f}s)")
+    report(14, bool(ok), "Ehrenfest window against r/hbar: " + "; ".join(readings))

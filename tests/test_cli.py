@@ -188,19 +188,19 @@ def test_fiducial_outputs_and_moments_row(tmp_path):
                  "fiducial_attenuation.csv", "fiducial_coefficients.csv"):
         first = (outdir / name).read_text().splitlines()[0]
         assert first == SCHEMAS[name]
+    assert stable_lines(outdir / "fiducial_moments.csv")[1] == "r,alpha,hbar,mean_q,mean_p,var_p"
     row = read_table(outdir / "fiducial_moments.csv")
     assert abs(float(row["mean_q"])) < 1e-9
     assert float(row["mean_p"]) == pytest.approx(0.3, abs=1e-9)
-    assert int(row["envelope_ok"]) == 1
     profile = read_table(outdir / "fiducial_profile.csv")
     assert np.all(profile["log_density"] <= profile["log_upper_envelope"] + 1e-12)
     assert np.all(profile["log_density"] >= profile["log_lower_envelope"] - 1e-12)
 
 
-@pytest.mark.parametrize("r", ["120", "200"])
+@pytest.mark.parametrize("r", ["0", "120", "200"])
 def test_fiducial_runs_at_large_localization(tmp_path, r):
     # the linear upper envelope overflowed past r/hbar of about 119, and
-    # load refused such runs
+    # load refused such runs; r = 0 is the uniform state
     code, outdir = run(tmp_path, "fiducial", f"model.r = {r}")
     assert code == 0
     for name in SCHEMAS:
@@ -224,21 +224,6 @@ def test_fiducial_log_profile_matches_linear_formulas(tmp_path):
     }
     for column, values in linear.items():
         assert np.allclose(np.exp(profile[column]), values, rtol=1e-14, atol=0.0), column
-
-
-@pytest.mark.parametrize("r", ["0", "2.0"])
-def test_fiducial_moments_row_reports_the_envelope_check(tmp_path, monkeypatch, r):
-    # r = 0 runs the check itself, which passes with margins +0.0; a failed
-    # check is reported as it came
-    from circleq.fiducial import EnvelopeCheck
-
-    if r != "0":
-        monkeypatch.setattr(cli, "gaussian_bound_check",
-                            lambda spec: EnvelopeCheck(False, -1.5, 2.5))
-    code, outdir = run(tmp_path, "fiducial", f"model.r = {r}")
-    assert code == 0
-    row = stable_lines(outdir / "fiducial_moments.csv")[2].split(",")[-3:]
-    assert row == (["1", "0", "0"] if r == "0" else ["0", "-1.5", "2.5"])
 
 
 def test_fiducial_rerun_is_bit_identical(tmp_path):
@@ -647,8 +632,8 @@ def test_out_of_range_inputs_exit_one(tmp_path, capsys, command, settings, key):
 ])
 def test_retired_keys_exit_one(tmp_path, capsys, command, key, via):
     # each only set the resolution or seed of an internal check: verify_unity's
-    # node count, moments' 512-node grid and the envelope check's 10000 angles
-    # are constants, and selftest draws no random numbers
+    # node count and moments' 512-node grid are constants, and selftest draws
+    # no random numbers
     outdir = tmp_path / "out"
     setting = f"{key} = 64"
     if via == "--config":

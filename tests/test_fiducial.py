@@ -11,7 +11,6 @@ from circleq.fiducial import (
     attenuations,
     default_basis,
     evaluate,
-    gaussian_bound_check,
     moments,
     momentum_coefficients,
     normalization,
@@ -171,24 +170,10 @@ def test_uniform_state_attenuations_are_exact():
     assert attenuations(FiducialSpec(r=0.0), 4).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("ratio", [1.0, 5.0, 20.0])
-def test_gaussian_bound_two_sided(ratio):
-    check = gaussian_bound_check(FiducialSpec(r=ratio, hbar=1.0))
-    assert check.passed
-    assert check.upper_margin >= -1e-10 and check.lower_margin >= -1e-10
-
-
 def test_gaussian_bound_equality_at_peak():
     spec = FiducialSpec(r=2.0)
     # at theta = 0 the lower envelope touches the density exactly
     assert abs(evaluate(spec, 0.0)) ** 2 == pytest.approx(normalization(spec) ** 2, rel=1e-14)
-
-
-def test_gaussian_bound_requires_concentration():
-    # the uniform state r = 0 meets both bounds with equality: margins +0.0
-    check = gaussian_bound_check(FiducialSpec(r=0.0))
-    assert (check.passed, check.upper_margin, check.lower_margin) == (True, 0.0, 0.0)
-    assert not np.signbit([check.upper_margin, check.lower_margin]).any()
 
 
 def test_envelope_width_scaling():

@@ -6,9 +6,13 @@ definition: a function or class by name, a method through an attribute.
 Code that serves only as a test oracle belongs in ``tests/oracles.py``.  An
 import is not a use, so ``__init__`` re-exporting a name does not keep it
 alive.
+
+numpy is the only runtime dependency: every import in ``src/circleq`` is
+relative, ``__future__``, from the standard library, or numpy.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import circleq
@@ -45,6 +49,19 @@ def _references(tree: ast.Module, name: str, method: bool, skip: ast.AST) -> int
     return count
 
 
+def _foreign_imports(tree: ast.Module) -> list:
+    """Modules imported by ``tree`` that are not relative, ``__future__``,
+    standard library or numpy."""
+    allowed = set(sys.stdlib_module_names) | {"__future__", "numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+    return [name for name in found if name.split(".")[0] not in allowed]
+
+
 def test_every_public_def_has_a_caller_in_src():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     unused = []
@@ -62,3 +79,16 @@ def test_the_guard_sees_an_unused_def():
     found = {name: _references(tree, node.name, method, node)
              for name, node, method in _public_defs(tree)}
     assert found == {"used": 1, "orphan": 0, "Box": 1, "Box.size": 0, "Stray": 0}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    foreign = [f"{path.name}: {name}" for path in SOURCES
+               for name in _foreign_imports(ast.parse(path.read_text(), str(path)))]
+    assert not foreign, "imports beyond numpy and the standard library: " + ", ".join(foreign)
+
+
+def test_the_guard_sees_a_foreign_import():
+    tree = ast.parse("from __future__ import annotations\nimport math, numpy as np\n"
+                     "from numpy.linalg import eigh\nfrom . import cli\nfrom .specfun import TWO_PI\n"
+                     "def solve():\n    import scipy\n    from scipy.linalg import eig_banded\n")
+    assert _foreign_imports(tree) == ["scipy", "scipy.linalg"]

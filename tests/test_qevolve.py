@@ -429,6 +429,23 @@ def test_free_spectrum_exact(alpha):
     assert np.max(np.abs(eigenvalues - exact)) <= 1e-10
 
 
+@pytest.mark.parametrize("hbar", [1.0, 0.25, 0.05])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_pendulum_spectrum_is_mathieu(alpha, hbar):
+    # with theta = 2x, -hbar^2 psi'' + cos theta psi = E psi is Mathieu's
+    # equation with a = 4E/hbar^2 and q = 2/hbar^2; a periodic state has
+    # period pi in x (even orders), an antiperiodic one 2 pi (odd orders)
+    from scipy.special import mathieu_a, mathieu_b
+
+    basis = TwistedBasis(alpha, hbar, 200)
+    eigenvalues = np.linalg.eigvalsh(build_hamiltonian(TrigPotential(a=(1.0,)), basis).matrix)[:10]
+    q, first = 2.0 / hbar**2, int(2 * alpha)
+    orders = np.arange(first, first + 20, 2)
+    exact = 0.25 * hbar**2 * np.sort(np.concatenate([mathieu_a(orders, q),
+                                                     mathieu_b(orders[orders > 0], q)]))[:10]
+    assert np.all(np.abs(eigenvalues - exact) <= 1e-9 * np.maximum(1.0, np.abs(exact)))
+
+
 def test_twist_splits_doublets():
     hbar = 1.0
     plain = TwistedBasis(0.0, hbar, 8)
