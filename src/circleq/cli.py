@@ -16,11 +16,11 @@ double, and ``MAX_ROWS`` = {max_rows}:
 Exit codes: 0 success, 1 configuration error, 2 numerical-contract
 violation, 3 I/O error.
 
-Outputs are CSV only, one column per array, integers as integers and
-floats to 17 significant digits, plus a generated matplotlib script per
-command; every column is checked finite before any file is written (exit
-2 otherwise), and reruns with the same config are byte-identical
-except for the ``# generated:`` header line.
+Outputs are CSV only, one column per array, every value as ``%.17g``
+(so the integers, all below 2^53, as integers), plus a generated
+matplotlib script per command; every column is checked finite before any
+file is written (exit 2 otherwise), and reruns with the same config are
+byte-identical except for the ``# generated:`` header line.
 """
 
 from __future__ import annotations
@@ -92,8 +92,6 @@ _KEYS = (
     ("model.potential.b", "", "float list", _FINITE, "sin coefficients b_1..b_m"),
     ("run.cutoff", "auto", "int", (1, MAX_CUTOFF, True),
      "``fiducial`` and ``unity`` lattice half-width N"),
-    ("run.max_harmonic", "auto", "int", (0, MAX_CUTOFF, True), "harmonics in ``fiducial``"),
-    ("run.profile_points", "720", "int", (1, MAX_ROWS, False), "rows in the fiducial profile"),
     ("run.p_cutoff_factors", "5, 10, 20, 40", "float list", (_TINY, MAX_LATTICE_DIM, False),
      f"nonempty; cutoffs in units of sqrt(hbar max(r, hbar)), <= {MAX_LATTICE_DIM} nodes each"),
     ("run.kind", "enhanced", "choice", ("classical", "enhanced", "quantum"), "``evolve`` flavor"),
@@ -101,9 +99,8 @@ _KEYS = (
     ("run.p0", "1.0", "float", (-1e150, 1e150, False), "initial momentum; p0^2 stays finite"),
     ("run.dt", "auto", "float", (_TINY, 1e150, True),
      f"time step; leapfrog flows need <= {MAX_STABLE_STEP} / force scale"),
-    ("run.steps", "1000", "int", (1, MAX_ROWS, False), "step count"),
     ("run.total_time", "auto", "float", (_TINY, 1e150, True),
-     f"``compare`` horizon, 1 to {MAX_ROWS} steps of dt; overrides steps"),
+     f"``evolve`` and ``compare`` horizon, 1 to {MAX_ROWS} steps of dt; auto is 1000 steps"),
     ("run.p_grid", "-3, 3, 25", "float list", (-1e150, 1e150, False),
      "``hamiltonian`` momentum axis: min < max, count an integer >= 2"),
     ("run.q_points", "73", "int", (1, MAX_ROWS, False),
@@ -197,6 +194,7 @@ class RunConfig:
     model: EnhancedHamiltonian | None = None
     basis: TwistedBasis | None = None
     p_cutoffs: tuple = ()
+    steps: int = 0
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -221,8 +219,6 @@ class RunConfig:
         z, degree = spec.localization, potential.degree  # z is inf past the float range
         job = f"{command} {v['run.kind']}" if command == "evolve" else command
         grid = v["run.p_grid"]
-        if v["run.max_harmonic"] is None:
-            v["run.max_harmonic"] = max(degree, 4)
         v["output.dir"] = Path(os.environ.get(OUTDIR_ENV) or v["output.dir"])
 
         # the rules between keys, in order; each may assume the ones before
@@ -267,11 +263,10 @@ class RunConfig:
                 v["run.dt"] = min(0.01 / math.sqrt(scale), limit)
             _require(0.0 < v["run.dt"] <= limit, f"'run.dt': {v['run.dt']:.6g} is not in (0, "
                      f"{limit:.6g}], set by 'model.potential.a' / 'model.potential.b'")
-        if command == "compare" and v["run.total_time"] is not None:
-            steps = v["run.total_time"] / v["run.dt"]
+            steps = 1000 if v["run.total_time"] is None else v["run.total_time"] / v["run.dt"]
             _require(1.0 <= steps <= MAX_ROWS, f"'run.total_time': {steps:.6g} steps of "
                      f"run.dt, outside [1, {MAX_ROWS}]")
-            v["run.steps"] = round(steps)
+            cfg.steps = round(steps)
         return cfg
 
 
@@ -361,9 +356,9 @@ def _scaled(ax: np.ndarray, i: np.ndarray) -> tuple:
     return p.astype(np.int64) + whole.astype(np.int64), e - whole
 
 
-def _text_cells(template: str, values: np.ndarray) -> np.ndarray:
-    """Cells holding ``template % v`` per value (at most 31 bytes)."""
-    return np.array([template % v for v in values.tolist()], "S32").view(_WORD).reshape(-1, 4)
+def _text_cells(values: np.ndarray) -> np.ndarray:
+    """Cells holding ``"%.17g" % v`` per value (at most 31 bytes)."""
+    return np.array(["%.17g" % v for v in values.tolist()], "S32").view(_WORD).reshape(-1, 4)
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
@@ -413,19 +408,16 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         np.bitwise_or(prefix[i] | sign, (lead.view(_WORD) + ord("0")) << 56, out=cells[:, 0])
         np.bitwise_or(after[:, 1] >> 56, suffix[i], out=cells[:, 3])
     fallback = np.flatnonzero(~certified)
-    cells[fallback] = _text_cells("%.17g", x[fallback])
+    cells[fallback] = _text_cells(x[fallback])
     return cells
 
 
 def _chunk_text(columns: list) -> bytes:
-    """Rows of columns as CSV text: every value a ``_float_cells`` cell in
-    one call, then integer and bool columns as ``%d`` per value."""
-    ints = [i for i, c in enumerate(columns) if c.dtype.kind in "biu"]
+    """Rows of columns as CSV text, every value a ``_float_cells`` cell in
+    one call: an integer below 2^53 in magnitude is exact as a float, and
+    its ``%.17g`` text is its ``%d`` text."""
     values = np.stack(columns, axis=1, dtype=np.float64)
-    values[:, ints] = 1.0  # replaced below; spares them the per-value route
     cells = _float_cells(values.ravel()).reshape(*values.shape, 4)
-    for i in ints:
-        cells[:, i] = _text_cells("%d", columns[i])
     text = cells.view(np.uint8).reshape(*values.shape, 32)
     text[:, :, -1] = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
     return text.tobytes().translate(None, b"\0")
@@ -441,8 +433,8 @@ def _open(path: Path):
 
 def write_csv(path: Path, name: str, table: dict) -> Path:
     """Write ``{column: values}`` under a schema line, a timestamp and the
-    column names; integer and bool columns as ``%d``, the rest as
-    ``%.17g``, byte for byte."""
+    column names; every value as ``"%.17g" % float(v)``, byte for byte, so
+    integers below 2^53 in magnitude and bools as ``%d``."""
     columns = [np.atleast_1d(values) for values in table.values()]
     rows = max(1, CSV_CHUNK_VALUES // len(columns))
     with _open(path) as handle:
@@ -505,15 +497,17 @@ def _quantum_table(file: str, trace):
 
 
 def cmd_fiducial(cfg: RunConfig):
-    spec, basis, points = cfg.spec, cfg.basis, cfg["run.profile_points"]
-    theta = -math.pi + 2.0 * math.pi * np.arange(points) / points
+    # 720 profile angles and the moments <cos nQ> for n = 0..4: the output is
+    # fixed by r, alpha and hbar alone
+    spec, basis = cfg.spec, cfg.basis
+    theta = -math.pi + 2.0 * math.pi * np.arange(720) / 720
     amp = evaluate(spec, theta)
     # natural logs in closed form: past r/hbar of about 119 the linear upper
     # envelope overflows, and the density's tails underflow to 0 before that
     z, log_peak = spec.localization, 2.0 * math.log(normalization(spec))  # log N^2
     log_gauss = log_peak - z * theta * theta
     mom = moments(spec)
-    cos_moments = attenuations(spec, cfg["run.max_harmonic"])
+    cos_moments = attenuations(spec, 4)
     coeffs = momentum_coefficients(spec, basis)
     tables = [
         ("fiducial_profile.csv", "fiducial-profile", {
@@ -612,7 +606,7 @@ def _fractional_boost(spec: FiducialSpec, p0: float) -> ContractViolation:
 
 def cmd_evolve(cfg: RunConfig):
     kind, model, basis = cfg["run.kind"], cfg.model, cfg.basis
-    dt, steps = cfg["run.dt"], cfg["run.steps"]
+    dt, steps = cfg["run.dt"], cfg.steps
     p0, q0 = cfg["run.p0"], float(wrap_angle(cfg["run.q0"]))
     if kind in ("classical", "enhanced"):
         traj = evolve(kind, model, p0, q0, dt, steps)
@@ -639,7 +633,7 @@ fig.savefig("trajectory.png", dpi=150)
 def cmd_compare(cfg: RunConfig):
     model, p0 = cfg.model, cfg["run.p0"]
     try:  # the coherent state's leak is the only ResolutionError it raises
-        report = compare_restricted(model, p0, cfg["run.q0"], cfg["run.dt"], cfg["run.steps"])
+        report = compare_restricted(model, p0, cfg["run.q0"], cfg["run.dt"], cfg.steps)
     except ResolutionError:
         raise _fractional_boost(model.spec, p0) from None
 
@@ -710,7 +704,7 @@ def _selftest_checks():
         # H_cs(p, q) = <p, q| H |p, q>: the enhanced energy at t = 0 is the
         # quantum one, sine terms and twist included
         out = tables("compare", *twisted, "model.potential.a = 1, 0.3", "model.potential.b = 0.2",
-                     "run.p0 = 1", "run.q0 = 0.7", "run.steps = 4")
+                     "run.p0 = 1", "run.q0 = 0.7", "run.total_time = 0.04")
         h_cs = out["compare_enhanced.csv"]["energy"][0]
         return abs(out["compare_quantum.csv"]["energy"][0] - h_cs) <= 1e-10 * max(1.0, abs(h_cs))
 

@@ -263,18 +263,22 @@ def test_criterion_14_ehrenfest_window_scaling():
     # criterion 13 is reserved for the whole spectrum through thermodynamics.
     # On a regular orbit the break time grows like (r/hbar)^{1/2} (Berry,
     # Balazs, Tabor and Voros, Ann. Phys. 122 (1979) 26)
+    # The two librating orbits' slopes are reported with no bound: the deep
+    # libration's low slope (about 0.2 here) is not explained yet
     r, dt, steps, ratios = 2.5, 0.005, 2000, (10.0, 20.0, 40.0, 80.0, 160.0)
     ok, readings = True, []
-    for a, p0, q0 in (((1.0,), 1.5, 0.0), ((1.0, 0.3), 1.6, 0.7)):
+    for a, p0, q0, bounded in (((1.0,), 1.5, 0.0, True), ((1.0, 0.3), 1.6, 0.7, True),
+                               ((1.0,), 0.0, 1.0, False), ((1.0, 0.3), 0.0, 2.2, False)):
         start, windows = time.perf_counter(), []
         for ratio in ratios:
             hbar = r / ratio
             model = EnhancedHamiltonian.build(TrigPotential(a=a), FiducialSpec(r=r, hbar=hbar))
             window = compare_restricted(model, hbar * round(p0 / hbar), q0, dt, steps).ehrenfest_window
-            ok &= window < dt * steps
+            ok &= window < dt * steps or not bounded
             windows.append(window)
         slope = float(np.polyfit(np.log(ratios), np.log(windows), 1)[0])
-        ok &= 0.35 <= slope <= 0.65
-        readings.append(f"a={a} p0={p0} q0={q0}: windows {[round(w, 3) for w in windows]}, "
+        ok &= 0.35 <= slope <= 0.65 if bounded else math.isfinite(slope)
+        readings.append(f"{'rotation' if bounded else 'libration, no bound'} a={a} p0={p0} "
+                        f"q0={q0}: windows {[round(w, 3) for w in windows]}, "
                         f"slope {slope:.3f} ({time.perf_counter() - start:.2f}s)")
     report(14, bool(ok), "Ehrenfest window against r/hbar: " + "; ".join(readings))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import circleq.cli as cli
 from circleq.cli import OUTDIR_ENV, RunConfig, main, parse_config_text
 from circleq.coherent import coherent_state
-from circleq.hilbert import wrap_angle
+from circleq.hilbert import default_cutoff, wrap_angle
 from circleq.qevolve import build_hamiltonian, evolve_quantum
 from oracles import power_of_ten_residuals, power_of_ten_splits
 
@@ -56,8 +56,8 @@ def run(tmp_path, command, *settings):
 
 
 def test_config_grammar_and_unknown_key():
-    entries = parse_config_text("model.hbar = 2.0\n# comment\n\nrun.steps=5")
-    assert entries == {"model.hbar": "2.0", "run.steps": "5"}
+    entries = parse_config_text("model.hbar = 2.0\n# comment\n\nrun.q_points=5")
+    assert entries == {"model.hbar": "2.0", "run.q_points": "5"}
     with pytest.raises(Exception) as info:
         parse_config_text("model.mass = 1.0")
     assert "model.mass" in str(info.value)
@@ -65,10 +65,10 @@ def test_config_grammar_and_unknown_key():
 
 def test_config_file_loading(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("model.r = 2.5\nrun.steps = 17  # inline comment\n")
-    cfg = RunConfig.load("evolve", str(cfgfile), overrides=["run.steps = 19"])
+    cfgfile.write_text("model.r = 2.5\nrun.q_points = 17  # inline comment\n")
+    cfg = RunConfig.load("evolve", str(cfgfile), overrides=["run.q_points = 19"])
     assert cfg.spec.r == 2.5
-    assert cfg["run.steps"] == 19
+    assert cfg["run.q_points"] == 19
 
 
 def test_config_file_that_is_not_utf8_exits_one(tmp_path, capsys):
@@ -101,7 +101,7 @@ def test_malformed_value_exits_one(tmp_path, capsys):
     ],
 )
 def test_non_finite_value_exits_one(tmp_path, capsys, key, value):
-    code, outdir = run(tmp_path, "evolve", "run.steps = 5", f"{key} = {value}")
+    code, outdir = run(tmp_path, "evolve", "run.total_time = 0.05", f"{key} = {value}")
     assert code == 1
     assert key in capsys.readouterr().err
     assert not any(outdir.glob("*.csv"))
@@ -114,11 +114,11 @@ def test_non_finite_value_exits_one(tmp_path, capsys, key, value):
         ("compare", "run.q0", "nan"),
         ("unity", "run.cutoff", "abc"),
         ("unity", "run.cutoff", "0"),
-        ("fiducial", "run.max_harmonic", "abc"),
+        ("fiducial", "run.max_harmonic", "abc"),  # a retired key
     ],
 )
 def test_rejected_config_leaves_no_output_dir(tmp_path, capsys, command, key, value):
-    code, outdir = run(tmp_path, command, "run.steps = 5", f"{key} = {value}")
+    code, outdir = run(tmp_path, command, "run.total_time = 0.05", f"{key} = {value}")
     assert code == 1
     assert key in capsys.readouterr().err
     assert not outdir.exists()
@@ -131,7 +131,7 @@ def test_boost_beyond_lattice_limit_exits_one(tmp_path, capsys, command, p0):
     start = time.perf_counter()
     code, outdir = run(
         tmp_path, command, "model.hbar = 0.05", "run.kind = quantum",
-        "run.steps = 5", f"run.p0 = {p0}",
+        "run.total_time = 0.05", f"run.p0 = {p0}",
     )
     assert code == 1
     err = capsys.readouterr().err
@@ -160,7 +160,7 @@ def test_localization_beyond_lattice_limit_exits_one(tmp_path, capsys, command, 
     # classical and enhanced flows build no lattice), and 1e310 overflows
     # to inf; all are refused before anything of that size is built
     start = time.perf_counter()
-    code, outdir = run(tmp_path, command, "run.steps = 5", *settings)
+    code, outdir = run(tmp_path, command, "run.total_time = 0.05", *settings)
     assert code == 1
     err = capsys.readouterr().err
     assert "model.r" in err and "model.hbar" in err and "Traceback" not in err
@@ -236,10 +236,12 @@ def test_fiducial_rerun_is_bit_identical(tmp_path):
 
 @pytest.mark.parametrize("command", ["fiducial", "unity"])
 def test_fiducial_and_unity_ignore_the_potential(tmp_path, command):
-    # their lattice holds the fiducial support alone, so no potential key
-    # changes what they write
+    # their lattice holds the fiducial support alone, and fiducial writes
+    # the moments <cos nQ> for n = 0..4 whatever the potential's degree, so
+    # no potential key changes what they write
     _, bare = run(tmp_path / "bare", command, "model.r = 2")
-    _, loaded = run(tmp_path / "loaded", command, "model.r = 2", "model.potential.a = 1, 1, 1")
+    _, loaded = run(tmp_path / "loaded", command, "model.r = 2",
+                    "model.potential.a = 1, 1, 1, 1, 1, 1")
     names = sorted(path.name for path in bare.iterdir())
     assert names == sorted(path.name for path in loaded.iterdir())
     for name in names:
@@ -272,15 +274,16 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e30
 
 @pytest.mark.parametrize("rows", [1, len(EDGE_FLOATS), 2 * cli.CSV_CHUNK_VALUES + 3])
 def test_write_csv_matches_the_per_value_formatter(tmp_path, rows):
-    # the chunked %-template writer against one format() call per value,
-    # on float edge cases, negative numpy and Python ints, bools, one-row
-    # tables and tables that cross chunk boundaries (11 chunks at 8195 rows)
+    # the chunked writer against one format() call per value, on float edge
+    # cases, negative numpy and Python ints up to 2^53 in magnitude (each
+    # exact as a float), bools, one-row tables and tables that cross chunk
+    # boundaries (11 chunks at 8195 rows)
     rng = np.random.default_rng(rows)
     floats = np.resize(np.array(EDGE_FLOATS), rows) * rng.choice([1.0, -1.0, 1e-300], rows)
     table = {
         "x": floats,
         "n": -np.arange(rows, dtype=np.int64) - 2**40,
-        "k": [int(v) for v in rng.integers(-(2**62), 2**62, rows)],
+        "k": [int(v) for v in rng.integers(-(2**53), 2**53, rows, endpoint=True)],
         "y": rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows),
         "ok": rng.random(rows) < 0.5,
     }
@@ -367,9 +370,9 @@ def test_uncertified_route_gives_the_same_bytes(tmp_path, monkeypatch):
     table = {"x": x, "y": rng.normal(size=x.size) * 1e-7}
     per_value_route, text_cells = [], cli._text_cells
 
-    def spy(template, values):
+    def spy(values):
         per_value_route.append(len(values))
-        return text_cells(template, values)
+        return text_cells(values)
 
     monkeypatch.setattr(cli, "_text_cells", spy)
     fast = stable_lines(cli.write_csv(tmp_path / "fast.csv", "t", table))
@@ -390,9 +393,9 @@ def test_realistic_values_take_the_per_value_route_only_at_zero(monkeypatch):
                         rng.normal(size=50_000) * 10.0 ** rng.integers(-12, 4, 50_000)])
     per_value_route, text_cells = [], cli._text_cells
 
-    def spy(template, values):
+    def spy(values):
         per_value_route.extend(values.tolist())
-        return text_cells(template, values)
+        return text_cells(values)
 
     monkeypatch.setattr(cli, "_text_cells", spy)
     assert written_floats(x) == ["%.17g" % v for v in x.tolist()]
@@ -526,7 +529,7 @@ def test_readme_key_table_is_the_generated_one():
 # the command that reads each run key; compare reads every model key and
 # the rest of the run keys
 READER = {
-    "run.max_harmonic": "fiducial", "run.profile_points": "fiducial", "output.dir": "fiducial",
+    "output.dir": "fiducial",
     "run.cutoff": "unity", "run.p_cutoff_factors": "unity",
     "run.kind": "evolve", "run.p_grid": "hamiltonian", "run.q_points": "hamiltonian",
 }
@@ -583,10 +586,6 @@ def _case(number: int, command: str, settings: tuple, key: str):
 @pytest.mark.parametrize(
     "command, settings, key",
     [
-        _case(2, "fiducial", ("run.max_harmonic = -1",), "run.max_harmonic"),
-        _case(3, "fiducial", ("run.max_harmonic = 100000000",), "run.max_harmonic"),
-        _case(5, "fiducial", ("run.profile_points = 0",), "run.profile_points"),
-        _case(6, "fiducial", ("run.profile_points = -5",), "run.profile_points"),
         _case(7, "unity", ("run.p_cutoff_factors = -1",), "run.p_cutoff_factors"),
         _case(8, "unity", ("run.p_cutoff_factors = 1e9",), "run.p_cutoff_factors"),
         _case(9, "unity", ("run.p_cutoff_factors = 3000",), "run.p_cutoff_factors"),
@@ -610,6 +609,8 @@ def _case(number: int, command: str, settings: tuple, key: str):
         _case(29, "evolve", ("run.kind = classical", "model.potential.a = 0, 9e307"),
               "model.potential.a"),
         _case(30, "compare", ("model.hbar = 1e-3", "model.r = 1e-3", "run.p0 = 100"), "model.hbar"),
+        _case(31, "evolve", ("run.total_time = 1e9",), "run.total_time"),
+        _case(32, "evolve", ("run.dt = 0.01", "run.total_time = 0.001"), "run.total_time"),
     ],
 )
 def test_out_of_range_inputs_exit_one(tmp_path, capsys, command, settings, key):
@@ -628,12 +629,14 @@ def test_out_of_range_inputs_exit_one(tmp_path, capsys, command, settings, key):
 @pytest.mark.parametrize("via", ["--set", "--config"])
 @pytest.mark.parametrize("command, key", [
     ("unity", "run.p_nodes"), ("fiducial", "run.grid_nodes"), ("fiducial", "run.samples"),
-    ("selftest", "run.seed"),
+    ("selftest", "run.seed"), ("evolve", "run.steps"), ("fiducial", "run.max_harmonic"),
+    ("fiducial", "run.profile_points"),
 ])
 def test_retired_keys_exit_one(tmp_path, capsys, command, key, via):
-    # each only set the resolution or seed of an internal check: verify_unity's
-    # node count and moments' 512-node grid are constants, and selftest draws
-    # no random numbers
+    # each only set the resolution or seed of an internal check, or a
+    # fiducial output length: verify_unity's node count, moments' 512-node
+    # grid, the profile's 720 angles and the harmonics 0..4 are constants,
+    # selftest draws no random numbers, and run.total_time sets the steps
     outdir = tmp_path / "out"
     setting = f"{key} = 64"
     if via == "--config":
@@ -651,7 +654,9 @@ def test_retired_keys_exit_one(tmp_path, capsys, command, key, via):
 @pytest.mark.parametrize("a", ["1e300", ", ".join(["1"] * 50)])
 def test_auto_step_admits_large_force_scales(tmp_path, command, a):
     # the default step used to fail the leapfrog's own stability check
-    code, outdir = run(tmp_path, command, f"model.potential.a = {a}", "run.steps = 20")
+    dt = RunConfig.load(command, overrides=[f"model.potential.a = {a}"])["run.dt"]
+    code, outdir = run(tmp_path, command, f"model.potential.a = {a}",
+                       f"run.total_time = {20 * dt!r}")
     assert code == 0
     table = read_table(outdir / ("compare_classical.csv" if command == "compare"
                                  else "trajectory_enhanced.csv"))
@@ -681,11 +686,11 @@ def test_tiny_action_units_run(tmp_path, command):
 
 def test_main_builds_one_parser_and_keeps_calls_apart(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
-    code_a, out_a = run(tmp_path / "a", "fiducial", "run.profile_points = 3")
+    code_a, out_a = run(tmp_path / "a", "fiducial", "run.cutoff = 3")
     code_b, out_b = run(tmp_path / "b", "fiducial")
     assert code_a == code_b == 0
-    assert read_table(out_a / "fiducial_profile.csv").size == 3
-    assert read_table(out_b / "fiducial_profile.csv").size == 720
+    assert read_table(out_a / "fiducial_coefficients.csv").size == 7
+    assert read_table(out_b / "fiducial_coefficients.csv").size == 2 * default_cutoff(1.0) + 1
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
@@ -702,11 +707,23 @@ def test_benchmark_jobs_load(monkeypatch, tmp_path):
                 RunConfig.load(args.command, args.config, args.overrides)
 
 
+@pytest.mark.parametrize("kind", ["classical", "enhanced", "quantum"])
+def test_evolve_takes_its_horizon_from_total_time(tmp_path, kind):
+    # round(total_time / dt) steps, and 1000 steps when total_time is auto
+    for total, rows in (("0.5", 51), ("auto", 1001)):
+        code, outdir = run(tmp_path / total, "evolve", f"run.kind = {kind}", "run.dt = 0.01",
+                           f"run.total_time = {total}")
+        assert code == 0
+        table = read_table(outdir / f"trajectory_{kind}.csv")
+        assert len(table) == rows
+        assert table["t"][-1] == pytest.approx(0.01 * (rows - 1), rel=1e-12)
+
+
 def test_evolve_kinds(tmp_path):
     code, outdir = run(
         tmp_path, "evolve",
         "model.potential.a = 1.0", "run.kind = classical",
-        "run.q0 = 2.74", "run.p0 = 0.0", "run.steps = 200",
+        "run.q0 = 2.74", "run.p0 = 0.0", "run.total_time = 2",
     )
     assert code == 0
     table = read_table(outdir / "trajectory_classical.csv")
@@ -715,7 +732,7 @@ def test_evolve_kinds(tmp_path):
 
     code, outdir_q = run(
         tmp_path / "q", "evolve",
-        "run.kind = quantum", "model.r = 4.0", "run.steps = 50",
+        "run.kind = quantum", "model.r = 4.0", "run.total_time = 0.5",
     )
     assert code == 0
     quantum = read_table(outdir_q / "trajectory_quantum.csv")
@@ -729,7 +746,7 @@ def test_every_flow_starts_from_the_chart_angle(tmp_path, q0, chart):
     # the leapfrog flows start at that angle and the quantum side at the
     # coherent state there, bit for bit
     model = ("model.r = 2.5", "model.hbar = 0.1", "model.alpha = 0.3", "model.potential.a = 1.0")
-    start = ("run.p0 = 0.37", f"run.q0 = {q0}", "run.dt = 0.01", "run.steps = 20")
+    start = ("run.p0 = 0.37", f"run.q0 = {q0}", "run.dt = 0.01", "run.total_time = 0.2")
     tables = {}
     for kind in ("classical", "enhanced", "quantum"):
         code, outdir = run(tmp_path / kind, "evolve", *model, *start, f"run.kind = {kind}")

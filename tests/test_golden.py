@@ -26,28 +26,26 @@ TOLERANCE = 1e-12
 
 CONFIGS = {
     "fiducial_default": ("fiducial",),
-    "fiducial_r2_alpha03": (
-        "fiducial", "model.r = 2.0", "model.alpha = 0.3", "run.profile_points = 180",
-    ),
+    "fiducial_r2_alpha03": ("fiducial", "model.r = 2.0", "model.alpha = 0.3"),
     "unity_alpha025": ("unity", "model.alpha = 0.25"),
     "hamiltonian_two_harmonics": (
         "hamiltonian", "model.potential.a = 1.0, 0.3", "model.alpha = 0.2",
         "model.hbar = 0.5", "run.p_grid = -2, 2, 9", "run.q_points = 24",
     ),
     "evolve_classical": (
-        "evolve", "run.kind = classical", "model.potential.a = 1.0", "run.steps = 200",
+        "evolve", "run.kind = classical", "model.potential.a = 1.0", "run.total_time = 2",
     ),
     "evolve_enhanced": (
         "evolve", "run.kind = enhanced", "model.potential.a = 1.0, 0.2",
-        "model.alpha = 0.3", "run.steps = 200",
+        "model.alpha = 0.3", "run.total_time = 1.826",  # 200 steps of 0.01 / sqrt(1.2)
     ),
-    "evolve_quantum_sine": (
+    "evolve_quantum_sine": (  # 300 steps of 0.01 / sqrt(1.1)
         "evolve", "run.kind = quantum", "model.r = 2.0", "model.hbar = 0.25",
-        "model.potential.a = 0.8", "model.potential.b = 0.0, 0.3", "run.steps = 300",
+        "model.potential.a = 0.8", "model.potential.b = 0.0, 0.3", "run.total_time = 2.86",
     ),
     "compare_small": (
         "compare", "model.r = 1.5", "model.hbar = 0.1", "model.alpha = 0.25",
-        "model.potential.a = 1.0", "run.q0 = 2.5", "run.p0 = 0.2", "run.steps = 250",
+        "model.potential.a = 1.0", "run.q0 = 2.5", "run.p0 = 0.2", "run.total_time = 2.5",
     ),
 }
 
