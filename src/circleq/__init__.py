@@ -13,14 +13,13 @@ from .hilbert import (
     wrap_angle,
 )
 from .fiducial import (
-    FiducialMoments,
     FiducialSpec,
     evaluate,
     moments,
     momentum_coefficients,
     normalization,
 )
-from .coherent import UnityReport, coherent_state, verify_unity
+from .coherent import coherent_state, verify_unity
 from .enhanced import (
     EnhancedHamiltonian,
     TrigPotential,

@@ -194,6 +194,7 @@ class RunConfig:
     model: EnhancedHamiltonian | None = None
     basis: TwistedBasis | None = None
     p_cutoffs: tuple = ()
+    p_nodes: tuple = ()
     steps: int = 0
 
     def __getitem__(self, key: str):
@@ -240,7 +241,8 @@ class RunConfig:
         if command == "unity":
             scale = spec.hbar * math.sqrt(max(z, 1.0))  # sqrt(hbar max(r, hbar)), no underflow
             cfg.p_cutoffs = tuple(factor * scale for factor in v["run.p_cutoff_factors"])
-            nodes = legendre_node_count(max(cfg.p_cutoffs), spec.hbar)
+            cfg.p_nodes = tuple(legendre_node_count(cutoff, spec.hbar) for cutoff in cfg.p_cutoffs)
+            nodes = max(cfg.p_nodes)
             _require(nodes <= MAX_LATTICE_DIM, f"'run.p_cutoff_factors': the largest cutoff "
                      f"needs {nodes} quadrature nodes, more than {MAX_LATTICE_DIM}")
         if command in ("hamiltonian", "evolve", "compare"):
@@ -506,7 +508,7 @@ def cmd_fiducial(cfg: RunConfig):
     # envelope overflows, and the density's tails underflow to 0 before that
     z, log_peak = spec.localization, 2.0 * math.log(normalization(spec))  # log N^2
     log_gauss = log_peak - z * theta * theta
-    mom = moments(spec)
+    mean_q, mean_p, var_p = moments(spec)
     cos_moments = attenuations(spec, 4)
     coeffs = momentum_coefficients(spec, basis)
     tables = [
@@ -518,7 +520,7 @@ def cmd_fiducial(cfg: RunConfig):
         }),
         ("fiducial_moments.csv", "fiducial-moments", {
             "r": spec.r, "alpha": spec.alpha, "hbar": spec.hbar,
-            "mean_q": mom.mean_q, "mean_p": mom.mean_p, "var_p": mom.var_p,
+            "mean_q": mean_q, "mean_p": mean_p, "var_p": var_p,
         }),
         ("fiducial_attenuation.csv", "fiducial-attenuation", {
             "harmonic": np.arange(len(cos_moments)), "cos_moment": cos_moments,
@@ -541,16 +543,14 @@ fig.savefig("fiducial_profile.png", dpi=150)
 def cmd_unity(cfg: RunConfig):
     spec, basis = cfg.spec, cfg.basis
     interior = np.abs(basis.n_values()) <= max(spec.localization, 1.0)
-    reports = verify_unity(spec, basis, cfg.p_cutoffs)
+    defects = np.abs(verify_unity(spec, basis, cfg.p_cutoffs) - 1.0)
     return [("unity_defects.csv", "unity-defects", {
-        "p_cutoff": [report.p_cutoff for report in reports],
-        "p_nodes": [report.p_nodes for report in reports],
-        "diag_defect": [report.diag_defect for report in reports],
-        "interior_diag_defect": [
-            np.max(np.abs(report.diag_entries[interior] - 1.0)) for report in reports
-        ],
+        "p_cutoff": cfg.p_cutoffs,
+        "p_nodes": cfg.p_nodes,
+        "diag_defect": defects.max(axis=1),
+        "interior_diag_defect": defects[:, interior].max(axis=1),
         # the angle integral is 2 pi delta_mn exactly (coherent module docstring)
-        "offdiag_defect": np.zeros(len(reports)),
+        "offdiag_defect": np.zeros(len(defects)),
     })], """
 defects = load("unity_defects.csv")
 fig, ax = plt.subplots()

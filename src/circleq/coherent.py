@@ -35,7 +35,9 @@ the diagonal and a single momentum sweep; the tests keep the literal
 double sum over momentum and angle nodes as the oracle of that identity.
 c_n is even, so f_k(-p) = f_{-k}(p): the sweep boosts only the momenta
 p >= 0 of each Gauss-Legendre rule and mirrors the diagonal, and one sweep
-serves every cutoff of a command, in memory O(P (D + b)).
+serves every cutoff of a command, in memory O(P (D + b)).  The result is
+that diagonal alone, one row per cutoff; a defect against the identity is
+a maximum of |diag - 1| over whichever slots the caller reads.
 
 For p/hbar not an integer the boosted function leaves the twisted domain
 (the boundary phase defect is nonzero) and its lattice tail decays only
@@ -48,7 +50,6 @@ checks below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -152,19 +153,6 @@ def coherent_state(spec: FiducialSpec, basis: TwistedBasis, p: float, q: float) 
     return MomentumState(basis, d / math.sqrt(np.vdot(d, d).real))
 
 
-@dataclass(eq=False)
-class UnityReport:
-    """Defects of the phase-space integral of |p,q><p,q| dp dq / (2 pi hbar)
-    against the identity, on a momentum window |p| <= p_cutoff of
-    ``p_nodes`` Gauss-Legendre nodes; ``diag_entries`` follows the slots of
-    the basis."""
-
-    p_cutoff: float
-    p_nodes: int
-    diag_defect: float
-    diag_entries: np.ndarray
-
-
 def legendre_node_count(p_cutoff: float, hbar: float) -> int:
     """Gauss-Legendre nodes :func:`verify_unity` puts on |p| <= p_cutoff.
 
@@ -174,9 +162,12 @@ def legendre_node_count(p_cutoff: float, hbar: float) -> int:
     return max(64, int(math.ceil(3.5 * p_cutoff / hbar)) + 32)
 
 
-def verify_unity(spec: FiducialSpec, basis: TwistedBasis, p_cutoffs) -> list[UnityReport]:
-    """Measure how far the truncated coherent-state integral sits from
-    the identity on the lattice, one report per cutoff in ``p_cutoffs``.
+def verify_unity(spec: FiducialSpec, basis: TwistedBasis, p_cutoffs) -> np.ndarray:
+    """The diagonal of the phase-space integral of |p,q><p,q| dp dq / (2 pi hbar)
+    over each momentum window |p| <= p_cutoff, on the
+    :func:`legendre_node_count` Gauss-Legendre nodes of that window, as a
+    float64 array of shape (len(p_cutoffs), basis.dimension): row i for
+    ``p_cutoffs[i]``, in the slot order of ``basis``.
 
     The angle integral contributes A[m - n] = 2 pi delta_mn exactly (see
     the module docstring), so the off-diagonal entries vanish identically
@@ -206,7 +197,7 @@ def verify_unity(spec: FiducialSpec, basis: TwistedBasis, p_cutoffs) -> list[Uni
             room = _SWEEP_NODES
         sweeps[-1].append((cutoff, n))
         room -= (n + 1) // 2
-    reports = []
+    diagonals = []
     for sweep in sweeps:
         cutoffs, counts = zip(*sweep)
         shifts, weights = [], []
@@ -218,8 +209,5 @@ def verify_unity(spec: FiducialSpec, basis: TwistedBasis, p_cutoffs) -> list[Uni
         weights = np.where(owner == np.arange(len(cutoffs))[:, None], np.concatenate(weights), 0.0)
         blocks = _boost_blocks(spec, np.concatenate(shifts), basis)
         d = np.concatenate([weights @ np.square(f, out=f) for f in blocks], axis=1)
-        reports += [
-            UnityReport(cutoff, n, float(np.max(np.abs(diag - 1.0))), diag)
-            for cutoff, n, diag in zip(cutoffs, counts, d + d[:, ::-1])
-        ]
-    return reports
+        diagonals.append(d + d[:, ::-1])
+    return np.concatenate(diagonals)

@@ -47,13 +47,6 @@ class FiducialSpec:
         return self.r / self.hbar
 
 
-@dataclass(eq=False)
-class FiducialMoments:
-    mean_q: float
-    mean_p: float
-    var_p: float
-
-
 def normalization(spec: FiducialSpec) -> float:
     """Peak amplitude N = [2 pi e^{-2r/hbar} I_0(2r/hbar)]^{-1/2}.
 
@@ -98,9 +91,10 @@ def attenuations(spec: FiducialSpec, max_harmonic: int) -> np.ndarray:
     return seq / seq[0]
 
 
-def moments(spec: FiducialSpec) -> FiducialMoments:
-    """Position mean by the trapezoidal rule on 512 equispaced angles from
-    -pi, and momentum moments by lattice sums.
+def moments(spec: FiducialSpec) -> tuple[float, float, float]:
+    """(mean_q, mean_p, var_p): the position mean by the trapezoidal rule
+    on 512 equispaced angles from -pi, and the momentum mean and variance
+    by lattice sums.
 
     These are measurements, not closed forms: the closed forms <Q> = 0,
     <P> = hbar alpha and var_p = hbar r rho_1 / 2 are what they are
@@ -123,9 +117,5 @@ def moments(spec: FiducialSpec) -> FiducialMoments:
     # large against the spread
     var_p = float((p_values - mean_p) ** 2 @ weights)
 
-    return FiducialMoments(
-        mean_q=mean_q,
-        mean_p=mean_p,
-        var_p=var_p,
-    )
+    return mean_q, mean_p, var_p
 

@@ -60,7 +60,6 @@ class HamiltonianMatrix:
     k-th band below it (its conjugate on the k-th band above)."""
 
     basis: TwistedBasis
-    potential: TrigPotential
     diagonal: np.ndarray
     bands: np.ndarray
 
@@ -94,8 +93,8 @@ def build_hamiltonian(potential: TrigPotential, basis: TwistedBasis) -> Hamilton
     diagonal = momenta * momenta + potential.a0
     bands = 0.5 * (np.array(potential.a) - 1j * np.array(potential.b))
     if any(potential.b):
-        return HamiltonianMatrix(basis, potential, diagonal.astype(complex), bands)
-    return HamiltonianMatrix(basis, potential, diagonal, bands.real)
+        return HamiltonianMatrix(basis, diagonal.astype(complex), bands)
+    return HamiltonianMatrix(basis, diagonal, bands.real)
 
 
 @dataclass(eq=False)

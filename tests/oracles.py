@@ -11,8 +11,9 @@ of ten in integers and their exact rounding residuals, the Gauss-Legendre
 rule of one count by its own recurrence, the boost of one momentum over the
 whole lattice, the unity diagonal in closed form by sine and cosine
 integrals, the circle moment of a free coherent state in closed form, the
-leapfrog step loop with its force as a closure, and the Miller recurrence
-on a numpy array.
+leapfrog step loop with its force as a closure, the Miller recurrence on a
+numpy array, and the free energies of the whole lattice spectrum and of a
+phase-space Hamiltonian with its Wigner-Kirkwood correction.
 Each is a literal transcription of its formula.
 """
 
@@ -25,6 +26,7 @@ from circleq.dynamics import Trajectory, evolve
 from circleq.enhanced import EnhancedHamiltonian, TrigPotential
 from circleq.fiducial import FiducialSpec, default_basis, momentum_coefficients
 from circleq.hilbert import MomentumState, ResolutionError, TwistedBasis, default_cutoff
+from circleq.qevolve import build_hamiltonian
 from circleq.specfun import TWO_PI
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -387,3 +389,44 @@ def miller_indexed(max_order: int, z: float) -> tuple[np.ndarray, int]:
             rescales += 1
     total = b[0] + 2.0 * b[1:].sum()
     return b[: max_order + 1] / total, rescales
+
+
+def lattice_spectrum(potential: TrigPotential, basis: TwistedBasis) -> np.ndarray:
+    """Every eigenvalue of P^2 + V on ``basis``, ascending, from scipy's
+    banded Hermitian solver on the bands of ``build_hamiltonian``."""
+    from scipy.linalg import eig_banded
+
+    ham = build_hamiltonian(potential, basis)
+    dim = ham.diagonal.size
+    lower = np.zeros((len(ham.bands) + 1, dim), ham.diagonal.dtype)
+    lower[0] = ham.diagonal
+    for k, band in enumerate(ham.bands, start=1):
+        lower[k, : dim - k] = band  # lower[k, j] = H[j + k, j]
+    return eig_banded(lower, lower=True, eigvals_only=True)
+
+
+def free_energy(energies: np.ndarray, beta: float) -> float:
+    """F = -log(sum_j e^{-beta E_j}) / beta of an ascending spectrum."""
+    ground = float(energies[0])
+    return ground - math.log(float(np.exp(-beta * (energies - ground)).sum())) / beta
+
+
+def phase_space_free_energy(potential: TrigPotential, hbar: float, beta: float,
+                            angles: int = 4096) -> tuple[float, float]:
+    """(F, WK) of the phase-space Hamiltonian p^2 + V(q).
+
+    F = -log(Z) / beta with the Gaussian momentum integral done,
+    Z = sqrt(pi/beta) / (2 pi hbar) int e^{-beta V(q)} dq, the angle integral
+    by the trapezoid rule on ``angles`` nodes from -pi.  WK is the
+    Wigner-Kirkwood correction F_q - F = (beta hbar^2 / 12) <V''> to order
+    hbar^2, written as (beta^2 hbar^2 / 12) <V'^2>: the two Boltzmann
+    averages over q agree by parts on the circle.
+    """
+    q = -math.pi + TWO_PI * np.arange(angles) / angles
+    v = potential.value(q)
+    floor = float(v.min())
+    weights = np.exp(-beta * (v - floor))
+    total = float(weights.sum())
+    log_z = math.log(math.sqrt(math.pi / beta) / (TWO_PI * hbar) * (TWO_PI / angles) * total)
+    force = potential_derivative(potential, q)
+    return floor - log_z / beta, beta**2 * hbar**2 / 12.0 * float(force**2 @ weights) / total

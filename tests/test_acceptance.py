@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from circleq.hilbert import TwistedBasis
+from circleq.hilbert import TwistedBasis, default_cutoff
 from circleq.cli import RunConfig, cmd_fiducial
 from circleq.fiducial import FiducialSpec, attenuations, evaluate, moments
 from circleq.coherent import verify_unity
@@ -24,7 +24,16 @@ from circleq.enhanced import (
 from circleq.dynamics import evolve
 from circleq.qevolve import build_hamiltonian, compare_restricted
 
-from oracles import QuadratureGrid, action_along, alpha_invariance_check, phase_point, winding_number
+from oracles import (
+    QuadratureGrid,
+    action_along,
+    alpha_invariance_check,
+    free_energy,
+    lattice_spectrum,
+    phase_point,
+    phase_space_free_energy,
+    winding_number,
+)
 from test_coherent import literal_unity_reference
 from test_enhanced import displaced_expectation
 from test_qevolve import revival_compare
@@ -40,9 +49,9 @@ def test_criterion_01_centering():
     worst_q = worst_p = 0.0
     for r in (0.5, 1.0, 2.0, 10.0, 50.0):
         for alpha in (0.0, 0.1, 0.25, 0.5, 0.9):
-            mom = moments(FiducialSpec(r=r, alpha=alpha, hbar=1.0))
-            worst_q = max(worst_q, abs(mom.mean_q))
-            worst_p = max(worst_p, abs(mom.mean_p - alpha))
+            mean_q, mean_p, _ = moments(FiducialSpec(r=r, alpha=alpha, hbar=1.0))
+            worst_q = max(worst_q, abs(mean_q))
+            worst_p = max(worst_p, abs(mean_p - alpha))
     elapsed = time.perf_counter() - start
     ok = worst_q <= 1e-9 and worst_p <= 1e-9 and elapsed < 1.0
     report(1, ok, f"centering |<Q>|={worst_q:.2e} |<P>-ha|={worst_p:.2e} ({elapsed:.2f}s)")
@@ -74,12 +83,12 @@ def test_criterion_03_resolution_of_unity():
     interior = np.abs(basis.n_values()) <= max(spec.localization, 1.0)
     defects, offdiags, gaps = [], [], []
     factors = (5.0, 10.0, 20.0, 40.0)
-    for factor, rep in zip(factors, verify_unity(spec, basis, [f * scale for f in factors])):
+    for factor, row in zip(factors, verify_unity(spec, basis, [f * scale for f in factors]), strict=True):
         # the literal double sum over momentum and angle nodes
         diag, offdiag = literal_unity_reference(spec, basis, factor * scale, full_2d=True)
-        defects.append(float(np.max(np.abs(rep.diag_entries[interior] - 1.0))))
+        defects.append(float(np.max(np.abs(row[interior] - 1.0))))
         offdiags.append(offdiag)
-        gaps.append(float(np.max(np.abs(rep.diag_entries - diag))))
+        gaps.append(float(np.max(np.abs(row - diag))))
     elapsed = time.perf_counter() - start
     ok = (
         max(offdiags) <= 1e-10
@@ -259,8 +268,45 @@ def test_criterion_12_revivals():
     report(12, bool(ok), "free-circle revival: " + "; ".join(readings))
 
 
+def test_criterion_13_thermodynamics():
+    # the whole lattice spectrum against the two phase-space Hamiltonians.
+    # Berezin-Lieb: Jensen on each <p, q| e^{-beta H} |p, q> and the
+    # resolution of unity give Tr e^{-beta H} >= Z_cs, so F_cs > F_q (Berezin,
+    # Math. USSR Izv. 6 (1972) 1117; Lieb, Commun. Math. Phys. 31 (1973) 327).
+    # Wigner-Kirkwood: F_q - F_cl = (beta hbar^2 / 12) <V''>_cl + O(hbar^4),
+    # so its relative residual falls like hbar^2, 25x from r/hbar 10 to 50
+    start = time.perf_counter()
+    r, betas = 2.5, (0.1, 1.0, 10.0)
+    potentials = (TrigPotential(a=(1.0,)), TrigPotential(a=(1.0, 0.3)),
+                  TrigPotential(a=(1.0, 0.3), b=(0.0, 0.2)))
+    gaps, falls = [], []
+    for potential in potentials:
+        for alpha in (0.0, 0.25):
+            residuals = []
+            for ratio in (10.0, 50.0):
+                spec = FiducialSpec(r=r, alpha=alpha, hbar=r / ratio)
+                model = EnhancedHamiltonian.build(potential, spec)
+                basis = TwistedBasis(alpha, spec.hbar, default_cutoff(ratio, potential.degree))
+                energies = lattice_spectrum(potential, basis)
+                for beta in betas:
+                    f_q = free_energy(energies, beta)
+                    f_cl, wk = phase_space_free_energy(potential, spec.hbar, beta)
+                    # H_cs = (p + hbar alpha)^2 + var_p + V_rho(q), V_rho holding a0
+                    f_cs = (phase_space_free_energy(model.effective_potential(), spec.hbar, beta)[0]
+                            + model.kinetic_offset)
+                    gaps.append(f_cs - f_q)
+                    residuals.append((f_q - f_cl) / wk - 1.0)
+            # residuals[:3] at r/hbar 10 and residuals[3:] at 50, beta by beta
+            falls += [abs(coarse / fine) for coarse, fine in zip(residuals[:3], residuals[3:])]
+    elapsed = time.perf_counter() - start
+    ok = min(gaps) > 0.0 and min(falls) >= 10.0
+    report(13, ok, f"Berezin-Lieb smallest F_cs - F_q {min(gaps):.3e} over {len(gaps)} cases; "
+                   f"Wigner-Kirkwood residual falls from r/hbar 10 to 50 by at least "
+                   f"{min(falls):.1f}x: {[round(fall, 1) for fall in falls]} (beta 0.1, 1, 10 "
+                   f"per potential and twist) ({elapsed:.2f}s)")
+
+
 def test_criterion_14_ehrenfest_window_scaling():
-    # criterion 13 is reserved for the whole spectrum through thermodynamics.
     # On a regular orbit the break time grows like (r/hbar)^{1/2} (Berry,
     # Balazs, Tabor and Voros, Ann. Phys. 122 (1979) 26)
     # The two librating orbits' slopes are reported with no bound: the deep

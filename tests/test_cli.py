@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import circleq.cli as cli
 from circleq.cli import OUTDIR_ENV, RunConfig, main, parse_config_text
-from circleq.coherent import coherent_state
+from circleq.coherent import coherent_state, legendre_node_count, verify_unity
 from circleq.hilbert import default_cutoff, wrap_angle
 from circleq.qevolve import build_hamiltonian, evolve_quantum
 from oracles import power_of_ten_residuals, power_of_ten_splits
@@ -457,6 +457,11 @@ def test_unity_ladder_csv(tmp_path):
     assert np.all(np.diff(interior) < 0.0)
     assert interior[-1] <= 1e-3
     assert np.all(table["offdiag_defect"] == 0.0)
+    # each row's node count and its defect over every slot, from the diagonals
+    cfg = RunConfig.load("unity", overrides=["model.alpha = 0.25"])
+    diagonals = verify_unity(cfg.spec, cfg.basis, cfg.p_cutoffs)
+    assert np.array_equal(table["diag_defect"], np.max(np.abs(diagonals - 1.0), axis=1))
+    assert np.array_equal(table["p_nodes"], [legendre_node_count(c, cfg.spec.hbar) for c in cfg.p_cutoffs])
     assert (outdir / "unity_defects.csv").read_text().splitlines()[0] == SCHEMAS["unity_defects.csv"]
 
 
@@ -889,16 +894,17 @@ def _shifted(field, delta):
     return lambda value: dataclasses.replace(value, **{field: getattr(value, field) + delta})
 
 
-def _corrupt_unity(reports):
-    return [dataclasses.replace(report, diag_entries=1.01 * report.diag_entries) for report in reports]
+def _shifted_entry(index, delta):
+    return lambda values: tuple(value + delta * (i == index) for i, value in enumerate(values))
 
 
 # each selftest check, and a corruption of the production value it reads
 SELFTEST_CORRUPTIONS = {
     "fiducial-normalization": [("cli", "normalization", lambda norm: 1.001 * norm)],
-    "fiducial-centering": [("cli", "moments", _shifted(field, delta))
-                           for field, delta in (("mean_q", 1e-6), ("mean_p", 1e-6), ("var_p", 1e-8))],
-    "unity-diagonal": [("cli", "verify_unity", _corrupt_unity)],
+    # moments returns (mean_q, mean_p, var_p)
+    "fiducial-centering": [("cli", "moments", _shifted_entry(index, delta))
+                           for index, delta in ((0, 1e-6), (1, 1e-6), (2, 1e-8))],
+    "unity-diagonal": [("cli", "verify_unity", lambda diagonals: 1.01 * diagonals)],
     # the attenuations set the kinetic offset and the enhanced potential
     "coherent-energy": [("enhanced", "attenuations", lambda rho: (1.0 + 1e-8) * rho)],
     "free-spectrum": [("cli", "build_hamiltonian", _shifted("diagonal", 1e-6))],

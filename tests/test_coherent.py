@@ -205,10 +205,10 @@ def test_unity_ladder_monotone_and_interior_defect():
     basis = TwistedBasis(0.25, 1.0, 32)
     scale = math.sqrt(spec.hbar * max(spec.r, spec.hbar))
     interior = np.abs(basis.n_values()) <= max(spec.localization, 1.0)
-    defects = []
-    for report in verify_unity(spec, basis, [factor * scale for factor in (5.0, 10.0, 20.0, 40.0)]):
-        assert report.diag_defect >= 0.0
-        defects.append(float(np.max(np.abs(report.diag_entries[interior] - 1.0))))
+    diagonals = verify_unity(spec, basis, [factor * scale for factor in (5.0, 10.0, 20.0, 40.0)])
+    assert isinstance(diagonals, np.ndarray) and diagonals.dtype == np.float64
+    assert diagonals.shape == (4, basis.dimension)
+    defects = np.max(np.abs(diagonals[:, interior] - 1.0), axis=1)
     assert all(a > b for a, b in zip(defects, defects[1:]))
     assert defects[-1] <= 1e-3
 
@@ -220,9 +220,9 @@ def test_unity_uniform_state_sinc_mass_oracle():
     spec = FiducialSpec(r=0.0, alpha=0.0)
     basis = TwistedBasis(0.0, 1.0, 4)
     cutoff = 12.0
-    [report] = verify_unity(spec, basis, [cutoff])
+    [diag] = verify_unity(spec, basis, [cutoff])
     for n in (0, 2):
-        entry = float(report.diag_entries[basis.n_values() == n][0])
+        entry = float(diag[basis.n_values() == n][0])
         mass, _ = quad(lambda k: np.sinc(k - n) ** 2, -cutoff, cutoff, limit=400)
         assert entry == pytest.approx(mass, abs=1e-8)
 
@@ -231,9 +231,10 @@ def test_unity_automatic_node_count_is_resolved():
     # doubling the momentum rule must not move the answer
     spec = FiducialSpec(r=2.0, alpha=0.1)
     basis = TwistedBasis(0.1, 1.0, 16)
-    [report] = verify_unity(spec, basis, [30.0])
-    fine, _ = literal_unity_reference(spec, basis, p_cutoff=30.0, p_nodes=2 * report.p_nodes)
-    assert np.max(np.abs(report.diag_entries - fine)) < 1e-10
+    [diag] = verify_unity(spec, basis, [30.0])
+    nodes = legendre_node_count(30.0, spec.hbar)
+    fine, _ = literal_unity_reference(spec, basis, p_cutoff=30.0, p_nodes=2 * nodes)
+    assert np.max(np.abs(diag - fine)) < 1e-10
 
 
 @pytest.mark.parametrize("full_2d", [False, True])
@@ -244,11 +245,9 @@ def test_unity_matches_literal_reference(r, alpha, full_2d):
     # or the literal double sum, whose off-diagonal part must vanish
     spec = FiducialSpec(r=r, alpha=alpha)
     basis = TwistedBasis(alpha, 1.0, 12)
-    [report] = verify_unity(spec, basis, [20.0])
+    [row] = verify_unity(spec, basis, [20.0])
     diag, offdiag = literal_unity_reference(spec, basis, p_cutoff=20.0, full_2d=full_2d)
-    assert report.p_nodes == legendre_node_count(20.0, spec.hbar)
-    assert np.max(np.abs(report.diag_entries - diag)) < 1e-13
-    assert report.diag_defect == np.max(np.abs(report.diag_entries - 1.0))
+    assert np.max(np.abs(row - diag)) < 1e-13
     assert offdiag <= 1e-10
 
 
@@ -258,16 +257,15 @@ def test_unity_sweep_across_column_blocks(monkeypatch):
     spec = FiducialSpec(r=2.0, alpha=0.25)
     basis = TwistedBasis(0.25, 1.0, 300)
     cutoffs = [20.0, 35.0, 20.0]
-    reports = verify_unity(spec, basis, cutoffs)
-    assert [report.p_nodes for report in reports] == [102, 155, 102]
-    for cutoff, report in zip(cutoffs, reports):
+    rows = verify_unity(spec, basis, cutoffs)
+    assert [legendre_node_count(cutoff, spec.hbar) for cutoff in cutoffs] == [102, 155, 102]
+    for cutoff, row in zip(cutoffs, rows, strict=True):
         diag, _ = literal_unity_reference(spec, basis, cutoff)
-        assert np.max(np.abs(report.diag_entries - diag)) < 1e-13
+        assert np.max(np.abs(row - diag)) < 1e-13
     monkeypatch.setattr(coherent, "_SWEEP_NODES", 51 + 78)
     sweeps = []
     monkeypatch.setattr(coherent, "gauss_legendre", lambda counts: sweeps.append(counts) or gauss_legendre(counts))
-    for split, whole in zip(verify_unity(spec, basis, cutoffs), reports, strict=True):
-        assert np.max(np.abs(split.diag_entries - whole.diag_entries)) <= 1e-15
+    assert np.max(np.abs(verify_unity(spec, basis, cutoffs) - rows)) <= 1e-15
     assert sweeps == [(102, 155), (102,)]
 
 
@@ -285,10 +283,10 @@ def test_unity_sweep_matches_the_closed_form(settings):
     # the momentum integral by sine and cosine integrals, with no nodes, on
     # the command's own lattice and cutoffs
     cfg = unity_config(*settings)
-    reports = verify_unity(cfg.spec, cfg.basis, cfg.p_cutoffs)
-    for cutoff, report in zip(cfg.p_cutoffs, reports, strict=True):
+    rows = verify_unity(cfg.spec, cfg.basis, cfg.p_cutoffs)
+    for cutoff, row in zip(cfg.p_cutoffs, rows, strict=True):
         diag = closed_form_unity_diagonal(cfg.spec, cfg.basis, cutoff)
-        assert np.max(np.abs(report.diag_entries - diag)) < 1e-13
+        assert np.max(np.abs(row - diag)) < 1e-13
 
 
 @pytest.mark.parametrize("r, factor, deficit", [(10.0, 40.0, 76.0), (1.0, 20.0, 7.0), (1.0, 40.0, 47.0)])
@@ -371,9 +369,9 @@ def test_unity_memory_bounded():
     basis = TwistedBasis(0.25, 1.0, 89)
     tracemalloc.start()
     try:
-        [report] = verify_unity(spec, basis, [40.0 * math.sqrt(10.0)])
+        verify_unity(spec, basis, [40.0 * math.sqrt(10.0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.p_nodes == 475
+    assert legendre_node_count(40.0 * math.sqrt(10.0), spec.hbar) == 475
     assert peak < 16 * 2**20
