@@ -306,19 +306,17 @@ def _words(texts: list, width: int) -> np.ndarray:
     return np.array(texts, f"S{width}").view(_WORD).reshape(len(texts), -1).T.copy()
 
 
-def _pairs(values) -> np.ndarray:
-    """128-bit integers as 16-byte items, so one 1-D gather fetches two words."""
-    return np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), np.complex128)
-
-
 @functools.cache
 def _tables() -> tuple:
     """The formatter's tables, built on first use (``--version`` needs none)."""
     # per k: 10^(16-k) = h1 + h2 + l, h = h1 + h2 and l correctly rounded
     ks = range(_K_LO, _K_HI + 1)
+    powers = [1]  # 10^j for j = 0..308, one product each
+    for _ in range(308):
+        powers.append(powers[-1] * 10)
     scale = [(math.nan,) * 2] * (-292 - _K_LO)
     for k in range(-292, _K_HI + 1):
-        a, b = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        a, b = (powers[16 - k], 1) if k <= 16 else (1, powers[k - 16])
         h = a / b  # int / int rounds correctly
         n, d = h.as_integer_ratio()
         scale.append((h, (a * d - n * b) / (b * d)))
@@ -329,12 +327,15 @@ def _tables() -> tuple:
     digit = np.arange(10, dtype=_WORD)
     digits = functools.reduce(np.bitwise_or.outer, [digit << 8 * s for s in range(4)]).ravel()
     # per 17 r + c (c of the 16 digits after the lead kept, the point after r
-    # of them, r = 17 for none at -4 <= k < 0): the s digits before the
-    # point, those after it (moved up a byte) and the point
-    keep = [2 ** (8 * c) - 1 for c in range(17)]
-    before = [(c if r == 17 else r, c) for r in range(18) for c in range(17)]
-    head, tail, point = (_pairs(column) for column in zip(*[
-        (keep[s], keep[c] & ~keep[s], (c > s) * ord(".") << 8 * s) for s, c in before]))
+    # of them, r = 17 for none at -4 <= k < 0), 16 bytes as one item, so one
+    # 1-D gather fetches two words: the s digits before the point, those
+    # after it (moved up a byte) and the point
+    r, c = np.divmod(np.arange(18 * 17)[:, None], 17)
+    s = np.where(r == 17, c, r)
+    byte = np.arange(16)
+    head, tail, point = (np.where(mask, fill, 0).astype(np.uint8).view(np.complex128).ravel()
+                         for mask, fill in ((byte < s, 0xFF), ((byte >= s) & (byte < c), 0xFF),
+                                            ((byte == s) & (c > s), ord("."))))
     layout = np.array([0 if k < -4 or k >= 17 else 17 * 17 if k < 0 else 17 * k for k in ks])
     # per k: word 0's "0.000" and word 3's "e-05" (%g: fixed at -4 <= k < 17)
     prefix = _words([b"\0\0" + b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"" for k in ks], 8)

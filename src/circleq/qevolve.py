@@ -17,9 +17,14 @@ it, and only the block's eigenmodes that carry the state are propagated:
 the weakest are dropped while their summed weight sum |a_j|^2 stays
 within ``WINDOW_TAIL``.  The block's coupling to the rest of the lattice
 gives each mode's exact residual, and with it a bound on the amplitude
-error over the whole horizon; the block grows until that bound is at most
-sqrt(WINDOW_TAIL) = 1e-12, and the trace reports the slots and modes kept,
-the weight dropped and the bound.  States are rebuilt in blocks of
+error over the whole horizon.  The first block's margins come from the
+state's energy window: by the Combes-Thomas estimate a mode decays
+geometrically where the diagonal exceeds its energy by more than the
+coupling, and the modes that carry the state lie below <H> +
+ENERGY_SIGMAS sigma_H or, with amplitudes near the window's, near the
+edges of its run.  The block then grows until the bound is at most
+sqrt(WINDOW_TAIL) = 1e-12, and the trace reports the slots and modes
+kept, the weight dropped and the bound.  States are rebuilt in blocks of
 ``TIME_CHUNK`` sample times, so memory does not grow with the step count.
 The energy is measured on every state rather than assumed from the
 spectrum, from the sums sum_i conj(psi_{i+k}) psi_i over the bandwidth
@@ -49,8 +54,15 @@ from .hilbert import (
 WINDOW_TAIL = 1e-24
 # sample times rebuilt per block of evolve_quantum
 TIME_CHUNK = 128
-# evolve_quantum pads the initial state's span by 1/MARGIN_DIVISOR of it on each side
+# evolve_quantum's first block pads the initial state's span by at most
+# 1/MARGIN_DIVISOR of it on each side
 MARGIN_DIVISOR = 4
+# the first block is sized for the bulk of the state's modes up to this many
+# standard deviations of the initial energy above its mean ...
+ENERGY_SIGMAS = 4.0
+# ... and for an edge leak of this share of sqrt(WINDOW_TAIL): the dropped
+# modes alone can take nearly all of the bound
+LEAK_SHARE = 1e-3
 
 
 @dataclass(eq=False)
@@ -154,6 +166,51 @@ def _edge_residuals(ham: HamiltonianMatrix, block: slice, modes: np.ndarray) -> 
     return [np.hypot.reduce(np.abs(ham.block(edge, block) @ modes), axis=0) for edge in rows]
 
 
+def first_margins(ham: HamiltonianMatrix, psi: np.ndarray, first: int, last: int,
+                  horizon: float) -> list:
+    """The slots below and above the held run [first, last) of ``psi`` that
+    :func:`evolve_quantum`'s first block adds, from psi's energy window.
+
+    An eigenvector of energy E decays past the slots whose diagonal d_k
+    exceeds E by more than 2c, c = sum |h_n|, by about log((d_k - E) / c) / m
+    per slot on m bands (Combes and Thomas, Commun. Math. Phys. 34 (1973)
+    251).  A mode of amplitude a at E must fall by horizon c a / (LEAK_SHARE
+    sqrt(WINDOW_TAIL)), horizon = T / hbar, so each side takes slots outward
+    from the run until that holds for two kinds of mode: the bulk of psi,
+    amplitudes up to 1 below E_c = <H> + ENERGY_SIGMAS sigma_H, and the
+    window's edge, amplitudes about sqrt(WINDOW_TAIL) within the Gershgorin
+    radius 2c of that side's edge slot.  Where a side needs more than
+    1/MARGIN_DIVISOR of the run, or nothing couples the slots, both sides
+    take that quarter span.  The estimate only picks the first block: the
+    bound still decides whether it holds.
+    """
+    span = max(1, (last - first) // MARGIN_DIVISOR)
+    coupling = float(np.abs(ham.bands).sum())
+    if coupling == 0.0:
+        return [span, span]
+    h_psi = ham.diagonal * psi
+    for k, h in enumerate(ham.bands, start=1):
+        h_psi[k:] += h * psi[:-k]
+        h_psi[:-k] += np.conj(h) * psi[k:]
+    mean = float(np.vdot(psi, h_psi).real)
+    # sigma_H = ||(H - <H>) psi||, through hypot so that huge couplings cannot overflow
+    spread = float(np.hypot.reduce(np.abs(h_psi - mean * psi)))
+    diagonal, leak = ham.diagonal.real, LEAK_SHARE * math.sqrt(WINDOW_TAIL)
+    margins = []
+    # each side's slots up to the quarter span, outward from the run
+    for side, edge in ((diagonal[max(first - span, 0):first][::-1], diagonal[first]),
+                       (diagonal[last:last + span], diagonal[last - 1])):
+        counts = []
+        for energy, amplitude in ((mean + ENERGY_SIGMAS * spread, 1.0),
+                                  (edge + 2.0 * coupling, math.sqrt(WINDOW_TAIL))):
+            gap = side - energy
+            decay = np.where(gap > 2.0 * coupling, np.log(np.maximum(gap, coupling) / coupling), 0.0)
+            need = len(ham.bands) * math.log(max(horizon * coupling * amplitude / leak, 1.0))
+            counts.append(int(np.searchsorted(np.cumsum(decay), need)) + 1)
+        margins.append(max(counts))
+    return [span, span] if max(margins) > span else margins
+
+
 def evolve_quantum(
     ham: HamiltonianMatrix, initial: MomentumState, dt: float, steps: int
 ) -> ExpectationTrace:
@@ -161,10 +218,11 @@ def evolve_quantum(
 
     The eigendecomposition runs on the principal block H[lo:hi, lo:hi] of
     the slots that hold all but ``WINDOW_TAIL`` of the initial weight plus
-    a margin, and exact phases drive the modes inside the spectral window:
-    each chunk of sample times multiplies the phases at its first sample by
-    one table of phases over a chunk's offsets.  Over the horizon
-    T = |dt| steps the amplitude error is at most
+    a margin on each side, first the one :func:`first_margins` sizes from
+    the initial energy window, and exact phases drive the modes inside the
+    spectral window: each chunk of sample times multiplies the phases at
+    its first sample by one table of phases over a chunk's offsets.  Over
+    the horizon T = |dt| steps the amplitude error is at most
 
         sqrt(weight outside the block) + sqrt(discarded weight)
             + (T / hbar) sum_j |a_j| ||(H - E_j) v_j||
@@ -187,8 +245,8 @@ def evolve_quantum(
     slot_weights = psi.real**2 + psi.imag**2
     held, _ = _spectral_window(slot_weights)
     first, last = int(held[0]), int(held[-1]) + 1
-    margins = [max(1, (last - first) // MARGIN_DIVISOR)] * 2
     horizon, limit = abs(dt) * steps / hbar, math.sqrt(WINDOW_TAIL)
+    margins = first_margins(ham, psi, first, last, horizon)
     while True:
         block = slice(max(first - margins[0], 0), min(last + margins[1], dim))
         energies, modes = np.linalg.eigh(ham.block(block, block))

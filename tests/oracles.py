@@ -7,13 +7,14 @@ the force V'(q) of a trigonometric potential, the boundary-condition defect
 of a function of the angle (``boundary_defect``) and of a lattice state
 (``check_boundary_phase``), the spread of the enhanced flow across twists
 (``alpha_invariance_check``), Dekker's split of the CSV formatter's powers
-of ten in integers and their exact rounding residuals, the Gauss-Legendre
-rule of one count by its own recurrence, the boost of one momentum over the
-whole lattice, the unity diagonal in closed form by sine and cosine
-integrals, the circle moment of a free coherent state in closed form, the
-leapfrog step loop with its force as a closure, the Miller recurrence on a
-numpy array, and the free energies of the whole lattice spectrum and of a
-phase-space Hamiltonian with its Wigner-Kirkwood correction.
+of ten in integers and their exact rounding residuals, its digit masks
+written out row by row, the Gauss-Legendre rule of one count by its own
+recurrence, the boost of one momentum over the whole lattice, the unity
+diagonal in closed form by sine and cosine integrals, the circle moment of
+a free coherent state in closed form, the leapfrog step loop with its force
+as a closure, the Miller recurrence on a numpy array, and the free energies
+of the whole lattice spectrum and of a phase-space Hamiltonian with its
+Wigner-Kirkwood correction.
 Each is a literal transcription of its formula.
 """
 
@@ -228,6 +229,18 @@ def power_of_ten_residuals(k_lo: int, k_hi: int) -> np.ndarray:
         n, d = (a / b).as_integer_ratio()
         out.append((a * d - n * b) / (b * d))
     return np.array(out)
+
+
+def digit_masks() -> tuple:
+    """The CSV formatter's head, tail and point masks as 128-bit integers,
+    each row written out by ``int.to_bytes``: per 17 r + c, with s = r (or
+    c when r = 17), the low s bytes, the bytes s..c-1, and "." in byte s
+    when c > s."""
+    keep = [2 ** (8 * c) - 1 for c in range(17)]
+    before = [(c if r == 17 else r, c) for r in range(18) for c in range(17)]
+    columns = zip(*[(keep[s], keep[c] & ~keep[s], (c > s) * ord(".") << 8 * s) for s, c in before])
+    return tuple(np.frombuffer(b"".join(v.to_bytes(16, "little") for v in column), np.complex128)
+                 for column in columns)
 
 
 def gauss_legendre_alone(n: int) -> tuple[np.ndarray, np.ndarray]:

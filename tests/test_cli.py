@@ -20,7 +20,7 @@ from circleq.cli import OUTDIR_ENV, RunConfig, main, parse_config_text
 from circleq.coherent import coherent_state, legendre_node_count, verify_unity
 from circleq.hilbert import default_cutoff, wrap_angle
 from circleq.qevolve import build_hamiltonian, evolve_quantum
-from oracles import power_of_ten_residuals, power_of_ten_splits
+from oracles import digit_masks, power_of_ten_residuals, power_of_ten_splits
 
 SCHEMAS = {
     "fiducial_profile.csv": "# schema: circleq/fiducial-profile v1",
@@ -412,8 +412,12 @@ def test_power_of_ten_split_is_the_integer_split():
     h1, h2 = cli._tables()[:2]
     want1, want2 = power_of_ten_splits(cli._K_LO, cli._K_HI)
     assert h1.size == 635 and np.count_nonzero(np.isnan(want1)) == 33
-    assert np.array_equal(h1, want1, equal_nan=True)
-    assert np.array_equal(h2, want2, equal_nan=True)
+    assert h1.tobytes() == want1.tobytes() and h2.tobytes() == want2.tobytes()
+
+
+def test_digit_masks_are_the_integer_masks_byte_for_byte():
+    head, tail, point = cli._tables()[4:7]
+    assert [t.tobytes() for t in (head, tail, point)] == [t.tobytes() for t in digit_masks()]
 
 
 def test_digit_table_is_every_group_as_four_digits():
@@ -427,7 +431,7 @@ def test_power_of_ten_residuals_equal_the_exact_quotient():
     # subnormal residuals (k near 309) among them
     low = cli._tables()[2]
     exact = power_of_ten_residuals(cli._K_LO, cli._K_HI)
-    assert np.array_equal(low, exact, equal_nan=True)
+    assert low.tobytes() == exact.tobytes()
     assert np.count_nonzero(np.abs(exact) < np.finfo(float).tiny) > 0
 
 

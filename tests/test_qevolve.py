@@ -22,6 +22,7 @@ from circleq.qevolve import (
     compare_restricted,
     comparison_basis,
     evolve_quantum,
+    first_margins,
 )
 
 from oracles import QuadratureGrid, free_circle_moment, integrate_periodic
@@ -148,21 +149,24 @@ def test_propagation_matches_dense_oracle(name):
     assert ham.matrix.dtype == (np.float64 if real else np.complex128)
 
 
+def window(weights):
+    """All but the weakest entries whose summed weight is <= WINDOW_TAIL, in order."""
+    order = np.argsort(weights)
+    return np.sort(order[np.searchsorted(np.cumsum(weights[order]), WINDOW_TAIL, side="right"):])
+
+
 def chunked_reference_trace(potential, initial, dt, steps):
-    """Oracle for the propagation on the first block: an exp for every mode
-    at every sample time, and the energy as <psi| (H @ psi) with H applied
-    through its diagonal and band pairs."""
-
-    def window(weights):
-        # all but the weakest entries whose summed weight is <= WINDOW_TAIL
-        order = np.argsort(weights)
-        return np.sort(order[np.searchsorted(np.cumsum(weights[order]), WINDOW_TAIL, side="right"):])
-
+    """Oracle for the propagation on the first block, taken from
+    ``first_margins`` as production takes it: an exp for every mode at every
+    sample time, and the energy as <psi| (H @ psi) with H applied through
+    its diagonal and band pairs."""
     basis, psi = initial.basis, initial.coeffs
     matrix = dense_hamiltonian(potential, basis)
     held = window(np.abs(psi) ** 2)
-    margin = max(1, (held[-1] + 1 - held[0]) // MARGIN_DIVISOR)
-    block = slice(max(held[0] - margin, 0), min(held[-1] + 1 + margin, basis.dimension))
+    first, last = int(held[0]), int(held[-1]) + 1
+    below, above = first_margins(build_hamiltonian(potential, basis), psi, first, last,
+                                 abs(dt) * steps / basis.hbar)
+    block = slice(max(first - below, 0), min(last + above, basis.dimension))
     energies, modes = np.linalg.eigh(matrix[block, block])
     amps = modes.conj().T @ psi[block]
     kept = window(np.abs(amps) ** 2)
@@ -193,6 +197,7 @@ CHUNK_ORACLE_CASES = {
     "free": lambda: coherent_case(TrigPotential(), 300),
     "ragged_chunks": lambda: coherent_case(TrigPotential(a=(1.0,)), 2 * TIME_CHUNK + 37),
     "backward": lambda: coherent_case(SINE_TERMS, 300)[:2] + (-0.01, 300),
+    "one_step": lambda: coherent_case(SINE_TERMS, 1),
 }
 
 
@@ -217,6 +222,38 @@ def test_long_horizon_grows_the_block():
     long = evolve_quantum(ham, state, dt, steps)
     assert short.slots_kept < long.slots_kept < ham.basis.dimension
     assert max(short.truncation_bound, long.truncation_bound) <= 1e-12
+
+
+def held_margins(potential, state, dt, steps):
+    """(first_margins of the case's state, its held run's quarter span)."""
+    held = window(np.abs(state.coeffs) ** 2)
+    first, last = int(held[0]), int(held[-1]) + 1
+    ham = build_hamiltonian(potential, state.basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margins = first_margins(ham, state.coeffs, first, last, abs(dt) * steps / state.basis.hbar)
+    return margins, (last - first) // MARGIN_DIVISOR
+
+
+def test_first_margins_come_from_the_energy_window():
+    # r/hbar = 50: the estimate asks for 15 to 19 slots a side where the
+    # quarter span is 26 (the chunked oracle shows each first block passes);
+    # a backward run needs what a forward one does, and one step fewer
+    margins = {name: held_margins(*CHUNK_ORACLE_CASES[name]())
+               for name in ("real", "complex", "backward", "one_step")}
+    for (below, above), quarter in margins.values():
+        assert 1 <= min(below, above) and max(below, above) < quarter
+    assert margins["backward"] == margins["complex"]
+    assert all(short < full for short, full in zip(margins["one_step"][0], margins["complex"][0]))
+
+
+@pytest.mark.parametrize("potential", [TrigPotential(), TrigPotential(a=(0.0,))], ids=["none", "zero"])
+def test_first_block_without_coupling_is_the_quarter_span(potential):
+    # nothing couples the slots, so there is no decay rate to take a log of
+    case = coherent_case(potential, 300)
+    margins, quarter = held_margins(*case)
+    assert margins == [quarter, quarter]
+    assert evolve_quantum(build_hamiltonian(potential, case[1].basis), *case[1:]).truncation_bound <= 1e-12
 
 
 class SpyStop(Exception):
@@ -254,6 +291,22 @@ def spied_compare(monkeypatch, tmp_path, settings, solves=math.inf, largest=math
 
 
 R200 = ["model.r = 2.5", "model.hbar = 0.0125"]
+
+
+README_MODEL = ["model.r = 2.5", "model.hbar = 0.05", "model.potential.a = 1.0",
+                "run.dt = 0.002", "run.total_time = 4.6"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_readme_compare_solves_one_block_from_its_energy_window(tmp_path, monkeypatch, seed):
+    # the quarter-span first block of these runs had 159 slots; the energy
+    # window's is 136 to 139, and it passes, so it is the only solve
+    rng = np.random.default_rng(seed)
+    alpha, q0, p0 = rng.uniform(-0.5, 0.5, 3).tolist()
+    settings = [*README_MODEL, f"model.alpha = {alpha!r}", f"run.q0 = {q0!r}", f"run.p0 = {p0!r}"]
+    code, solved, traces = spied_compare(monkeypatch, tmp_path, settings, solves=1, largest=140)
+    assert code == 0 and solved == [traces[0].slots_kept]
+    assert traces[0].truncation_bound <= 1e-12
 
 
 def test_block_grows_only_on_the_leaking_side(tmp_path, monkeypatch):
@@ -312,6 +365,10 @@ def test_huge_couplings_keep_the_bound_finite():
     # RuntimeWarning) before the residual norms were taken through hypot
     potential, state, _, steps = coherent_case(TrigPotential(a=(1e300,)), 20)
     ham = build_hamiltonian(potential, state.basis)
+    # sigma_H of order 1e300 is taken without squaring, and the energy
+    # window then reaches past the quarter span, so the first block is that
+    margins, quarter = held_margins(potential, state, 0.01 / math.sqrt(1e300), steps)
+    assert margins == [quarter, quarter]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = evolve_quantum(ham, state, 0.01 / math.sqrt(1e300), steps)
